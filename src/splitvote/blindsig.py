@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
 from typing import Callable, Optional
 
 from .errors import DomainError, FieldMismatchError, ParameterError, ProtocolAbortError
-from .modmath import FieldElement, FieldParams, in_subgroup, mod_exp, mod_inv
+from .modmath import FieldElement, FieldParams, FixedBase, in_subgroup, mod_exp, mod_inv
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,12 @@ class SigningKey:
             raise ParameterError("signing exponent must lie in [1, q-1]")
 
     def public_key(self) -> PublicKey:
-        return PublicKey(mod_exp(self.params.generator(), self.exponent))
+        """g**x, computed once per key so its table is built once too."""
+        return self._public_key
+
+    @cached_property
+    def _public_key(self) -> PublicKey:
+        return PublicKey(self.params.g_table.power(self.exponent))
 
 
 @dataclass(frozen=True)
@@ -48,6 +54,11 @@ class PublicKey:
     @property
     def params(self) -> FieldParams:
         return self.value.params
+
+    @cached_property
+    def table(self) -> FixedBase:
+        """Fixed-base table for powers of y, built on first use."""
+        return FixedBase(self.value)
 
 
 @dataclass(frozen=True)
@@ -95,7 +106,7 @@ def blind(message: FieldElement, factor: BlindingFactor, signer_key: PublicKey) 
     _check_params(message.params, factor.params, signer_key.params)
     if not in_subgroup(message):
         raise DomainError("only subgroup members can be blinded")
-    return message * mod_exp(message.params.generator(), factor.exponent)
+    return message * message.params.g_table.power(factor.exponent)
 
 
 def sign(message: FieldElement, key: SigningKey) -> Signature:
@@ -109,7 +120,7 @@ def sign(message: FieldElement, key: SigningKey) -> Signature:
 def unblind(blinded_sig: FieldElement, factor: BlindingFactor, signer_key: PublicKey) -> FieldElement:
     """Strip the blinding from (m * g**b)**x by dividing out (g**x)**b."""
     _check_params(blinded_sig.params, factor.params, signer_key.params)
-    return blinded_sig * mod_inv(mod_exp(signer_key.value, factor.exponent))
+    return blinded_sig * mod_inv(signer_key.table.power(factor.exponent))
 
 
 def verify_with_key(sig: Signature, key: SigningKey) -> bool:
@@ -166,9 +177,10 @@ def confirm(
     The verifier hides fresh exponents e1, e2 inside the challenge
     c = message**e1 * g**e2 and accepts iff the signer's response c**x
     equals sig**e1 * y**e2 -- which holds for every challenge exactly when
-    sig really is message**x.  The signer commits to a digest of its
-    response before the exponents are opened, so it cannot adapt the
-    response to them.  Claims outside the subgroup are never accepted.
+    sig really is message**x.  The transcript records a digest of the
+    response as the signer's commitment; the round does not make the signer
+    commit before the exponents are opened, so the digest is recorded, not
+    verified.  Claims outside the subgroup are never accepted.
 
     Explicit e1/e2 pin the challenge for exhaustive soundness sweeps; live
     runs draw them uniformly from [1, q-1].
@@ -183,19 +195,16 @@ def confirm(
         e2 = rng.randrange(1, params.q)
     if not (0 <= e1 < params.q and 0 <= e2 < params.q):
         raise ParameterError("challenge exponents must lie in [0, q)")
-    challenge = mod_exp(sig.message, e1) * mod_exp(params.generator(), e2)
+    challenge = mod_exp(sig.message, e1) * params.g_table.power(e2)
     response = responder(challenge)
     if response is None:
         raise ProtocolAbortError("signer refused the confirmation challenge")
-    commitment = _commitment(response)
-    # exponents open only now; the verifier re-checks the commitment before
-    # judging the response
-    accepted = (
-        _commitment(response) == commitment
-        and in_subgroup(sig.sig)
-        and response == mod_exp(sig.sig, e1) * mod_exp(signer_key.value, e2)
+    accepted = in_subgroup(sig.sig) and (
+        response == mod_exp(sig.sig, e1) * signer_key.table.power(e2)
     )
-    return ConfirmationTranscript(e1, e2, challenge.value, commitment, response.value, accepted)
+    return ConfirmationTranscript(
+        e1, e2, challenge.value, _commitment(response), response.value, accepted
+    )
 
 
 @dataclass(frozen=True)
@@ -230,7 +239,7 @@ def disavow(
     d2 = params.element(second.response)
     if not (in_subgroup(d1) and in_subgroup(d2)):
         return DisavowalOutcome(False, (first, second))
-    y = signer_key.value
-    a1 = mod_exp(d1 * mod_inv(mod_exp(y, first.e2)), second.e1)
-    a2 = mod_exp(d2 * mod_inv(mod_exp(y, second.e2)), first.e1)
+    y = signer_key.table
+    a1 = mod_exp(d1 * mod_inv(y.power(first.e2)), second.e1)
+    a2 = mod_exp(d2 * mod_inv(y.power(second.e2)), first.e1)
     return DisavowalOutcome(a1 == a2, (first, second))

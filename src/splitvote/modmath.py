@@ -8,12 +8,19 @@ exponents are taken mod a prime and every nonzero element is invertible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
 
 from .errors import FieldMismatchError, NoInverseError, ParameterError
 
 MIN_PRIME = 23
 MILLER_RABIN_ROUNDS = 64
+
+# Digit width of fixed-base tables: one row of 2**6 powers per 6-bit digit of
+# an exponent below q.  At 256 bits that is 43 rows, about 0.2 MB per table;
+# at 2048 bits 342 rows, about 6.7 MB.  Wider digits trade table size and
+# build time for fewer multiplications per power.
+FIXED_BASE_WINDOW = 6
 
 _TRIAL_DIVISION_BOUND = 10**6
 
@@ -90,6 +97,11 @@ class FieldParams:
     def generator(self) -> FieldElement:
         return FieldElement(self.g, self)
 
+    @cached_property
+    def g_table(self) -> FixedBase:
+        """Fixed-base table for powers of g, built on first use."""
+        return FixedBase(self.generator())
+
 
 @dataclass(frozen=True)
 class FieldElement:
@@ -114,7 +126,11 @@ class FieldElement:
 
 
 def mod_exp(base: FieldElement, exponent: int) -> FieldElement:
-    """base**exponent mod p via square-and-multiply."""
+    """base**exponent mod p by the built-in three-argument ``pow``.
+
+    This is the path for bases that change from call to call; powers of g
+    and of a public key go through their ``FixedBase`` tables.
+    """
     if exponent < 0:
         raise ParameterError("exponent must be non-negative")
     return FieldElement(pow(base.value, exponent, base.params.p), base.params)
@@ -126,9 +142,67 @@ def mod_inv(a: FieldElement) -> FieldElement:
     return FieldElement(pow(a.value, -1, a.params.p), a.params)
 
 
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0 and 0 <= a < n, by reciprocity."""
+    result = 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and n & 7 in (3, 5):
+            result = -result
+        if a & n & 3 == 3:
+            result = -result
+        a, n = n % a, a
+    return result if n == 1 else 0
+
+
 def in_subgroup(a: FieldElement) -> bool:
-    """True iff a is a nonzero quadratic residue, i.e. a**q = 1."""
-    return a.value != 0 and pow(a.value, a.params.q, a.params.p) == 1
+    """True iff a is a nonzero quadratic residue, i.e. a**q = 1.
+
+    Decided by the Jacobi symbol: p is prime, so (a/p) is the Legendre
+    symbol, which equals a**q = a**((p-1)/2) mod p by Euler's criterion and
+    is 0 for a = 0.  The verdict is that of the exponentiation, at a
+    fraction of its cost.
+    """
+    return _jacobi(a.value, a.params.p) == 1
+
+
+class FixedBase:
+    """Powers of one subgroup element from a precomputed table.
+
+    Brickell, Gordon, McCurley and Wilson, "Fast exponentiation with
+    precomputation" (EUROCRYPT '92): row i holds base**(d * 2**(w*i)) for
+    every w-bit digit d, so base**e costs one multiplication per digit of e
+    and no squarings.  The exponent is reduced mod q first, which is exact
+    because the order of every subgroup element divides q.
+    """
+
+    def __init__(self, base: FieldElement):
+        if not in_subgroup(base):
+            raise ParameterError("a fixed-base table needs a subgroup element")
+        p = base.params.p
+        self.params = base.params
+        self._rows: list[list[int]] = []
+        step = base.value
+        for _ in range(-(-self.params.q.bit_length() // FIXED_BASE_WINDOW)):
+            row = [1]
+            for _ in range((1 << FIXED_BASE_WINDOW) - 1):
+                row.append(row[-1] * step % p)
+            self._rows.append(row)
+            step = row[-1] * step % p
+
+    def power(self, exponent: int) -> FieldElement:
+        """base**exponent mod p; the same value ``mod_exp`` returns."""
+        if exponent < 0:
+            raise ParameterError("exponent must be non-negative")
+        p = self.params.p
+        mask = (1 << FIXED_BASE_WINDOW) - 1
+        e = exponent % self.params.q
+        acc = 1
+        for row in self._rows:
+            acc = acc * row[e & mask] % p
+            e >>= FIXED_BASE_WINDOW
+        return FieldElement(acc, self.params)
 
 
 def sample_subgroup_element(params: FieldParams, rng: Random) -> FieldElement:

@@ -36,6 +36,11 @@ def test_public_key_value(key):
     assert key.public_key().value.value == 8  # 2**3 mod 23
 
 
+def test_public_key_is_computed_once_per_key(key):
+    # every caller shares one PublicKey, and so one fixed-base table
+    assert key.public_key() is key.public_key()
+
+
 def test_blind_worked_example(field, pub):
     blinded = blind(field.element(9), BlindingFactor(5, field), pub)
     assert blinded.value == 12  # 2**5 = 9, 9 * 9 = 81 = 12 mod 23

@@ -1,5 +1,6 @@
 """Simulator determinism, double bookkeeping, snapshots, attack reports."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -252,6 +253,21 @@ class TestElectionRun:
         assert first.agreement()
         assert first.render_records() == second.render_records()
         assert run.bus.kind_counts()["auth-zk"] >= 8
+
+    @pytest.mark.parametrize(
+        "booth, digest",
+        [
+            ("zk-relay", "92595ddb23b8ab4dfbc64240e91393aed1f69ff5c6095d1ac83e0990b6515773"),
+            ("key-copy", "f5e46281aa7273cc5676a59318c36a13d955896fcd1908f849009c3d27f634cf"),
+        ],
+    )
+    def test_generated_field_run_is_pinned_byte_for_byte(self, booth, digest):
+        # digests of the records and event log as computed with plain pow
+        # for every exponentiation; faster arithmetic must reproduce them
+        config = ElectionConfig(None, 64, 40, 3, ("a", "b", "c", "d"), 0.3, 0.1, booth, 3)
+        run, report = run_election(config)
+        text = report.render_records() + "\n".join(run.bus.render_log())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_collision_warnings_at_small_field(self):
         _, report = run_election(base_config())

@@ -1,7 +1,11 @@
 import random
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from splitvote.blindsig import SigningKey
 from splitvote.errors import (
     FieldMismatchError,
     NoInverseError,
@@ -11,6 +15,7 @@ from splitvote.modmath import (
     FIXTURE_FIELD,
     FieldElement,
     FieldParams,
+    FixedBase,
     generate_params,
     in_subgroup,
     is_probable_prime,
@@ -79,6 +84,75 @@ def test_subgroup_closed_under_multiplication(field):
     for a in QUADRATIC_RESIDUES_23:
         for b in QUADRATIC_RESIDUES_23:
             assert a * b % 23 in QUADRATIC_RESIDUES_23
+
+
+def test_subgroup_test_is_eulers_criterion_exhaustively(field):
+    for a in range(23):
+        assert in_subgroup(field.element(a)) == (a != 0 and pow(a, 11, 23) == 1)
+
+
+def test_fixed_base_powers_match_pow_exhaustively(field):
+    # g, then every public key g**x; exponents up to 2q cover 0 and the
+    # reduction mod q, those from 60 on run past the table's one 6-bit row
+    tables = [(field.g_table, 2)] + [
+        (SigningKey(x, field).public_key().table, pow(2, x, 23)) for x in range(1, 11)
+    ]
+    for table, base in tables:
+        for exponent in [*range(22), *range(60, 140)]:
+            assert table.power(exponent).value == pow(base, exponent, 23)
+
+
+def test_fixed_base_rejects_negative_exponents_and_non_members(field):
+    with pytest.raises(ParameterError):
+        field.g_table.power(-1)
+    with pytest.raises(ParameterError):
+        FixedBase(field.element(5))
+    with pytest.raises(ParameterError):
+        FixedBase(field.element(0))
+
+
+# (bits, seed) pairs whose safe-prime search is short; cached so that
+# property tests pay for each field once
+PROPERTY_FIELDS = ((64, 2), (128, 9), (192, 3), (256, 6))
+
+
+@cache
+def property_field(bits, seed):
+    return generate_params(bits, random.Random(seed))
+
+
+fields = st.sampled_from(PROPERTY_FIELDS).map(lambda spec: property_field(*spec))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields, st.data())
+def test_subgroup_test_is_eulers_criterion(params, data):
+    a = data.draw(st.integers(0, params.p - 1))
+    assert in_subgroup(params.element(a)) == (a != 0 and pow(a, params.q, params.p) == 1)
+    square = a * a % params.p
+    assert in_subgroup(params.element(square)) == (square != 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields, st.data())
+def test_fixed_base_powers_match_pow(params, data):
+    x = data.draw(st.integers(1, params.q - 1))
+    y = SigningKey(x, params).public_key()
+    assert y.value.value == pow(params.g, x, params.p)
+    exponent = data.draw(st.integers(0, 4 * params.q) | st.integers(0, params.q**2))
+    assert params.g_table.power(exponent).value == pow(params.g, exponent, params.p)
+    assert y.table.power(exponent).value == pow(y.value.value, exponent, params.p)
+    assert y.table.power(exponent) == mod_exp(y.value, exponent)
+
+
+@settings(max_examples=20, deadline=None)
+@given(fields, st.integers(max_value=-1))
+def test_negative_exponents_raise_parameter_error(params, exponent):
+    for table in (params.g_table, SigningKey(1, params).public_key().table):
+        with pytest.raises(ParameterError):
+            table.power(exponent)
+    with pytest.raises(ParameterError):
+        mod_exp(params.generator(), exponent)
 
 
 def test_sample_subgroup_element_frozen(field):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from splitvote import blindsig, modmath
 from splitvote.blindsig import Signature, SigningKey, verify_with_key
 from splitvote.errors import DomainError, ParameterError, VotingError
 from splitvote.modmath import FieldElement, in_subgroup
@@ -267,6 +268,30 @@ class TestBooth:
         # the relayed round carries only the blinded challenge, never the id
         fields = dict(relayed[0].fields)
         assert "anon_id" not in fields
+
+    def test_zk_relay_authentication_costs_three_exponentiations(
+        self, field, key, sheet, monkeypatch
+    ):
+        # m**e1, c**x and sig**e1; g**e2 and y**e2 come from the tables the
+        # voters' registrations already built, since booth and voters share
+        # the authority's one public key
+        bus, authority, booth, servers, voters = make_setup(field, key, sheet, mode=ZK_RELAY)
+        creds = register_all(voters, authority, bus)
+        counts = {"mod_exp": 0, "tables": 0}
+        mod_exp, build = blindsig.mod_exp, modmath.FixedBase.__init__
+
+        def counted_mod_exp(base, exponent):
+            counts["mod_exp"] += 1
+            return mod_exp(base, exponent)
+
+        def counted_build(table, base):
+            counts["tables"] += 1
+            build(table, base)
+
+        monkeypatch.setattr(blindsig, "mod_exp", counted_mod_exp)
+        monkeypatch.setattr(modmath.FixedBase, "__init__", counted_build)
+        booth.authenticate(creds[0].anon_id, creds[0].anon_id_sig, bus)
+        assert counts == {"mod_exp": 3, "tables": 0}
 
     def test_zk_relay_rejects_forged_signature(self, field, key, sheet):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet, mode=ZK_RELAY)
