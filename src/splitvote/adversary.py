@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 from .errors import DomainError, RegimeError, ScenarioError
 from .modmath import FieldElement, FieldParams
-from .sharing import EXHAUSTIVE_FIELD_LIMIT, split
+from .sharing import EXHAUSTIVE_FIELD_LIMIT, _complete_values
 
 TARGETED = "targeted"
 ANY_VALID = "any-valid"
@@ -162,14 +162,15 @@ def _exhaust(scenario, value, predicate, rewrite, rng) -> tuple[int, int]:
 def _simulate(scenario, value, predicate, rewrite, trials, rng) -> tuple[int, int]:
     if trials < 1:
         raise ScenarioError("need at least one trial")
-    params = scenario.params
-    p = params.p
-    element = params.element(value)
+    p = scenario.params.p
+    k = scenario.k
     j = scenario.rewritten
     successes = 0
+    # the draws of ``split`` on plain ints: k >= 2 and value != 0 are
+    # already checked, so no FieldElement or ShareSet is built per trial
     for _ in range(trials):
-        shares = split(element, scenario.k, rng)
-        original = shares.shares[j].value
+        leading = [rng.randrange(1, p) for _ in range(k - 1)]
+        original = _complete_values(value, leading, p)[j]
         if predicate(_final_product(value, rewrite, original, p)):
             successes += 1
     return successes, trials

@@ -440,10 +440,6 @@ class ElectionRun:
             voter = Voter(identity, self.params, self.key.public_key(), stream(self.seed, f"voter/{i}"))
             voter.register(self.authority, self.bus)
             anon = voter.credential.anon_id.value
-            if anon == 1:
-                self.warnings.append(
-                    f"registrant {i} drew anonymous id 1, whose signature is 1 for every key"
-                )
             if anon in drawn:
                 self.warnings.append(
                     f"anonymous id collision: registrants {drawn[anon]} and {i} share id {anon}"

@@ -305,8 +305,11 @@ class Voter:
 
     def register(self, authority: RegistrationAuthority, bus: MessageBus) -> Credential:
         """Blind a fresh anonymous id, have it signed, unblind, and confirm
-        every signature received before trusting it."""
+        every signature received before trusting it.  Id 1 is redrawn: the
+        booth refuses it, since it is its own signature under every key."""
         anon_id = sample_subgroup_element(self.params, self.rng)
+        while anon_id.value == 1:
+            anon_id = sample_subgroup_element(self.params, self.rng)
         factor = random_blinding_factor(self.params, self.rng)
         blinded = blind(anon_id, factor, self.authority_key)
         bus.post(
@@ -452,6 +455,10 @@ class PollingBooth:
         if not in_subgroup(anon_id):
             bus.post(self.name, holder, "auth-reject", reason="malformed-id")
             raise AuthenticationError("anonymous id must lie in the subgroup")
+        # 1**x = 1, so (1, 1) verifies under every key without registration
+        if anon_id.value == 1:
+            bus.post(self.name, holder, "auth-reject", reason="degenerate-id")
+            raise AuthenticationError("anonymous id 1 is signed by every key")
         candidate = Signature(anon_id, anon_id_sig)
         if self.mode == KEY_COPY:
             valid = verify_with_key(candidate, self.key)

@@ -1,5 +1,6 @@
 """Exit codes, file outputs, and the snapshot/resume flow of the CLI."""
 
+import hashlib
 import json
 
 import pytest
@@ -55,6 +56,14 @@ class TestParams:
         assert main(["params", "--bits", "16", "--seed", "2", "--out", str(out)]) == 0
         assert "16 bits" in capsys.readouterr().out
         assert params_from_text(out.read_text(encoding="ascii")).p.bit_length() == 16
+
+    def test_512_bits_prints_the_pinned_field(self, capsys):
+        # the text the 64-round search produced for this seed, byte for byte
+        assert main(["params", "--bits", "512", "--seed", "1"]) == 0
+        text = capsys.readouterr().out
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f383230f61b9f6df05116bcfdf4aa7e241f4c5226075273c7c0211f0ce27281d"
+        )
 
     def test_tiny_bits_rejected(self, capsys):
         assert main(["params", "--bits", "3"]) == 2

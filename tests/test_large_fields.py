@@ -1,0 +1,69 @@
+"""Protocol identities on fresh safe-prime fields of 64 to 256 bits.
+
+The exhaustive checks run at p = 23.  Here Hypothesis draws a size and a
+seed, builds the field that seed yields, and checks the same identities on
+it: split/reconstruct, blind/sign/unblind, confirmation completeness and the
+disavowal verdicts.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from splitvote.blindsig import (
+    Signature,
+    blind,
+    confirm,
+    disavow,
+    honest_responder,
+    random_blinding_factor,
+    random_signing_key,
+    sign,
+    unblind,
+)
+from splitvote.modmath import generate_params, sample_subgroup_element
+from splitvote.sharing import reconstruct, split
+
+fields = st.builds(
+    lambda bits, seed: generate_params(bits, random.Random(seed)),
+    st.integers(64, 256),
+    st.integers(0, 2**32 - 1),
+)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(fields, seeds)
+def test_split_blind_and_confirm_round_trip(params, seed):
+    rng = random.Random(seed)
+    key = random_signing_key(params, rng)
+    pub = key.public_key()
+    value = params.element(rng.randrange(1, params.p))
+    assert reconstruct(split(value, rng.randint(2, 5), rng)) == value
+    message = sample_subgroup_element(params, rng)
+    factor = random_blinding_factor(params, rng)
+    unblinded = unblind(sign(blind(message, factor, pub), key).sig, factor, pub)
+    assert unblinded == sign(message, key).sig
+    genuine = Signature(message, unblinded)
+    assert confirm(genuine, pub, honest_responder(key), rng).accepted
+
+
+@settings(max_examples=20, deadline=None)
+@given(fields, seeds)
+def test_disavow_verdicts(params, seed):
+    rng = random.Random(seed)
+    key = random_signing_key(params, rng)
+    pub = key.public_key()
+    message = sample_subgroup_element(params, rng)
+    genuine = sign(message, key)
+    # g != 1 lies in the subgroup, so this is a well-formed wrong signature
+    forged = Signature(message, genuine.sig * params.generator())
+    outcome = disavow(forged, pub, honest_responder(key), rng)
+    assert outcome.is_forgery
+    assert not any(r.accepted for r in outcome.rounds)
+    # a signer denying its own signature with made-up subgroup answers is
+    # caught in all but about one run in q
+    liar_rng = random.Random(seed + 1)
+    denial = disavow(genuine, pub, lambda c: sample_subgroup_element(params, liar_rng), rng)
+    assert not denial.is_forgery

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from functools import cache
 
@@ -11,8 +12,10 @@ from splitvote.errors import (
     NoInverseError,
     ParameterError,
 )
+from splitvote.harness import emit_params
 from splitvote.modmath import (
     FIXTURE_FIELD,
+    MIN_PRIME,
     FieldElement,
     FieldParams,
     FixedBase,
@@ -24,6 +27,7 @@ from splitvote.modmath import (
     params_from_text,
     params_to_text,
     sample_subgroup_element,
+    _safe_prime_proved,
 )
 
 # independent oracle: repeated multiplication
@@ -257,3 +261,66 @@ def test_primality_spot_checks():
     assert not is_probable_prime(2**89 - 3)
     # Carmichael numbers must not fool the tester
     assert not is_probable_prime(3215031751)
+
+
+def oracle_generate_params(bit_length, rng):
+    """The generator before its sieve and Pocklington proof: full tests on
+    both q and p for every draw.  The fast one must give the same output."""
+    while True:
+        q = rng.getrandbits(bit_length - 1)
+        q |= (1 << (bit_length - 2)) | 1
+        p = 2 * q + 1
+        if p < MIN_PRIME:
+            continue
+        if not (is_probable_prime(q) and is_probable_prime(p)):
+            continue
+        while True:
+            u = rng.randrange(2, p - 1)
+            g = u * u % p
+            if g != 1:
+                break
+        return FieldParams(p=p, q=q, g=g)
+
+
+# 5-12 bits put q or p = 2q + 1 among the sieve primes (below 1000); 13
+# seeds at each of the 16 sizes up to 64 bits, 7 at each of the 3 above
+@pytest.mark.parametrize(
+    "bits", (5, 6, 7, 8, 9, 10, 11, 12, 16, 20, 24, 32, 40, 48, 56, 64, 96, 112, 128)
+)
+def test_generate_params_equals_oracle(bits):
+    for seed in range(13 if bits <= 64 else 7):
+        assert generate_params(bits, random.Random(seed)) == oracle_generate_params(
+            bits, random.Random(seed)
+        )
+
+
+def test_pocklington_agrees_with_miller_rabin_for_every_prime_q_below_1e5():
+    primes = [q for q in range(2, 10**5) if is_probable_prime(q)]
+    assert len(primes) == 9592
+    for q in primes:
+        assert _safe_prime_proved(2 * q + 1) == is_probable_prime(2 * q + 1), q
+
+
+@pytest.mark.parametrize("p", (23, 47))
+def test_generator_check_is_eulers_criterion(p):
+    q = (p - 1) // 2
+    for g in range(2, p):
+        try:
+            FieldParams(p=p, q=q, g=g)
+            accepted = True
+        except ParameterError:
+            accepted = False
+        assert accepted == (pow(g, q, p) == 1), g
+
+
+@pytest.mark.parametrize(
+    "bits,digest",
+    [
+        (384, "ab28e95876b3ab546ef6b1006d6ae8574aaf516c9d2304096410879d4cc2e155"),
+        (512, "f383230f61b9f6df05116bcfdf4aa7e241f4c5226075273c7c0211f0ce27281d"),
+    ],
+)
+def test_large_fields_are_pinned(bits, digest):
+    # sha256 of the parameter text as the 64-round search produced it
+    _, text = emit_params(bits, 1)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -173,6 +173,16 @@ class TestRegistration:
             if m.kind.startswith("confirm-"):
                 assert dict(m.fields)["accepted"] == "1"
 
+    def test_anonymous_id_one_is_redrawn(self, field, key, sheet):
+        # seed 31 draws u = 1 first (id 1), then u = 16 (id 256 mod 23 = 3)
+        rng = random.Random(31)
+        assert rng.randrange(1, 23) == 1 and rng.randrange(1, 23) == 16
+        bus, authority, booth, servers, voters = make_setup(field, key, sheet, n_voters=1)
+        voter = Voter(voters[0].identity, field, key.public_key(), random.Random(31))
+        cred = voter.register(authority, bus)
+        assert cred.anon_id.value == 16 * 16 % 23
+        assert verify_with_key(cred.as_signature(), key)
+
     def test_tampered_signature_triggers_disavowal(self, field, key, sheet):
         class TamperingAuthority(RegistrationAuthority):
             def register(self, v_id, blinded, bus):
@@ -299,6 +309,19 @@ class TestBooth:
         wrong = FieldElement(cred.anon_id_sig.value * 2 % 23, field)
         with pytest.raises(AuthenticationError):
             booth.authenticate(cred.anon_id, wrong, bus)
+
+    @pytest.mark.parametrize("mode", [KEY_COPY, ZK_RELAY])
+    def test_degenerate_id_rejected_before_any_registration(self, field, key, sheet, mode):
+        # 1**x = 1 under every key, so (anon_id=1, sig=1) verifies in both
+        # modes without anyone registering; the booth must refuse it
+        bus, authority, booth, servers, voters = make_setup(field, key, sheet, mode=mode)
+        one = FieldElement(1, field)
+        with pytest.raises(AuthenticationError):
+            booth.authenticate(one, one, bus)
+        assert [(m.kind, dict(m.fields)) for m in bus.messages[1:]] == [
+            ("auth-reject", {"reason": "degenerate-id"})
+        ]
+        assert booth.live == {} and booth.seen == {}
 
 
 class TestCasting:
