@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-from .errors import RegimeError, VotingError
+from .errors import ConfigError, RegimeError, VotingError
 from .harness import (
     ElectionRun,
     emit_params,
@@ -87,7 +87,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_resume(args: argparse.Namespace) -> int:
     start = perf_counter()
-    state = json.loads(Path(args.snapshot_file).read_text(encoding="utf-8"))
+    try:
+        state = json.loads(Path(args.snapshot_file).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # undecodable bytes, bad JSON, over-long integers, runaway nesting
+        raise ConfigError([f"snapshot is not valid UTF-8 JSON: {exc}"]) from None
     run = ElectionRun.resume(state)
     run.run_schedule()
     return _finish_run(run, perf_counter() - start, args)
@@ -155,9 +159,6 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except VotingError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: snapshot is not valid JSON: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,9 +8,12 @@ against an independently maintained prediction.  Reports come in two
 renderings: a canonical record format that is byte-identical across runs
 (no wall-clock time), and a human table that includes timing.
 
-Mid-run state snapshots serialize to canonical JSON and restore to the
-same future: resuming a snapshot replays the exact messages, tokens, and
-shares the uninterrupted run would have produced.
+A mid-run snapshot records only what replay needs, the config, seed and
+cast cursor, plus a sha256 digest of the state at the cursor (message log,
+server stores, ledger).  Resuming rebuilds the run from config and seed,
+replays it to the cursor, checks the digest and continues, so the resumed
+run produces exactly the messages, tokens and shares of an uninterrupted
+one.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .adversary import (
     attack_any_valid,
     attack_targeted,
 )
-from .blindsig import SigningKey, random_signing_key
+from .blindsig import random_signing_key
 from .errors import ConfigError, VotingError
 from .modmath import FieldParams, generate_params, params_to_text
 from .protocol import (
@@ -39,9 +42,6 @@ from .protocol import (
     KEY_COPY,
     ZK_RELAY,
     BallotSheet,
-    CastRecord,
-    Credential,
-    Message,
     MessageBus,
     PollingBooth,
     RegistrationAuthority,
@@ -56,7 +56,7 @@ from .protocol import (
 )
 
 SNAPSHOT_KIND = "splitvote-snapshot"
-SNAPSHOT_FORMAT = 1
+SNAPSHOT_FORMAT = 2
 
 
 def stream(seed: int, label: str) -> Random:
@@ -286,35 +286,6 @@ class IntentLedger:
                 counts[label] += 1
         return TallyResult(counts, invalid, inconsistent, len(ids))
 
-    def snapshot(self) -> list[dict[str, list[int]]]:
-        return [
-            {str(anon): list(entry) for anon, entry in sorted(store.items())}
-            for store in self.stores
-        ]
-
-    @classmethod
-    def restore(cls, k: int, data: list[dict[str, list[int]]]) -> "IntentLedger":
-        ledger = cls(k)
-        ledger.stores = [
-            {int(anon): (entry[0], entry[1]) for anon, entry in store.items()}
-            for store in data
-        ]
-        return ledger
-
-
-def _rng_state_to_json(state) -> list:
-    return [state[0], list(state[1]), state[2]]
-
-
-def _rng_state_from_json(data) -> tuple:
-    return (data[0], tuple(data[1]), data[2])
-
-
-def _restored_rng(data) -> Random:
-    rng = Random()
-    rng.setstate(_rng_state_from_json(data))
-    return rng
-
 
 @dataclass
 class RunReport:
@@ -529,126 +500,95 @@ class ElectionRun:
             duration,
         )
 
+    def state_digest(self) -> str:
+        """sha256 of the canonical state at the cursor: the rendered message
+        log, then every server store and every ledger store in id order.
+        Log lines start with a sequence number and store lines are digits,
+        so the ``[...]`` section heads cannot be confused with either."""
+        digest = hashlib.sha256()
+        for message in self.bus.messages:
+            digest.update(f"{message.render()}\n".encode("utf-8"))
+        for server in self.servers:
+            digest.update(f"[server {server.index}]\n".encode("ascii"))
+            for anon, record in sorted(server.store.items()):
+                digest.update(f"{anon} {record.version} {record.share.value}\n".encode("ascii"))
+        for index, store in enumerate(self.ledger.stores):
+            digest.update(f"[ledger {index}]\n".encode("ascii"))
+            for anon, (version, share) in sorted(store.items()):
+                digest.update(f"{anon} {version} {share}\n".encode("ascii"))
+        return digest.hexdigest()
+
     def snapshot_state(self) -> dict:
-        """Everything needed to continue this run from the current cast."""
+        """What replay needs to reach the current cast, plus a digest of
+        the state it must arrive at."""
         return {
             "kind": SNAPSHOT_KIND,
             "format": SNAPSHOT_FORMAT,
             "seed": self.seed,
             "config": list(self.config.echo_lines()),
-            "field": {"p": self.params.p, "q": self.params.q, "g": self.params.g},
             "cursor": self.cursor,
-            "shares_accepted": self.shares_accepted,
             "finished": self.finished,
-            "key": self.key.exponent,
-            "sheet": {
-                "candidates": list(self.sheet.candidates),
-                "ballots": [b.value for b in self.sheet.ballots],
-                "signed": [s.value for s in self.sheet.signed_ballots],
-            },
-            "registered": sorted(self.authority.registered),
-            "voters": [
-                {
-                    "anon_id": v.credential.anon_id.value,
-                    "anon_sig": v.credential.anon_id_sig.value,
-                    "version": v.version,
-                    "rng": _rng_state_to_json(v.rng.getstate()),
-                }
-                for v in self.voters
-            ],
-            "booth": {
-                "seen": {str(k): v for k, v in sorted(self.booth.seen.items())},
-                "live": {str(k): v for k, v in sorted(self.booth.live.items())},
-                "by_token": dict(sorted(self.booth.by_token.items())),
-                "clock": self.booth.clock,
-                "closed": self.booth.closed,
-                "rng": _rng_state_to_json(self.booth.rng.getstate()),
-            },
-            "servers": [
-                {
-                    str(anon): [record.version, record.share.value]
-                    for anon, record in sorted(server.store.items())
-                }
-                for server in self.servers
-            ],
-            "ledger": self.ledger.snapshot(),
-            "bus": [
-                [m.seq, m.sender, m.recipient, m.kind, [[k, v] for k, v in m.fields]]
-                for m in self.bus.messages
-            ],
-            "warnings": list(self.warnings),
+            "sha256": self.state_digest(),
         }
 
     def snapshot_json(self) -> str:
         return json.dumps(self.snapshot_state(), sort_keys=True, separators=(",", ":"))
 
     @classmethod
-    def resume(cls, state: dict) -> "ElectionRun":
-        """Rebuild a run from ``snapshot_state`` output and keep going."""
-        if state.get("kind") != SNAPSHOT_KIND or state.get("format") != SNAPSHOT_FORMAT:
-            raise ConfigError(["not a recognizable snapshot"])
+    def resume(cls, state: object) -> "ElectionRun":
+        """Replay ``snapshot_state`` output to its cursor, check the digest,
+        and hand back the run ready to keep going.  Every malformed,
+        foreign, finished or tampered snapshot raises ``ConfigError``."""
+        problems = _snapshot_problems(state)
+        if problems:
+            raise ConfigError(problems)
         if state["finished"]:
             raise ConfigError(["snapshot is of a finished run; nothing to resume"])
-        config = parse_election_config("\n".join(state["config"]))
-        run = object.__new__(cls)
-        run.config = config
-        run.seed = state["seed"]
-        field = state["field"]
-        run.params = FieldParams(field["p"], field["q"], field["g"])
-        run.key = SigningKey(state["key"], run.params)
-        sheet = state["sheet"]
-        run.sheet = BallotSheet(
-            tuple(sheet["candidates"]),
-            tuple(run.params.element(b) for b in sheet["ballots"]),
-            tuple(run.params.element(s) for s in sheet["signed"]),
-        )
-        roster = [VoterIdentity(f"V{i:05d}") for i in range(config.n_voters)]
-        run.authority = RegistrationAuthority(run.key, roster, {"main": run.sheet})
-        run.authority.registered = set(state["registered"])
-        run.booth = PollingBooth(
-            run.params,
-            config.booth_mode,
-            _restored_rng(state["booth"]["rng"]),
-            key=run.key if config.booth_mode == KEY_COPY else None,
-            authority=run.authority if config.booth_mode == ZK_RELAY else None,
-        )
-        run.booth.seen = {int(k): v for k, v in state["booth"]["seen"].items()}
-        run.booth.live = {int(k): v for k, v in state["booth"]["live"].items()}
-        run.booth.by_token = dict(state["booth"]["by_token"])
-        run.booth.clock = state["booth"]["clock"]
-        run.booth.closed = state["booth"]["closed"]
-        run.servers = []
-        for index, store in enumerate(state["servers"]):
-            server = VoteServer(index, run.booth)
-            server.store = {
-                int(anon): CastRecord(int(anon), entry[0], run.params.element(entry[1]))
-                for anon, entry in store.items()
-            }
-            run.servers.append(server)
-        run.voters = []
-        for identity, saved in zip(roster, state["voters"]):
-            voter = Voter(identity, run.params, run.key.public_key(), _restored_rng(saved["rng"]))
-            voter.credential = Credential(
-                run.params.element(saved["anon_id"]), run.params.element(saved["anon_sig"])
-            )
-            voter.sheet = run.sheet
-            voter.version = saved["version"]
-            run.voters.append(voter)
-        run.bus = MessageBus(
-            Message(m[0], m[1], m[2], m[3], tuple((k, v) for k, v in m[4]))
-            for m in state["bus"]
-        )
-        run.ledger = IntentLedger.restore(config.k, state["ledger"])
-        run.warnings = list(state["warnings"])
-        run.cursor = state["cursor"]
-        run.shares_accepted = state["shares_accepted"]
-        run.finished = False
-        run.result = None
-        run.predicted = None
-        run.schedule = run._build_schedule()
-        if run.cursor > len(run.schedule):
+        run = cls(parse_election_config("\n".join(state["config"])), state["seed"])
+        if state["cursor"] > len(run.schedule):
             raise ConfigError(["snapshot cursor lies beyond the schedule"])
+        run.run_schedule(state["cursor"])
+        if run.state_digest() != state["sha256"]:
+            raise ConfigError(["snapshot digest mismatch: replaying its config and seed "
+                               "does not reach the state it recorded"])
         return run
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_SNAPSHOT_FIELDS = {
+    "seed": (_is_int, "an integer"),
+    "config": (lambda v: isinstance(v, list) and all(isinstance(line, str) for line in v),
+               "a list of config lines"),
+    "cursor": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    "finished": (lambda v: isinstance(v, bool), "true or false"),
+    "sha256": (lambda v: isinstance(v, str), "a hex digest"),
+}
+
+
+def _snapshot_problems(state: object) -> list[str]:
+    """Shape check of a parsed snapshot; empty when ``resume`` may use it."""
+    if not isinstance(state, dict) or state.get("kind") != SNAPSHOT_KIND:
+        return ["not a recognizable snapshot"]
+    if state.get("format") != SNAPSHOT_FORMAT:
+        return [
+            f"snapshot format {state.get('format')!r} is not supported; this version "
+            f"reads format {SNAPSHOT_FORMAT} only, so rerun with --snapshot-at"
+        ]
+    problems = [f"snapshot: missing key {key}" for key in _SNAPSHOT_FIELDS if key not in state]
+    problems += [
+        f"snapshot: unknown key {key}"
+        for key in state
+        if key not in _SNAPSHOT_FIELDS and key not in ("kind", "format")
+    ]
+    problems += [
+        f"snapshot: {key} must be {what}"
+        for key, (valid, what) in _SNAPSHOT_FIELDS.items()
+        if key in state and not valid(state[key])
+    ]
+    return problems
 
 
 def run_election(config: ElectionConfig, seed: int | None = None) -> tuple[ElectionRun, RunReport]:

@@ -88,8 +88,8 @@ class MessageBus:
     """Append-only ordered log; delivery is synchronous, so the order is the
     program order and identical across runs with the same seed."""
 
-    def __init__(self, messages: Iterable[Message] = ()):
-        self.messages: list[Message] = list(messages)
+    def __init__(self):
+        self.messages: list[Message] = []
 
     def post(self, sender: str, recipient: str, kind: str, **fields) -> Message:
         message = Message(

@@ -163,6 +163,93 @@ class TestSnapshotResume:
         assert "error:" in capsys.readouterr().err
 
 
+def _snapshot_at_9(config_path, tmp_path, capsys):
+    snap = tmp_path / "state.json"
+    assert main([
+        "run", "--config", str(config_path), "--snapshot", str(snap), "--snapshot-at", "9",
+    ]) == 0
+    capsys.readouterr()
+    return snap, json.loads(snap.read_text(encoding="utf-8"))
+
+
+def _resume_fails_with_one_line(snap, capsys):
+    assert main(["resume", "--snapshot", str(snap)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+class TestHostileSnapshots:
+    """Every malformed, foreign or tampered snapshot exits 2 with one line."""
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"[]",
+            b'"splitvote-snapshot"',
+            b'{"kind":"splitvote-snapshot","format":2}',
+            b'{"kind":"splitvote-snapshot","format":1}',
+            b"\xff\xfe\x00not utf-8",
+            b"[" * 100_000,
+            b'{"cursor":' + b"9" * 5000 + b"}",
+        ],
+        ids=["list", "string", "kind-format-only", "format-1-stub", "not-utf-8",
+             "deep-nesting", "huge-integer"],
+    )
+    def test_unusable_file(self, tmp_path, capsys, raw):
+        snap = tmp_path / "hostile.json"
+        snap.write_bytes(raw)
+        _resume_fails_with_one_line(snap, capsys)
+
+    @pytest.mark.parametrize(
+        "key, value, complaint",
+        [
+            ("cursor", "9", "cursor must be a non-negative integer"),
+            ("cursor", True, "cursor must be a non-negative integer"),
+            ("cursor", -1, "cursor must be a non-negative integer"),
+            ("seed", None, "seed must be an integer"),
+            ("config", "voters = 20", "config must be a list"),
+            ("finished", 0, "finished must be true or false"),
+            ("sha256", 0, "sha256 must be a hex digest"),
+            ("format", 1, "format 1 is not supported"),
+            ("cursor", 10_000, "beyond the schedule"),
+            ("sha256", "0" * 64, "digest mismatch"),
+        ],
+    )
+    def test_bad_field(self, election_cfg, tmp_path, capsys, key, value, complaint):
+        snap, state = _snapshot_at_9(election_cfg, tmp_path, capsys)
+        state[key] = value
+        snap.write_text(json.dumps(state), encoding="utf-8")
+        assert complaint in _resume_fails_with_one_line(snap, capsys)
+
+    def test_missing_and_unknown_keys(self, election_cfg, tmp_path, capsys):
+        snap, state = _snapshot_at_9(election_cfg, tmp_path, capsys)
+        del state["finished"]
+        state["servers"] = [{}]
+        snap.write_text(json.dumps(state), encoding="utf-8")
+        err = _resume_fails_with_one_line(snap, capsys)
+        assert "missing key finished" in err and "unknown key servers" in err
+
+    @pytest.mark.parametrize("booth", ["key-copy", "zk-relay"])
+    @pytest.mark.parametrize(
+        "key, edit",
+        [("seed", lambda seed: seed + 1), ("config", lambda lines: lines[:3] + ["voters = 21"] + lines[4:]),
+         ("cursor", lambda cursor: cursor - 1)],
+    )
+    def test_tampered_run_fails_the_digest(self, tmp_path, capsys, booth, key, edit):
+        config = tmp_path / "election.cfg"
+        config.write_text(ELECTION_CFG + f"booth = {booth}\n", encoding="utf-8")
+        snap, state = _snapshot_at_9(config, tmp_path, capsys)
+        assert state["config"][3] == "voters = 20"
+        state[key] = edit(state[key])
+        snap.write_text(json.dumps(state), encoding="utf-8")
+        assert "digest mismatch" in _resume_fails_with_one_line(snap, capsys)
+        # the untouched snapshot still resumes
+        snap, _ = _snapshot_at_9(config, tmp_path, capsys)
+        assert main(["resume", "--snapshot", str(snap)]) == 0
+
+
 class TestAttack:
     def test_exact_beside_asymptotic(self, attack_cfg, capsys):
         assert main(["attack", "--config", str(attack_cfg)]) == 0

@@ -1,10 +1,13 @@
 """Simulator determinism, double bookkeeping, snapshots, attack reports."""
 
+import functools
 import hashlib
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitvote.errors import ConfigError, RegimeError, VotingError
 from splitvote.harness import (
@@ -19,8 +22,8 @@ from splitvote.harness import (
     run_election,
     stream,
 )
-from splitvote.modmath import FIXTURE_FIELD, params_from_text
-from splitvote.protocol import TallyResult
+from splitvote.modmath import FIXTURE_FIELD, generate_params, params_from_text
+from splitvote.protocol import BOOTH_MODES, CastRecord, TallyResult
 
 BASE_TEXT = """
 # three-way race on the small field
@@ -201,12 +204,6 @@ class TestLedger:
         predicted = ledger.predict(sheet)
         assert predicted == TallyResult({"a": 1, "b": 0}, 1, 2, 4)
 
-    def test_snapshot_round_trip(self):
-        ledger = IntentLedger(2)
-        ledger.apply(2, 1, [5, 9], 2)
-        restored = IntentLedger.restore(2, json.loads(json.dumps(ledger.snapshot())))
-        assert restored.stores == ledger.stores
-
 
 class TestElectionRun:
     def test_ledger_agrees_with_tally(self):
@@ -352,6 +349,60 @@ class TestSnapshots:
         state["cursor"] = 10_000
         with pytest.raises(ConfigError):
             ElectionRun.resume(state)
+
+    def test_snapshot_holds_only_what_replay_needs(self):
+        run = ElectionRun(base_config())
+        run.run_schedule(upto=20)
+        state = json.loads(run.snapshot_json())
+        assert sorted(state) == ["config", "cursor", "finished", "format", "kind", "seed", "sha256"]
+        assert state["format"] == 2 and state["cursor"] == 20
+        assert state["config"] == list(base_config().echo_lines())
+        assert len(run.snapshot_json()) < 600
+
+    def test_digest_covers_the_log_the_servers_and_the_ledger(self):
+        # format 1 resumed a zero share edited into a server store; every
+        # part of the state the digest covers now moves it
+        run = ElectionRun(base_config())
+        run.run_schedule(upto=8)
+        clean = run.state_digest()
+        server = run.servers[0]
+        anon, record = next(iter(server.store.items()))
+        other = FIXTURE_FIELD.element(record.share.value % (FIXTURE_FIELD.p - 1) + 1)
+        server.store[anon] = CastRecord(anon, record.version, other)
+        assert run.state_digest() != clean
+        server.store[anon] = record
+        assert run.state_digest() == clean
+        entry = run.ledger.stores[1][anon]
+        run.ledger.stores[1][anon] = (0, 0)
+        assert run.state_digest() != clean
+        run.ledger.stores[1].pop(anon)
+        assert run.state_digest() != clean
+        run.ledger.stores[1][anon] = entry
+        assert run.state_digest() == clean
+        run.bus.post("X", "Y", "note")
+        assert run.state_digest() != clean
+
+
+@functools.cache
+def _field_64():
+    return generate_params(64, stream(1, "field"))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(BOOTH_MODES), st.booleans(), st.integers(0, 8), st.integers(0, 2**32 - 1), st.data())
+def test_resume_at_any_cursor_is_byte_identical(booth, large, voters, seed, data):
+    params = _field_64() if large else FIXTURE_FIELD
+    config = ElectionConfig(params, None, voters, 3, ("a", "b", "c"), 0.5, 0.3, booth, seed)
+    full, report = run_election(config)
+    cursor = data.draw(st.integers(0, len(full.schedule)), label="cursor")
+    interrupted = ElectionRun(config)
+    interrupted.run_schedule(upto=cursor)
+    resumed = ElectionRun.resume(json.loads(interrupted.snapshot_json()))
+    assert resumed.cursor == cursor
+    resumed.run_schedule()
+    resumed.finish()
+    assert resumed.report().render_records() == report.render_records()
+    assert resumed.bus.render_log() == full.bus.render_log()
 
 
 class TestAttackRuns:

@@ -2,8 +2,8 @@
 
 The exhaustive checks run at p = 23.  Here Hypothesis draws a size and a
 seed, builds the field that seed yields, and checks the same identities on
-it: split/reconstruct, blind/sign/unblind, confirmation completeness and the
-disavowal verdicts.
+it: split/reconstruct, blind/sign/unblind, confirmation completeness, the
+disavowal verdicts, and the harness ledger agreeing with the tally.
 """
 
 import random
@@ -22,7 +22,9 @@ from splitvote.blindsig import (
     sign,
     unblind,
 )
+from splitvote.harness import ElectionConfig, run_election
 from splitvote.modmath import generate_params, sample_subgroup_element
+from splitvote.protocol import BOOTH_MODES
 from splitvote.sharing import reconstruct, split
 
 fields = st.builds(
@@ -67,3 +69,25 @@ def test_disavow_verdicts(params, seed):
     liar_rng = random.Random(seed + 1)
     denial = disavow(genuine, pub, lambda c: sample_subgroup_element(params, liar_rng), rng)
     assert not denial.is_forgery
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    fields,
+    st.sampled_from(BOOTH_MODES),
+    st.integers(2, 5),
+    st.floats(0.5, 1.0),
+    st.floats(0.2, 0.8),
+    seeds,
+)
+def test_ledger_agrees_with_tally(params, booth, voters, recast, incomplete, seed):
+    # at least one voter recasts, and each cast is short-delivered with
+    # probability ``incomplete``, so overwrites and inconsistent ids occur
+    config = ElectionConfig(params, None, voters, 3, ("a", "b", "c"), recast, incomplete, booth, seed)
+    run, report = run_election(config)
+    assert report.agreement(), report.differences()
+    assert len(run.schedule) > voters
+    result = report.result
+    assert result.distinct_ids == voters == report.distinct_credentials
+    assert result.invalid == 0
+    assert sum(result.counts.values()) + result.inconsistent == voters
