@@ -11,13 +11,12 @@ variant that separates real forgeries from a signer falsely denying.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 from random import Random
 from typing import Callable, Optional
 
-from .errors import DomainError, FieldMismatchError, ParameterError, ProtocolAbortError
+from .errors import DomainError, ParameterError, ProtocolAbortError
 from .modmath import FieldElement, FieldParams, FixedBase, in_subgroup, mod_exp, mod_inv
 
 
@@ -50,10 +49,6 @@ class PublicKey:
     def __post_init__(self):
         if not in_subgroup(self.value):
             raise ParameterError("public key must lie in the subgroup")
-
-    @property
-    def params(self) -> FieldParams:
-        return self.value.params
 
     @cached_property
     def table(self) -> FixedBase:
@@ -94,16 +89,8 @@ def random_blinding_factor(params: FieldParams, rng: Random) -> BlindingFactor:
     return BlindingFactor(rng.randrange(1, params.q), params)
 
 
-def _check_params(*param_sets: FieldParams) -> None:
-    first = param_sets[0]
-    for other in param_sets[1:]:
-        if other != first:
-            raise FieldMismatchError("mixed field parameters")
-
-
 def blind(message: FieldElement, factor: BlindingFactor, signer_key: PublicKey) -> FieldElement:
     """message * g**b; over uniform b this is uniform on the subgroup."""
-    _check_params(message.params, factor.params, signer_key.params)
     if not in_subgroup(message):
         raise DomainError("only subgroup members can be blinded")
     return message * message.params.g_table.power(factor.exponent)
@@ -113,19 +100,16 @@ def sign(message: FieldElement, key: SigningKey) -> Signature:
     """message**x."""
     if message.value == 0:
         raise DomainError("cannot sign zero")
-    _check_params(message.params, key.params)
     return Signature(message, mod_exp(message, key.exponent))
 
 
 def unblind(blinded_sig: FieldElement, factor: BlindingFactor, signer_key: PublicKey) -> FieldElement:
     """Strip the blinding from (m * g**b)**x by dividing out (g**x)**b."""
-    _check_params(blinded_sig.params, factor.params, signer_key.params)
     return blinded_sig * mod_inv(signer_key.table.power(factor.exponent))
 
 
 def verify_with_key(sig: Signature, key: SigningKey) -> bool:
     """Direct check sig = message**x; only the key holder can run this."""
-    _check_params(sig.message.params, key.params)
     return sig.sig == mod_exp(sig.message, key.exponent)
 
 
@@ -141,16 +125,11 @@ def honest_responder(key: SigningKey) -> Responder:
     return respond
 
 
-def _commitment(response: FieldElement) -> str:
-    return hashlib.sha256(str(response.value).encode("ascii")).hexdigest()
-
-
 @dataclass(frozen=True)
 class ConfirmationTranscript:
     e1: int
     e2: int
     challenge: int
-    commitment: str
     response: int
     accepted: bool
 
@@ -158,8 +137,7 @@ class ConfirmationTranscript:
         """Canonical text record: decimal fields in fixed order."""
         return (
             f"e1={self.e1} e2={self.e2} challenge={self.challenge} "
-            f"commitment={self.commitment} response={self.response} "
-            f"accepted={1 if self.accepted else 0}"
+            f"response={self.response} accepted={1 if self.accepted else 0}"
         )
 
 
@@ -177,15 +155,12 @@ def confirm(
     The verifier hides fresh exponents e1, e2 inside the challenge
     c = message**e1 * g**e2 and accepts iff the signer's response c**x
     equals sig**e1 * y**e2 -- which holds for every challenge exactly when
-    sig really is message**x.  The transcript records a digest of the
-    response as the signer's commitment; the round does not make the signer
-    commit before the exponents are opened, so the digest is recorded, not
-    verified.  Claims outside the subgroup are never accepted.
+    sig really is message**x.  Claims outside the subgroup are never
+    accepted.
 
     Explicit e1/e2 pin the challenge for exhaustive soundness sweeps; live
     runs draw them uniformly from [1, q-1].
     """
-    _check_params(sig.message.params, sig.sig.params, signer_key.params)
     params = sig.message.params
     if not in_subgroup(sig.message):
         raise DomainError("confirmation needs a subgroup message")
@@ -202,9 +177,7 @@ def confirm(
     accepted = in_subgroup(sig.sig) and (
         response == mod_exp(sig.sig, e1) * signer_key.table.power(e2)
     )
-    return ConfirmationTranscript(
-        e1, e2, challenge.value, _commitment(response), response.value, accepted
-    )
+    return ConfirmationTranscript(e1, e2, challenge.value, response.value, accepted)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,13 @@ def _write_or_print(text: str, path: str | None) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _read_config(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"config is not valid UTF-8: {exc}"]) from None
+
+
 def _add_report_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="write the report here instead of stdout")
     parser.add_argument(
@@ -71,7 +78,7 @@ def _finish_run(run: ElectionRun, duration: float, args: argparse.Namespace) -> 
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = parse_election_config(Path(args.config).read_text(encoding="utf-8"))
+    config = parse_election_config(_read_config(args.config))
     start = perf_counter()
     run = ElectionRun(config, args.seed)
     if args.snapshot_at is not None:
@@ -98,7 +105,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    config = parse_attack_config(Path(args.config).read_text(encoding="utf-8"))
+    config = parse_attack_config(_read_config(args.config))
     report = run_attack(config, args.seed)
     _write_or_print(_render(report, args.format), args.out)
     return 0

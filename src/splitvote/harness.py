@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from random import Random
 from time import perf_counter
@@ -154,6 +154,29 @@ def _take_field(pairs, problems) -> tuple[FieldParams | None, int | None]:
         return None, None
 
 
+def _field_lines(params: FieldParams) -> list[str]:
+    return [f"p = {params.p}", f"q = {params.q}", f"g = {params.g}"]
+
+
+def _echo_field(config: ElectionConfig | AttackConfig) -> list[str]:
+    """The field as a config gives it: explicit p, q, g or a bit length."""
+    if config.params is not None:
+        return _field_lines(config.params)
+    return [f"field_bits = {config.field_bits}"]
+
+
+def _resolve_field(config: ElectionConfig | AttackConfig) -> FieldParams:
+    """The config's explicit field, or the one its seed generates."""
+    if config.params is not None:
+        return config.params
+    return generate_params(config.field_bits, stream(config.seed, "field"))
+
+
+def _record_header(config_lines: Sequence[str], params: FieldParams) -> list[str]:
+    """The ``[config]`` and ``[field]`` sections every canonical report opens with."""
+    return ["[config]", *config_lines, "", "[field]", *_field_lines(params), ""]
+
+
 def _take_candidates(pairs, problems) -> tuple[str, ...]:
     raw = pairs.pop("candidates", None)
     if raw is None:
@@ -192,12 +215,8 @@ class ElectionConfig:
 
     def echo_lines(self) -> tuple[str, ...]:
         """Canonical key = value lines; parsing them reproduces the config."""
-        lines = []
-        if self.params is not None:
-            lines += [f"p = {self.params.p}", f"q = {self.params.q}", f"g = {self.params.g}"]
-        else:
-            lines.append(f"field_bits = {self.field_bits}")
-        lines += [
+        return (
+            *_echo_field(self),
             f"voters = {self.n_voters}",
             f"servers = {self.k}",
             f"candidates = {','.join(self.candidates)}",
@@ -205,8 +224,7 @@ class ElectionConfig:
             f"incomplete_fraction = {self.incomplete_fraction!r}",
             f"booth = {self.booth_mode}",
             f"seed = {self.seed}",
-        ]
-        return tuple(lines)
+        )
 
 
 def parse_election_config(text: str) -> ElectionConfig:
@@ -239,6 +257,22 @@ class CastEvent:
     deliver_count: int
 
 
+def _build_schedule(config: ElectionConfig) -> tuple[CastEvent, ...]:
+    rng = stream(config.seed, "schedule")
+    recasters = rng.sample(range(config.n_voters), round(config.recast_fraction * config.n_voters))
+    occurrences = list(range(config.n_voters)) + sorted(recasters)
+    rng.shuffle(occurrences)
+    events = []
+    for voter_index in occurrences:
+        candidate = rng.randrange(len(config.candidates))
+        if config.incomplete_fraction and rng.random() < config.incomplete_fraction:
+            deliver = rng.randint(1, config.k - 1)
+        else:
+            deliver = config.k
+        events.append(CastEvent(voter_index, candidate, deliver))
+    return tuple(events)
+
+
 class IntentLedger:
     """Parallel bookkeeping of what every server should be storing.
 
@@ -249,7 +283,6 @@ class IntentLedger:
     """
 
     def __init__(self, k: int):
-        self.k = k
         self.stores: list[dict[int, tuple[int, int]]] = [{} for _ in range(k)]
 
     def apply(
@@ -321,14 +354,7 @@ class RunReport:
 
     def render_records(self) -> str:
         """Canonical report: identical bytes for identical config and seed."""
-        lines = ["[config]", *self.config_lines, ""]
-        lines += [
-            "[field]",
-            f"p = {self.params.p}",
-            f"q = {self.params.q}",
-            f"g = {self.params.g}",
-            "",
-        ]
+        lines = _record_header(self.config_lines, self.params)
         lines += [
             "[run]",
             f"registered = {self.registered}",
@@ -371,15 +397,15 @@ class RunReport:
 
 
 class ElectionRun:
-    """One end-to-end simulated election, steppable cast by cast."""
+    """One end-to-end simulated election, steppable cast by cast.  A
+    ``seed`` given here replaces the config's, so the config names the seed
+    that ran."""
 
     def __init__(self, config: ElectionConfig, seed: int | None = None):
+        if seed is not None:
+            config = replace(config, seed=seed)
         self.config = config
-        self.seed = config.seed if seed is None else seed
-        if config.params is not None:
-            self.params = config.params
-        else:
-            self.params = generate_params(config.field_bits, stream(self.seed, "field"))
+        self.params = _resolve_field(config)
         self.bus = MessageBus()
         self.warnings: list[str] = []
         self.cursor = 0
@@ -388,19 +414,19 @@ class ElectionRun:
         self.result: TallyResult | None = None
         self.predicted: TallyResult | None = None
         self._setup()
-        self.schedule = self._build_schedule()
+        self.schedule = _build_schedule(config)
         self.ledger = IntentLedger(config.k)
 
     def _setup(self) -> None:
         config = self.config
-        self.key = random_signing_key(self.params, stream(self.seed, "authority-key"))
-        self.sheet = make_ballot_sheet(config.candidates, self.key, stream(self.seed, "ballots"))
+        seed = config.seed
+        self.key = random_signing_key(self.params, stream(seed, "authority-key"))
+        self.sheet = make_ballot_sheet(config.candidates, self.key, stream(seed, "ballots"))
         roster = [VoterIdentity(f"V{i:05d}") for i in range(config.n_voters)]
         self.authority = RegistrationAuthority(self.key, roster, {"main": self.sheet})
         self.booth = PollingBooth(
-            self.params,
             config.booth_mode,
-            stream(self.seed, "booth"),
+            stream(seed, "booth"),
             key=self.key if config.booth_mode == KEY_COPY else None,
             authority=self.authority if config.booth_mode == ZK_RELAY else None,
         )
@@ -408,7 +434,7 @@ class ElectionRun:
         self.voters: list[Voter] = []
         drawn: dict[int, int] = {}
         for i, identity in enumerate(roster):
-            voter = Voter(identity, self.params, self.key.public_key(), stream(self.seed, f"voter/{i}"))
+            voter = Voter(identity, self.params, self.key.public_key(), stream(seed, f"voter/{i}"))
             voter.register(self.authority, self.bus)
             anon = voter.credential.anon_id.value
             if anon in drawn:
@@ -419,22 +445,6 @@ class ElectionRun:
                 drawn[anon] = i
             self.voters.append(voter)
 
-    def _build_schedule(self) -> tuple[CastEvent, ...]:
-        config = self.config
-        rng = stream(self.seed, "schedule")
-        recasters = rng.sample(range(config.n_voters), round(config.recast_fraction * config.n_voters))
-        occurrences = list(range(config.n_voters)) + sorted(recasters)
-        rng.shuffle(occurrences)
-        events = []
-        for voter_index in occurrences:
-            candidate = rng.randrange(len(config.candidates))
-            if config.incomplete_fraction and rng.random() < config.incomplete_fraction:
-                deliver = rng.randint(1, config.k - 1)
-            else:
-                deliver = config.k
-            events.append(CastEvent(voter_index, candidate, deliver))
-        return tuple(events)
-
     def step(self) -> CastEvent:
         """Run the next scheduled cast and cross-check ledger vs servers."""
         if self.finished:
@@ -444,7 +454,7 @@ class ElectionRun:
         event = self.schedule[self.cursor]
         voter = self.voters[event.voter_index]
         cred = voter.credential
-        token = self.booth.authenticate(cred.anon_id, cred.anon_id_sig, self.bus, holder=voter.anon_name)
+        token = self.booth.authenticate(cred.anon_id, cred.anon_id_sig, self.bus)
         ack = voter.cast(token, self.servers, event.candidate_index, self.bus, event.deliver_count)
         decisions = self.ledger.apply(
             cred.anon_id.value,
@@ -476,7 +486,7 @@ class ElectionRun:
             verifier = key_verifier(self.key)
         else:
             verifier = relay_verifier(
-                self.key.public_key(), self.authority.responder, stream(self.seed, "tally")
+                self.key.public_key(), self.authority.responder, stream(self.config.seed, "tally")
             )
         self.result = tally(self.servers, self.sheet, verifier, self.bus)
         self.predicted = self.ledger.predict(self.sheet)
@@ -524,7 +534,7 @@ class ElectionRun:
         return {
             "kind": SNAPSHOT_KIND,
             "format": SNAPSHOT_FORMAT,
-            "seed": self.seed,
+            "seed": self.config.seed,
             "config": list(self.config.echo_lines()),
             "cursor": self.cursor,
             "finished": self.finished,
@@ -544,9 +554,12 @@ class ElectionRun:
             raise ConfigError(problems)
         if state["finished"]:
             raise ConfigError(["snapshot is of a finished run; nothing to resume"])
-        run = cls(parse_election_config("\n".join(state["config"])), state["seed"])
-        if state["cursor"] > len(run.schedule):
+        config = replace(parse_election_config("\n".join(state["config"])), seed=state["seed"])
+        # the schedule needs only config and seed, so a bad cursor is
+        # refused before registration runs
+        if state["cursor"] > len(_build_schedule(config)):
             raise ConfigError(["snapshot cursor lies beyond the schedule"])
+        run = cls(config)
         run.run_schedule(state["cursor"])
         if run.state_digest() != state["sha256"]:
             raise ConfigError(["snapshot digest mismatch: replaying its config and seed "
@@ -611,12 +624,8 @@ class AttackConfig:
     seed: int = 0
 
     def echo_lines(self) -> tuple[str, ...]:
-        lines = []
-        if self.params is not None:
-            lines += [f"p = {self.params.p}", f"q = {self.params.q}", f"g = {self.params.g}"]
-        else:
-            lines.append(f"field_bits = {self.field_bits}")
-        lines += [
+        lines = [
+            *_echo_field(self),
             f"servers = {self.k}",
             f"colluders = {','.join(str(i) for i in self.colluders)}",
             f"goal = {self.goal}",
@@ -681,15 +690,8 @@ class AttackReport:
     duration: float
 
     def render_records(self) -> str:
-        lines = ["[config]", *self.config_lines, ""]
-        lines += [
-            "[field]",
-            f"p = {self.params.p}",
-            f"q = {self.params.q}",
-            f"g = {self.params.g}",
-            "",
-            "[attack]",
-        ]
+        lines = _record_header(self.config_lines, self.params)
+        lines.append("[attack]")
         lines += [outcome.to_record() for outcome in self.outcomes]
         return "\n".join(lines) + "\n"
 
@@ -707,12 +709,13 @@ class AttackReport:
 
 
 def run_attack(config: AttackConfig, seed: int | None = None) -> AttackReport:
+    """Run the attack the config describes; a ``seed`` given here replaces
+    the config's, so the report names the seed that ran."""
     start = perf_counter()
-    seed = config.seed if seed is None else seed
-    if config.params is not None:
-        params = config.params
-    else:
-        params = generate_params(config.field_bits, stream(seed, "field"))
+    if seed is not None:
+        config = replace(config, seed=seed)
+    seed = config.seed
+    params = _resolve_field(config)
     scenario = CollusionScenario(params, config.k, config.colluders, seed)
     rng = stream(seed, "attack")
     if config.goal == TARGETED:

@@ -40,11 +40,11 @@ _SMALL_PRIMES = _sieve(1000)
 _ODD_PRIMORIAL = math.prod(_SMALL_PRIMES[1:])
 
 
-def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Primality test: exact below 10**6, Miller-Rabin above.
 
-    Witnesses are the first ``rounds`` small primes, so verdicts are
-    reproducible across runs.
+    Witnesses are the first ``MILLER_RABIN_ROUNDS`` small primes, so
+    verdicts are reproducible across runs.
     """
     if n < 2:
         return False
@@ -61,7 +61,7 @@ def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _SMALL_PRIMES[:rounds]:
+    for a in _SMALL_PRIMES[:MILLER_RABIN_ROUNDS]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -40,6 +40,7 @@ from .sharing import ShareSet, split
 KEY_COPY = "key-copy"
 ZK_RELAY = "zk-relay"
 BOOTH_MODES = (KEY_COPY, ZK_RELAY)
+TALLY = "tally"
 
 
 class IneligibleVoterError(VotingError):
@@ -171,7 +172,6 @@ class SessionToken:
 
 @dataclass(frozen=True)
 class CastRecord:
-    anon_id: int
     version: int
     share: FieldElement
 
@@ -218,7 +218,6 @@ def _transcript_fields(transcript) -> dict[str, object]:
         "e1": transcript.e1,
         "e2": transcript.e2,
         "challenge": transcript.challenge,
-        "commitment": transcript.commitment,
         "response": transcript.response,
         "accepted": 1 if transcript.accepted else 0,
     }
@@ -383,9 +382,7 @@ class Voter:
                 share=share.value,
                 token=token.token,
             )
-            accepted, reason = server.store_share(
-                anon_id, self.version, share, token, bus, holder=self.anon_name
-            )
+            accepted, reason = server.store_share(anon_id, self.version, share, token, bus)
             deliveries.append(DeliveryResult(server.name, accepted, reason))
         return CastAck(self.version, shares, tuple(deliveries))
 
@@ -395,18 +392,19 @@ class PollingBooth:
 
     ``key-copy`` booths hold a copy of the signing key and verify directly;
     ``zk-relay`` booths run a confirmation round against the authority, which
-    therefore never learns which anonymous id is voting.
+    therefore never learns which anonymous id is voting.  ``live`` maps each
+    anonymous id to its one valid session token.
     """
+
+    name = "booth"
 
     def __init__(
         self,
-        params: FieldParams,
         mode: str,
         rng: Random,
         *,
         key: SigningKey | None = None,
         authority: RegistrationAuthority | None = None,
-        name: str = "booth",
     ):
         if mode not in BOOTH_MODES:
             raise ParameterError(f"unknown booth mode {mode!r}")
@@ -414,15 +412,12 @@ class PollingBooth:
             raise ParameterError("key-copy booth needs the signing key")
         if mode == ZK_RELAY and authority is None:
             raise ParameterError("zk-relay booth needs the authority")
-        self.params = params
         self.mode = mode
         self.rng = rng
         self.key = key
         self.authority = authority
-        self.name = name
         self.seen: dict[int, int] = {}
         self.live: dict[int, str] = {}
-        self.by_token: dict[str, int] = {}
         self.clock = 0
         self.closed = False
 
@@ -431,7 +426,6 @@ class PollingBooth:
         anon_id: FieldElement,
         anon_id_sig: FieldElement,
         bus: MessageBus,
-        holder: str | None = None,
     ) -> SessionToken:
         """Issue a session token for a valid credential.
 
@@ -439,7 +433,7 @@ class PollingBooth:
         previous token dies.  A known id under a *different* valid signature
         is a collision and the voter must re-register.
         """
-        holder = holder or f"holder/{anon_id.value}"
+        holder = f"holder/{anon_id.value}"
         bus.post(
             holder,
             self.name,
@@ -476,29 +470,22 @@ class PollingBooth:
             bus.post(self.name, holder, "auth-reject", reason="collision")
             raise CollisionError("anonymous id already bound to a different signature")
         self.seen[anon_id.value] = anon_id_sig.value
-        previous = self.live.pop(anon_id.value, None)
-        if previous is not None:
-            self.by_token.pop(previous, None)
         self.clock += 1
         token = SessionToken(f"{self.rng.getrandbits(128):032x}", anon_id.value, self.clock)
         self.live[anon_id.value] = token.token
-        self.by_token[token.token] = anon_id.value
         bus.post(self.name, holder, "auth-grant", token=token.token, issued_at=token.issued_at)
         return token
 
     def token_valid(self, token: str, anon_id_value: int) -> bool:
-        return not self.closed and self.by_token.get(token) == anon_id_value
+        return not self.closed and self.live.get(anon_id_value) == token
 
-    def revoke(self, token: SessionToken | str) -> None:
-        value = token.token if isinstance(token, SessionToken) else token
-        anon = self.by_token.pop(value, None)
-        if anon is not None and self.live.get(anon) == value:
-            del self.live[anon]
+    def revoke(self, token: SessionToken) -> None:
+        if self.live.get(token.bound_anon_id) == token.token:
+            del self.live[token.bound_anon_id]
 
     def close(self, bus: MessageBus) -> None:
         self.closed = True
         self.live.clear()
-        self.by_token.clear()
         bus.post(self.name, "*", "close")
 
 
@@ -518,9 +505,8 @@ class VoteServer:
         share: FieldElement,
         token: SessionToken,
         bus: MessageBus,
-        holder: str | None = None,
     ) -> tuple[bool, str]:
-        holder = holder or f"holder/{anon_id.value}"
+        holder = f"holder/{anon_id.value}"
         bus.post(self.name, self.booth.name, "token-check", token=token.token, anon_id=anon_id.value)
         ok = self.booth.token_valid(token.token, anon_id.value)
         bus.post(self.booth.name, self.name, "token-ok" if ok else "token-bad", token=token.token)
@@ -531,7 +517,7 @@ class VoteServer:
         existing = self.store.get(anon_id.value)
         if existing is not None and version <= existing.version:
             return self._reject(holder, anon_id, version, "stale-version", bus)
-        self.store[anon_id.value] = CastRecord(anon_id.value, version, share)
+        self.store[anon_id.value] = CastRecord(version, share)
         bus.post(self.name, holder, "cast-accept", anon_id=anon_id.value, version=version)
         return True, "stored"
 
@@ -573,7 +559,6 @@ def tally(
     sheet: BallotSheet,
     verifier: SignatureVerifier,
     bus: MessageBus,
-    name: str = "tally",
 ) -> TallyResult:
     """Pool every server's stored shares, reconstruct per anonymous id, and
     match products against the signed ballot sheet.
@@ -586,8 +571,8 @@ def tally(
         if not verifier(Signature(ballot, signed)):
             raise DomainError("ballot sheet signature failed verification")
     for server in servers:
-        bus.post(name, server.name, "collect")
-        bus.post(server.name, name, "records", count=len(server.store))
+        bus.post(TALLY, server.name, "collect")
+        bus.post(server.name, TALLY, "records", count=len(server.store))
     ids = sorted({anon for server in servers for anon in server.store})
     index = sheet.signed_index()
     p = sheet.ballots[0].params.p
@@ -609,7 +594,7 @@ def tally(
             counts[label] += 1
     result = TallyResult(counts, invalid, inconsistent, len(ids))
     bus.post(
-        name,
+        TALLY,
         "*",
         "tally-result",
         counts=",".join(f"{label}:{counts[label]}" for label in sheet.candidates),

@@ -31,6 +31,12 @@ seed = 1
 """
 
 
+def _config_section(records: str) -> str:
+    """The ``[config]`` lines of a canonical report, as a config file."""
+    section = records.split("[config]\n", 1)[1].split("\n\n", 1)[0]
+    return section + "\n"
+
+
 @pytest.fixture
 def election_cfg(tmp_path):
     path = tmp_path / "election.cfg"
@@ -101,6 +107,17 @@ class TestRun:
         overridden = capsys.readouterr().out
         assert default != overridden
 
+    def test_seed_override_is_the_seed_echoed(self, election_cfg, tmp_path, capsys):
+        assert main(["run", "--config", str(election_cfg), "--seed", "99"]) == 0
+        overridden = capsys.readouterr().out
+        echoed = _config_section(overridden)
+        assert "seed = 99\n" in echoed and "seed = 5" not in echoed
+        # the echoed config alone reproduces the run that printed it
+        again = tmp_path / "echoed.cfg"
+        again.write_text(echoed, encoding="utf-8")
+        assert main(["run", "--config", str(again)]) == 0
+        assert capsys.readouterr().out == overridden
+
     def test_event_log_grammar(self, election_cfg, tmp_path):
         events = tmp_path / "events.log"
         assert main(["run", "--config", str(election_cfg), "--events", str(events)]) == 0
@@ -120,6 +137,12 @@ class TestRun:
     def test_missing_config_exits_4(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 4
         assert "error:" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"voters = 3\xff\n")
+        assert main(["run", "--config", str(path)]) == 2
+        _one_error_line(capsys)
 
 
 class TestSnapshotResume:
@@ -172,12 +195,16 @@ def _snapshot_at_9(config_path, tmp_path, capsys):
     return snap, json.loads(snap.read_text(encoding="utf-8"))
 
 
-def _resume_fails_with_one_line(snap, capsys):
-    assert main(["resume", "--snapshot", str(snap)]) == 2
+def _one_error_line(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     return captured.err
+
+
+def _resume_fails_with_one_line(snap, capsys):
+    assert main(["resume", "--snapshot", str(snap)]) == 2
+    return _one_error_line(capsys)
 
 
 class TestHostileSnapshots:
@@ -271,6 +298,24 @@ class TestAttack:
         path.write_text("servers = 3\ncolluders = 0,1,2\n", encoding="utf-8")
         assert main(["attack", "--config", str(path)]) == 2
         assert "proper subset" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(ATTACK_CFG.encode("ascii") + b"goal = targeted\xff\n")
+        assert main(["attack", "--config", str(path)]) == 2
+        _one_error_line(capsys)
+
+    def test_seed_override_is_the_seed_echoed(self, tmp_path, capsys):
+        path = tmp_path / "mc.cfg"
+        path.write_text(ATTACK_CFG.replace("exhaustive", "500"), encoding="utf-8")
+        assert main(["attack", "--config", str(path), "--seed", "99"]) == 0
+        overridden = capsys.readouterr().out
+        echoed = _config_section(overridden)
+        assert "seed = 99\n" in echoed and "seed = 1" not in echoed
+        again = tmp_path / "echoed.cfg"
+        again.write_text(echoed, encoding="utf-8")
+        assert main(["attack", "--config", str(again)]) == 0
+        assert capsys.readouterr().out == overridden
 
     def test_monte_carlo_table(self, tmp_path, capsys):
         path = tmp_path / "mc.cfg"

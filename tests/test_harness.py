@@ -23,7 +23,7 @@ from splitvote.harness import (
     stream,
 )
 from splitvote.modmath import FIXTURE_FIELD, generate_params, params_from_text
-from splitvote.protocol import BOOTH_MODES, CastRecord, TallyResult
+from splitvote.protocol import BOOTH_MODES, CastRecord, TallyResult, Voter
 
 BASE_TEXT = """
 # three-way race on the small field
@@ -254,8 +254,8 @@ class TestElectionRun:
     @pytest.mark.parametrize(
         "booth, digest",
         [
-            ("zk-relay", "92595ddb23b8ab4dfbc64240e91393aed1f69ff5c6095d1ac83e0990b6515773"),
-            ("key-copy", "f5e46281aa7273cc5676a59318c36a13d955896fcd1908f849009c3d27f634cf"),
+            ("zk-relay", "d2ba746bf2fc7b926303ad28aee3d8d9b54eb52bd412d0dc70b412d5410e85af"),
+            ("key-copy", "364e41504612111cd4f3acc4906079f43acb8a2debc991c699a423cdd9998654"),
         ],
     )
     def test_generated_field_run_is_pinned_byte_for_byte(self, booth, digest):
@@ -350,6 +350,27 @@ class TestSnapshots:
         with pytest.raises(ConfigError):
             ElectionRun.resume(state)
 
+    def test_cursor_beyond_the_schedule_is_refused_before_set_up(self, monkeypatch):
+        run = ElectionRun(base_config())
+        run.run_schedule(upto=3)
+        state = run.snapshot_state()
+        state["cursor"] = 10**9
+
+        def no_registration(*args, **kwargs):
+            raise AssertionError("resume registered voters before checking the cursor")
+
+        monkeypatch.setattr(Voter, "register", no_registration)
+        with pytest.raises(ConfigError, match="beyond the schedule"):
+            ElectionRun.resume(state)
+
+    def test_seed_override_is_the_config_seed(self):
+        run, report = run_election(base_config(), seed=11)
+        assert run.config.seed == 11
+        assert "seed = 11" in report.render_records()
+        assert run.snapshot_state()["seed"] == 11
+        _, again = run_election(parse_election_config("\n".join(run.config.echo_lines())))
+        assert again.render_records() == report.render_records()
+
     def test_snapshot_holds_only_what_replay_needs(self):
         run = ElectionRun(base_config())
         run.run_schedule(upto=20)
@@ -368,7 +389,7 @@ class TestSnapshots:
         server = run.servers[0]
         anon, record = next(iter(server.store.items()))
         other = FIXTURE_FIELD.element(record.share.value % (FIXTURE_FIELD.p - 1) + 1)
-        server.store[anon] = CastRecord(anon, record.version, other)
+        server.store[anon] = CastRecord(record.version, other)
         assert run.state_digest() != clean
         server.store[anon] = record
         assert run.state_digest() == clean

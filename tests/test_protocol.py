@@ -52,7 +52,6 @@ def make_setup(field, key, sheet, mode=KEY_COPY, n_voters=3, k=3, booth_seed=11)
     roster = [VoterIdentity(f"V{i:05d}") for i in range(n_voters)]
     authority = RegistrationAuthority(key, roster, {"main": sheet})
     booth = PollingBooth(
-        field,
         mode,
         random.Random(booth_seed),
         key=key if mode == KEY_COPY else None,
@@ -261,11 +260,11 @@ class TestBooth:
 
     def test_mode_validation(self, field, key, sheet):
         with pytest.raises(ParameterError):
-            PollingBooth(field, "carrier-pigeon", random.Random(0), key=key)
+            PollingBooth("carrier-pigeon", random.Random(0), key=key)
         with pytest.raises(ParameterError):
-            PollingBooth(field, KEY_COPY, random.Random(0))
+            PollingBooth(KEY_COPY, random.Random(0))
         with pytest.raises(ParameterError):
-            PollingBooth(field, ZK_RELAY, random.Random(0))
+            PollingBooth(ZK_RELAY, random.Random(0))
 
     def test_zk_relay_authenticates_without_key_copy(self, field, key, sheet):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet, mode=ZK_RELAY)
@@ -452,7 +451,7 @@ class TestTally:
         # matches no signed ballot
         shares = [1] * (len(servers) - 1) + [target]
         for server, share in zip(servers, shares):
-            server.store[9] = CastRecord(9, 1, FieldElement(share, field))
+            server.store[9] = CastRecord(1, FieldElement(share, field))
         result = tally(servers, sheet, key_verifier(key), bus)
         assert result.invalid == 1
         assert result.counts["alpha"] == 1

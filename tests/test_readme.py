@@ -1,0 +1,80 @@
+"""The README's examples are what the code prints and runs."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from splitvote.cli import main
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README, flags=re.DOTALL | re.MULTILINE)
+
+
+def _block(starts_with: str) -> str:
+    found = [body for _, body in BLOCKS if body.startswith(starts_with)]
+    assert len(found) == 1, f"expected one README block starting {starts_with!r}"
+    return found[0]
+
+
+def _transcript(command: str) -> list[str]:
+    """The lines the README shows a ``$ splitvote ...`` command printing."""
+    return _block(f"$ {command}\n").splitlines()[1:]
+
+
+@pytest.fixture
+def demo_cfg(tmp_path):
+    path = tmp_path / "demo.cfg"
+    path.write_text(_block("# small demonstration election\n"), encoding="utf-8")
+    return path
+
+
+def test_demo_table_rows(demo_cfg, capsys):
+    assert main(["run", "--config", str(demo_cfg), "--format", "table"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    shown = _transcript("splitvote run --config demo.cfg --format table")
+    assert [row.split()[0] for row in printed] == [row.split()[0] for row in shown]
+    # every row but the wall time is the same for every run of the config
+    assert [row for row in printed if not row.startswith("wall time")] == [
+        row for row in shown if not row.startswith("wall time")
+    ]
+
+
+def test_quoted_event_lines_are_in_the_demo_log(demo_cfg, tmp_path):
+    events = tmp_path / "events.log"
+    assert main(["run", "--config", str(demo_cfg), "--events", str(events)]) == 0
+    log = set(events.read_text(encoding="utf-8").splitlines())
+    quoted = [line for line in _block("000001 ").splitlines() if line != "..."]
+    assert len(quoted) >= 5
+    assert [line for line in quoted if line not in log] == []
+
+
+def test_params_example(capsys):
+    assert main(["params", "--bits", "24", "--seed", "4"]) == 0
+    assert capsys.readouterr().out.splitlines() == _transcript("splitvote params --bits 24 --seed 4")
+
+
+def test_attack_example(tmp_path, capsys):
+    config = [body for _, body in BLOCKS if "colluders = " in body]
+    assert len(config) == 1
+    path = tmp_path / "attack.cfg"
+    path.write_text(config[0], encoding="utf-8")
+    assert main(["attack", "--config", str(path)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    shown = _transcript("splitvote attack --config attack.cfg")
+    assert shown[0] == "..."
+    assert printed[-len(shown) + 1:] == shown[1:]
+
+
+def test_snapshot_example(demo_cfg, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", "demo.cfg", "--snapshot", "state.json", "--snapshot-at", "6"]) == 0
+    shown = _block("$ splitvote run --config demo.cfg --snapshot state.json --snapshot-at 6\n")
+    assert capsys.readouterr().out.splitlines() == shown.splitlines()[1:2]
+    assert main(["resume", "--snapshot", "state.json", "--format", "table"]) == 0
+
+
+def test_library_use_block_runs():
+    blocks = [body for lang, body in BLOCKS if lang == "python"]
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
