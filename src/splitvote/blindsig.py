@@ -74,11 +74,53 @@ class Signature:
 
     Instances are plain records so that forged or corrupted claims stay
     representable; ``sign`` output always satisfies sig = message**x with
-    both halves in the subgroup.
+    both halves in the subgroup.  Each half's subgroup verdict is computed
+    at most once per object, so every check of one claim shares it.
     """
 
     message: FieldElement
     sig: FieldElement
+
+    @cached_property
+    def message_in_subgroup(self) -> bool:
+        return in_subgroup(self.message)
+
+    @cached_property
+    def sig_in_subgroup(self) -> bool:
+        return in_subgroup(self.sig)
+
+    def message_power(self, exponent: int) -> FieldElement:
+        return mod_exp(self.message, exponent)
+
+    def sig_power(self, exponent: int) -> FieldElement:
+        return mod_exp(self.sig, exponent)
+
+
+@dataclass(frozen=True)
+class PublishedSignature(Signature):
+    """A signature that every voter confirms, such as one on the ballot
+    sheet: powers of each subgroup half come from a ``FixedBase`` table
+    built on first use.  A half outside the subgroup keeps ``mod_exp``,
+    since a table refuses it, so every power and verdict is that of a plain
+    ``Signature``."""
+
+    def message_power(self, exponent: int) -> FieldElement:
+        if not self.message_in_subgroup:
+            return super().message_power(exponent)
+        return self._message_table.power(exponent)
+
+    def sig_power(self, exponent: int) -> FieldElement:
+        if not self.sig_in_subgroup:
+            return super().sig_power(exponent)
+        return self._sig_table.power(exponent)
+
+    @cached_property
+    def _message_table(self) -> FixedBase:
+        return FixedBase(self.message)
+
+    @cached_property
+    def _sig_table(self) -> FixedBase:
+        return FixedBase(self.sig)
 
 
 def random_signing_key(params: FieldParams, rng: Random) -> SigningKey:
@@ -110,7 +152,7 @@ def unblind(blinded_sig: FieldElement, factor: BlindingFactor, signer_key: Publi
 
 def verify_with_key(sig: Signature, key: SigningKey) -> bool:
     """Direct check sig = message**x; only the key holder can run this."""
-    return sig.sig == mod_exp(sig.message, key.exponent)
+    return sig.sig == sig.message_power(key.exponent)
 
 
 Responder = Callable[[FieldElement], Optional[FieldElement]]
@@ -162,7 +204,7 @@ def confirm(
     runs draw them uniformly from [1, q-1].
     """
     params = sig.message.params
-    if not in_subgroup(sig.message):
+    if not sig.message_in_subgroup:
         raise DomainError("confirmation needs a subgroup message")
     if e1 is None:
         e1 = rng.randrange(1, params.q)
@@ -170,12 +212,12 @@ def confirm(
         e2 = rng.randrange(1, params.q)
     if not (0 <= e1 < params.q and 0 <= e2 < params.q):
         raise ParameterError("challenge exponents must lie in [0, q)")
-    challenge = mod_exp(sig.message, e1) * params.g_table.power(e2)
+    challenge = sig.message_power(e1) * params.g_table.power(e2)
     response = responder(challenge)
     if response is None:
         raise ProtocolAbortError("signer refused the confirmation challenge")
-    accepted = in_subgroup(sig.sig) and (
-        response == mod_exp(sig.sig, e1) * signer_key.table.power(e2)
+    accepted = sig.sig_in_subgroup and (
+        response == sig.sig_power(e1) * signer_key.table.power(e2)
     )
     return ConfirmationTranscript(e1, e2, challenge.value, response.value, accepted)
 

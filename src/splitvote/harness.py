@@ -434,7 +434,7 @@ class ElectionRun:
         self.voters: list[Voter] = []
         drawn: dict[int, int] = {}
         for i, identity in enumerate(roster):
-            voter = Voter(identity, self.params, self.key.public_key(), stream(seed, f"voter/{i}"))
+            voter = Voter(identity, self.key.public_key(), stream(seed, f"voter/{i}"))
             voter.register(self.authority, self.bus)
             anon = voter.credential.anon_id.value
             if anon in drawn:
@@ -505,7 +505,7 @@ class ElectionRun:
             len({v.credential.anon_id.value for v in self.voters}),
             self.cursor,
             self.shares_accepted,
-            len(self.bus.messages),
+            len(self.bus),
             tuple(self.warnings),
             duration,
         )
@@ -516,8 +516,8 @@ class ElectionRun:
         Log lines start with a sequence number and store lines are digits,
         so the ``[...]`` section heads cannot be confused with either."""
         digest = hashlib.sha256()
-        for message in self.bus.messages:
-            digest.update(f"{message.render()}\n".encode("utf-8"))
+        for line in self.bus.render_log():
+            digest.update(f"{line}\n".encode("utf-8"))
         for server in self.servers:
             digest.update(f"[server {server.index}]\n".encode("ascii"))
             for anon, record in sorted(server.store.items()):

@@ -15,12 +15,15 @@ the bus in program order, so a fixed seed replays the identical log.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
 from typing import Callable, Iterable, Sequence
 
 from .blindsig import (
     PublicKey,
+    PublishedSignature,
     Responder,
     Signature,
     SigningKey,
@@ -34,7 +37,7 @@ from .blindsig import (
     verify_with_key,
 )
 from .errors import DomainError, ParameterError, VotingError
-from .modmath import FieldElement, FieldParams, in_subgroup, sample_subgroup_element
+from .modmath import FieldElement, sample_subgroup_element
 from .sharing import ShareSet, split
 
 KEY_COPY = "key-copy"
@@ -71,46 +74,28 @@ class CollisionError(VotingError):
     """A known anonymous id showed up bound to a different signature."""
 
 
-@dataclass(frozen=True)
-class Message:
-    seq: int
-    sender: str
-    recipient: str
-    kind: str
-    fields: tuple[tuple[str, str], ...]
-
-    def render(self) -> str:
-        head = f"{self.seq:06d} {self.sender} -> {self.recipient} {self.kind}"
-        body = " ".join(f"{k}={v}" for k, v in self.fields)
-        return f"{head} {body}" if body else head
-
-
 class MessageBus:
     """Append-only ordered log; delivery is synchronous, so the order is the
-    program order and identical across runs with the same seed."""
+    program order and identical across runs with the same seed.  Each
+    message is kept as its rendered line,
+    ``<seq:06d> <sender> -> <recipient> <kind> key=value ...``."""
 
     def __init__(self):
-        self.messages: list[Message] = []
+        self._lines: list[str] = []
 
-    def post(self, sender: str, recipient: str, kind: str, **fields) -> Message:
-        message = Message(
-            len(self.messages) + 1,
-            sender,
-            recipient,
-            kind,
-            tuple((k, str(v)) for k, v in fields.items()),
-        )
-        self.messages.append(message)
-        return message
+    def __len__(self) -> int:
+        return len(self._lines)
+
+    def post(self, sender: str, recipient: str, kind: str, **fields) -> None:
+        head = f"{len(self._lines) + 1:06d} {sender} -> {recipient} {kind}"
+        body = " ".join(f"{k}={v}" for k, v in fields.items())
+        self._lines.append(f"{head} {body}" if body else head)
 
     def render_log(self) -> list[str]:
-        return [m.render() for m in self.messages]
+        return list(self._lines)
 
     def kind_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for m in self.messages:
-            counts[m.kind] = counts.get(m.kind, 0) + 1
-        return counts
+        return Counter(line.split(" ", 5)[4] for line in self._lines)
 
 
 @dataclass(frozen=True)
@@ -132,7 +117,12 @@ class Credential:
 
 @dataclass(frozen=True)
 class BallotSheet:
-    """Public ballot values, one per candidate, plus their signatures."""
+    """Public ballot values, one per candidate, plus their signatures.
+
+    ``signatures`` pairs them up once per sheet, so the subgroup verdicts
+    and fixed-base tables of its elements serve every voter's confirmation
+    rounds and the tally's.
+    """
 
     candidates: tuple[str, ...]
     ballots: tuple[FieldElement, ...]
@@ -146,9 +136,8 @@ class BallotSheet:
         values = [b.value for b in self.ballots]
         if len(set(values)) != len(values):
             raise ParameterError("ballot values must be distinct")
-        for ballot in self.ballots:
-            if not in_subgroup(ballot):
-                raise DomainError("ballot values must lie in the subgroup")
+        if not all(signature.message_in_subgroup for signature in self.signatures):
+            raise DomainError("ballot values must lie in the subgroup")
         signed = [b.value for b in self.signed_ballots]
         if len(set(signed)) != len(signed):
             raise ParameterError("signed ballot values must be distinct")
@@ -156,6 +145,10 @@ class BallotSheet:
     @property
     def m(self) -> int:
         return len(self.candidates)
+
+    @cached_property
+    def signatures(self) -> tuple[PublishedSignature, ...]:
+        return tuple(map(PublishedSignature, self.ballots, self.signed_ballots))
 
     def signed_index(self) -> dict[int, str]:
         return {s.value: label for s, label in zip(self.signed_ballots, self.candidates)}
@@ -280,12 +273,10 @@ class Voter:
     def __init__(
         self,
         identity: VoterIdentity,
-        params: FieldParams,
         authority_key: PublicKey,
         rng: Random,
     ):
         self.identity = identity
-        self.params = params
         self.authority_key = authority_key
         self.rng = rng
         self.credential: Credential | None = None
@@ -306,10 +297,11 @@ class Voter:
         """Blind a fresh anonymous id, have it signed, unblind, and confirm
         every signature received before trusting it.  Id 1 is redrawn: the
         booth refuses it, since it is its own signature under every key."""
-        anon_id = sample_subgroup_element(self.params, self.rng)
+        params = self.authority_key.value.params
+        anon_id = sample_subgroup_element(params, self.rng)
         while anon_id.value == 1:
-            anon_id = sample_subgroup_element(self.params, self.rng)
-        factor = random_blinding_factor(self.params, self.rng)
+            anon_id = sample_subgroup_element(params, self.rng)
+        factor = random_blinding_factor(params, self.rng)
         blinded = blind(anon_id, factor, self.authority_key)
         bus.post(
             self.reg_name,
@@ -323,10 +315,8 @@ class Voter:
         self._confirm_or_disavow(
             Signature(anon_id, anon_id_sig), "confirm-credential", authority, bus
         )
-        for label, ballot, signed in zip(sheet.candidates, sheet.ballots, sheet.signed_ballots):
-            self._confirm_or_disavow(
-                Signature(ballot, signed), "confirm-ballot", authority, bus, candidate=label
-            )
+        for label, signature in zip(sheet.candidates, sheet.signatures):
+            self._confirm_or_disavow(signature, "confirm-ballot", authority, bus, candidate=label)
         self.credential = Credential(anon_id, anon_id_sig)
         self.sheet = sheet
         return self.credential
@@ -444,16 +434,17 @@ class PollingBooth:
         if self.closed:
             bus.post(self.name, holder, "auth-reject", reason="closed")
             raise AuthenticationError("polling is closed")
+        candidate = Signature(anon_id, anon_id_sig)
         # sign() never issues a signature on 0, but 0**x = 0 would pass the
-        # direct key check, so malformed ids are cut off before either mode
-        if not in_subgroup(anon_id):
+        # direct key check, so malformed ids are cut off before either mode;
+        # a zk-relay confirm reuses the candidate's verdict
+        if not candidate.message_in_subgroup:
             bus.post(self.name, holder, "auth-reject", reason="malformed-id")
             raise AuthenticationError("anonymous id must lie in the subgroup")
         # 1**x = 1, so (1, 1) verifies under every key without registration
         if anon_id.value == 1:
             bus.post(self.name, holder, "auth-reject", reason="degenerate-id")
             raise AuthenticationError("anonymous id 1 is signed by every key")
-        candidate = Signature(anon_id, anon_id_sig)
         if self.mode == KEY_COPY:
             valid = verify_with_key(candidate, self.key)
         else:
@@ -567,8 +558,8 @@ def tally(
     counts as inconsistent; a unanimous product matching no signed ballot
     counts as invalid.
     """
-    for ballot, signed in zip(sheet.ballots, sheet.signed_ballots):
-        if not verifier(Signature(ballot, signed)):
+    for signature in sheet.signatures:
+        if not verifier(signature):
             raise DomainError("ballot sheet signature failed verification")
     for server in servers:
         bus.post(TALLY, server.name, "collect")

@@ -35,6 +35,7 @@ from splitvote.harness import (
 )
 from splitvote.modmath import FIXTURE_FIELD, generate_params, sample_subgroup_element
 from splitvote.sharing import complete_split, marginal_distribution, reconstruct, split
+from tests.conftest import logged
 
 FIELD = FIXTURE_FIELD
 SUBGROUP = tuple(sorted({pow(u, 2, 23) for u in range(1, 23)}))
@@ -208,11 +209,9 @@ def test_criterion_08_end_to_end_election():
         event = run.schedule[run.cursor]
         voter = run.voters[event.voter_index]
         anon = voter.credential.anon_id.value
-        before = len(run.bus.messages)
+        before = len(run.bus)
         run.step()
-        accepts = sum(
-            1 for m in run.bus.messages[before:] if m.kind == "cast-accept"
-        )
+        accepts = sum(1 for m in logged(run.bus, before) if m.kind == "cast-accept")
         all_or_nothing &= accepts in (0, 4)
         if accepts == 4:
             final_choice[anon] = event.candidate_index

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from splitvote import blindsig
 from splitvote.blindsig import (
     BlindingFactor,
+    PublishedSignature,
     Signature,
     SigningKey,
     blind,
@@ -238,3 +240,46 @@ def test_signature_stays_a_plain_record(field):
     # representable so the interactive protocols can examine them
     claimed = Signature(field.element(4), field.element(17))
     assert not in_subgroup(claimed.sig)
+
+
+def _confirm_outcome(claim, pub, responder, e1, e2):
+    try:
+        return confirm(claim, pub, responder, e1=e1, e2=e2)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+def test_published_signature_confirms_like_a_plain_one_exhaustively(field, key, pub):
+    # every message and signed value in [0, p) and every challenge pair:
+    # the table path gives the plain path's transcript or its DomainError
+    responder = honest_responder(key)
+    for m in range(23):
+        for s in range(23):
+            plain = Signature(field.element(m), field.element(s))
+            published = PublishedSignature(plain.message, plain.sig)
+            assert verify_with_key(published, key) == verify_with_key(plain, key)
+            for e1 in range(11):
+                for e2 in range(11):
+                    expected = _confirm_outcome(plain, pub, responder, e1, e2)
+                    assert _confirm_outcome(published, pub, responder, e1, e2) == expected
+                    assert isinstance(expected, str) == (m not in SUBGROUP_23)
+
+
+def test_published_signature_disavows_like_a_plain_one(field, key, pub):
+    responder = honest_responder(key)
+    for m in SUBGROUP_23:
+        for s in range(23):
+            plain = Signature(field.element(m), field.element(s))
+            published = PublishedSignature(plain.message, plain.sig)
+            assert disavow(published, pub, responder, random.Random(s)) == disavow(
+                plain, pub, responder, random.Random(s)
+            )
+
+
+def test_subgroup_verdicts_are_computed_once_per_signature(field, monkeypatch):
+    calls = []
+    monkeypatch.setattr(blindsig, "in_subgroup", lambda a: calls.append(a.value) or True)
+    claim = Signature(field.element(4), field.element(17))
+    assert claim.message_in_subgroup and claim.message_in_subgroup
+    assert claim.sig_in_subgroup and claim.sig_in_subgroup
+    assert calls == [4, 17]

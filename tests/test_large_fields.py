@@ -3,15 +3,18 @@
 The exhaustive checks run at p = 23.  Here Hypothesis draws a size and a
 seed, builds the field that seed yields, and checks the same identities on
 it: split/reconstruct, blind/sign/unblind, confirmation completeness, the
-disavowal verdicts, and the harness ledger agreeing with the tally.
+disavowal verdicts, table-backed signatures confirming like plain ones, and
+the harness ledger agreeing with the tally.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitvote.blindsig import (
+    PublishedSignature,
     Signature,
     blind,
     confirm,
@@ -21,7 +24,9 @@ from splitvote.blindsig import (
     random_signing_key,
     sign,
     unblind,
+    verify_with_key,
 )
+from splitvote.errors import DomainError
 from splitvote.harness import ElectionConfig, run_election
 from splitvote.modmath import generate_params, sample_subgroup_element
 from splitvote.protocol import BOOTH_MODES
@@ -69,6 +74,36 @@ def test_disavow_verdicts(params, seed):
     liar_rng = random.Random(seed + 1)
     denial = disavow(genuine, pub, lambda c: sample_subgroup_element(params, liar_rng), rng)
     assert not denial.is_forgery
+
+
+@settings(max_examples=20, deadline=None)
+@given(fields, seeds)
+def test_published_signature_confirms_like_a_plain_one(params, seed):
+    rng = random.Random(seed)
+    key = random_signing_key(params, rng)
+    pub = key.public_key()
+    responder = honest_responder(key)
+    message = sample_subgroup_element(params, rng)
+    # genuine, forged inside the subgroup, any value, and p - 1, which is a
+    # non-residue because p = 2q + 1 with q odd gives p = 3 (mod 4)
+    for signed in (
+        sign(message, key).sig,
+        sample_subgroup_element(params, rng),
+        params.element(rng.randrange(params.p)),
+        params.element(params.p - 1),
+    ):
+        plain = Signature(message, signed)
+        published = PublishedSignature(message, signed)
+        assert verify_with_key(published, key) == verify_with_key(plain, key)
+        for _ in range(3):
+            e1, e2 = rng.randrange(params.q), rng.randrange(params.q)
+            assert confirm(published, pub, responder, e1=e1, e2=e2) == confirm(
+                plain, pub, responder, e1=e1, e2=e2
+            )
+    outside = params.element(params.p - 1)
+    for claim in (Signature(outside, outside), PublishedSignature(outside, outside)):
+        with pytest.raises(DomainError):
+            confirm(claim, pub, responder, e1=1, e2=1)
 
 
 @settings(max_examples=12, deadline=None)

@@ -1,14 +1,22 @@
 """Actor-level tests: registration, booth sessions, casting, tallying."""
 
 import random
+import sys
 
 import pytest
 
 from splitvote import blindsig, modmath
-from splitvote.blindsig import Signature, SigningKey, verify_with_key
+from splitvote.blindsig import (
+    PublishedSignature,
+    Signature,
+    SigningKey,
+    random_signing_key,
+    verify_with_key,
+)
 from splitvote.errors import DomainError, ParameterError, VotingError
 from splitvote.modmath import FieldElement, in_subgroup
 from splitvote.protocol import (
+    BOOTH_MODES,
     KEY_COPY,
     ZK_RELAY,
     AlreadyRegisteredError,
@@ -29,6 +37,7 @@ from splitvote.protocol import (
     relay_verifier,
     tally,
 )
+from tests.conftest import logged
 
 CANDIDATES = ("alpha", "beta", "gamma")
 
@@ -59,7 +68,7 @@ def make_setup(field, key, sheet, mode=KEY_COPY, n_voters=3, k=3, booth_seed=11)
     )
     servers = [VoteServer(i, booth) for i in range(k)]
     voters = [
-        Voter(identity, field, key.public_key(), random.Random(VOTER_SEEDS[j]))
+        Voter(identity, key.public_key(), random.Random(VOTER_SEEDS[j]))
         for j, identity in enumerate(roster)
     ]
     return bus, authority, booth, servers, voters
@@ -67,6 +76,25 @@ def make_setup(field, key, sheet, mode=KEY_COPY, n_voters=3, k=3, booth_seed=11)
 
 def register_all(voters, authority, bus):
     return [voter.register(authority, bus) for voter in voters]
+
+
+def count_calls(monkeypatch, name):
+    """Count calls of the ``modmath`` function ``name`` from every module."""
+    counts = {name: 0}
+    original = getattr(modmath, name)
+
+    def counted(*args):
+        counts[name] += 1
+        return original(*args)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("splitvote") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def field_64():
+    return modmath.generate_params(64, random.Random(2))
 
 
 class TestBallotSheet:
@@ -119,6 +147,13 @@ class TestBallotSheet:
         assert set(index.values()) == set(CANDIDATES)
         assert len(index) == 3
 
+    def test_signatures_are_built_once_per_sheet(self, sheet):
+        assert sheet.signatures is sheet.signatures
+        assert all(isinstance(s, PublishedSignature) for s in sheet.signatures)
+        assert [(s.message, s.sig) for s in sheet.signatures] == list(
+            zip(sheet.ballots, sheet.signed_ballots)
+        )
+
 
 class TestMessageBus:
     def test_sequence_and_render(self):
@@ -141,24 +176,24 @@ class TestRegistration:
         cred = voters[0].register(authority, bus)
         assert in_subgroup(cred.anon_id)
         assert verify_with_key(cred.as_signature(), key)
-        request = next(m for m in bus.messages if m.kind == "register-request")
-        blinded = dict(request.fields)["blinded"]
+        request = next(m for m in logged(bus) if m.kind == "register-request")
+        blinded = request.fields["blinded"]
         assert int(blinded) != cred.anon_id.value
 
     def test_double_registration_rejected(self, field, key, sheet):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet)
         voters[0].register(authority, bus)
-        retry = Voter(voters[0].identity, field, key.public_key(), random.Random(1))
+        retry = Voter(voters[0].identity, key.public_key(), random.Random(1))
         with pytest.raises(AlreadyRegisteredError):
             retry.register(authority, bus)
         assert any(
-            m.kind == "register-reject" and dict(m.fields)["reason"] == "already-registered"
-            for m in bus.messages
+            m.kind == "register-reject" and m.fields["reason"] == "already-registered"
+            for m in logged(bus)
         )
 
     def test_unknown_voter_rejected(self, field, key, sheet):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet)
-        ghost = Voter(VoterIdentity("V99999"), field, key.public_key(), random.Random(2))
+        ghost = Voter(VoterIdentity("V99999"), key.public_key(), random.Random(2))
         with pytest.raises(IneligibleVoterError):
             ghost.register(authority, bus)
 
@@ -168,16 +203,16 @@ class TestRegistration:
         counts = bus.kind_counts()
         assert counts["confirm-credential"] == 1
         assert counts["confirm-ballot"] == len(CANDIDATES)
-        for m in bus.messages:
+        for m in logged(bus):
             if m.kind.startswith("confirm-"):
-                assert dict(m.fields)["accepted"] == "1"
+                assert m.fields["accepted"] == "1"
 
     def test_anonymous_id_one_is_redrawn(self, field, key, sheet):
         # seed 31 draws u = 1 first (id 1), then u = 16 (id 256 mod 23 = 3)
         rng = random.Random(31)
         assert rng.randrange(1, 23) == 1 and rng.randrange(1, 23) == 16
         bus, authority, booth, servers, voters = make_setup(field, key, sheet, n_voters=1)
-        voter = Voter(voters[0].identity, field, key.public_key(), random.Random(31))
+        voter = Voter(voters[0].identity, key.public_key(), random.Random(31))
         cred = voter.register(authority, bus)
         assert cred.anon_id.value == 16 * 16 % 23
         assert verify_with_key(cred.as_signature(), key)
@@ -192,12 +227,65 @@ class TestRegistration:
 
         bus = MessageBus()
         authority = TamperingAuthority(key, [VoterIdentity("V00000")], {"main": sheet})
-        voter = Voter(VoterIdentity("V00000"), field, key.public_key(), random.Random(100))
+        voter = Voter(VoterIdentity("V00000"), key.public_key(), random.Random(100))
         with pytest.raises(CredentialInvalidError) as exc:
             voter.register(authority, bus)
         assert exc.value.disavowal.is_forgery
         assert len(exc.value.disavowal.rounds) == 2
         assert bus.kind_counts()["disavow"] == 1
+
+    @pytest.mark.parametrize("mode", BOOTH_MODES)
+    @pytest.mark.parametrize("first_bad", ["wrong", "non-residue"])
+    def test_bad_sheet_signatures_get_the_plain_path_verdict(
+        self, field, key, sheet, mode, first_bad, monkeypatch
+    ):
+        # one signed ballot doubled (2 is a residue, so it stays in the
+        # subgroup) and one replaced by the non-residue 5; every voter fails
+        # at the first bad one, the second on the sheet's cached verdicts
+        # and tables, with the verdict and log the plain path gives
+        wrong = sheet.signed_ballots[1].value * 2 % 23
+        assert wrong not in {s.value for s in sheet.signed_ballots}
+        bad = {"wrong": wrong, "non-residue": 5}
+        second_bad = "non-residue" if first_bad == "wrong" else "wrong"
+        signed = (sheet.signed_ballots[0].value, bad[first_bad], bad[second_bad])
+
+        def register_two():
+            bad_sheet = BallotSheet(
+                sheet.candidates, sheet.ballots, tuple(field.element(s) for s in signed)
+            )
+            bus, authority, booth, servers, voters = make_setup(
+                field, key, bad_sheet, mode=mode, n_voters=2
+            )
+            verdicts = []
+            for voter in voters:
+                with pytest.raises(CredentialInvalidError) as exc:
+                    voter.register(authority, bus)
+                verdicts.append(exc.value.disavowal)
+            return verdicts, bus.render_log()
+
+        verdicts, log = register_two()
+        assert all(verdict.is_forgery for verdict in verdicts)
+        assert [line.split(" ")[4] for line in log].count("disavow") == 2
+        monkeypatch.setattr(
+            BallotSheet,
+            "signatures",
+            property(lambda s: tuple(map(Signature, s.ballots, s.signed_ballots))),
+        )
+        assert register_two() == (verdicts, log)
+
+    def test_second_registration_costs_eight_exponentiations(self, monkeypatch):
+        # credential: blinded**x, m**e1, c**x, sig**e1; each of the four
+        # ballots: c**x only, since m**e1 and sig**e1 come from the sheet's
+        # tables; subgroup tests: the id in blind and both credential halves
+        params = field_64()
+        key = random_signing_key(params, random.Random(1))
+        four = make_ballot_sheet(("a", "b", "c", "d"), key, random.Random(7))
+        bus, authority, booth, servers, voters = make_setup(params, key, four, n_voters=2)
+        voters[0].register(authority, bus)
+        mod_exp = count_calls(monkeypatch, "mod_exp")
+        in_subgroup = count_calls(monkeypatch, "in_subgroup")
+        voters[1].register(authority, bus)
+        assert (mod_exp, in_subgroup) == ({"mod_exp": 8}, {"in_subgroup": 3})
 
 
 class TestBooth:
@@ -272,10 +360,10 @@ class TestBooth:
         token = booth.authenticate(cred.anon_id, cred.anon_id_sig, bus)
         assert booth.token_valid(token.token, cred.anon_id.value)
         assert booth.key is None
-        relayed = [m for m in bus.messages if m.kind == "auth-zk"]
+        relayed = [m for m in logged(bus) if m.kind == "auth-zk"]
         assert len(relayed) == 1
         # the relayed round carries only the blinded challenge, never the id
-        fields = dict(relayed[0].fields)
+        fields = relayed[0].fields
         assert "anon_id" not in fields
 
     def test_zk_relay_authentication_costs_three_exponentiations(
@@ -302,6 +390,29 @@ class TestBooth:
         booth.authenticate(creds[0].anon_id, creds[0].anon_id_sig, bus)
         assert counts == {"mod_exp": 3, "tables": 0}
 
+    @pytest.mark.parametrize("mode, tests", [(KEY_COPY, 1), (ZK_RELAY, 2)])
+    def test_authentication_tests_the_id_once(self, mode, tests, monkeypatch):
+        # the malformed-id check and a zk-relay confirm share the
+        # candidate's verdict; confirm adds only the signature half's
+        params = field_64()
+        key = random_signing_key(params, random.Random(1))
+        sheet = make_ballot_sheet(CANDIDATES, key, random.Random(7))
+        bus, authority, booth, servers, voters = make_setup(params, key, sheet, mode=mode)
+        cred = voters[0].register(authority, bus)
+        counts = count_calls(monkeypatch, "in_subgroup")
+        booth.authenticate(cred.anon_id, cred.anon_id_sig, bus)
+        assert counts == {"in_subgroup": tests}
+
+    @pytest.mark.parametrize("mode", BOOTH_MODES)
+    def test_non_residue_id_is_malformed(self, field, key, sheet, mode):
+        bus, authority, booth, servers, voters = make_setup(field, key, sheet, mode=mode)
+        five = FieldElement(5, field)
+        with pytest.raises(AuthenticationError):
+            booth.authenticate(five, five, bus)
+        assert [(m.kind, m.fields) for m in logged(bus, 1)] == [
+            ("auth-reject", {"reason": "malformed-id"})
+        ]
+
     def test_zk_relay_rejects_forged_signature(self, field, key, sheet):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet, mode=ZK_RELAY)
         cred = voters[0].register(authority, bus)
@@ -317,7 +428,7 @@ class TestBooth:
         one = FieldElement(1, field)
         with pytest.raises(AuthenticationError):
             booth.authenticate(one, one, bus)
-        assert [(m.kind, dict(m.fields)) for m in bus.messages[1:]] == [
+        assert [(m.kind, m.fields) for m in logged(bus, 1)] == [
             ("auth-reject", {"reason": "degenerate-id"})
         ]
         assert booth.live == {} and booth.seen == {}
@@ -416,7 +527,7 @@ class TestCasting:
             voters[0].cast(token, servers, 9, bus)
         with pytest.raises(ParameterError):
             voters[0].cast(token, servers, 0, bus, deliver_count=0)
-        fresh = Voter(VoterIdentity("V00009"), field, key.public_key(), random.Random(3))
+        fresh = Voter(VoterIdentity("V00009"), key.public_key(), random.Random(3))
         with pytest.raises(VotingError):
             fresh.cast(token, servers, 0, bus)
 
@@ -512,9 +623,9 @@ class TestTraceProperties:
 
     def test_true_identity_stays_in_registration_phase(self, field, key, sheet):
         bus, creds = self.full_run(field, key, sheet)
-        for message in bus.messages:
-            mentions_identity = "voter/" in message.render()
-            carries_v_id = "v_id" in dict(message.fields)
+        for line, message in zip(bus.render_log(), logged(bus)):
+            mentions_identity = "voter/" in line
+            carries_v_id = "v_id" in message.fields
             if message.kind in self.REGISTRATION_KINDS:
                 assert mentions_identity
             else:
@@ -524,21 +635,21 @@ class TestTraceProperties:
 
     def test_voting_messages_use_anonymous_names(self, field, key, sheet):
         bus, creds = self.full_run(field, key, sheet)
-        casts = [m for m in bus.messages if m.kind == "cast-share"]
+        casts = [m for m in logged(bus) if m.kind == "cast-share"]
         assert casts
         for message in casts:
             assert message.sender.startswith("holder/")
-            assert message.sender == f"holder/{dict(message.fields)['anon_id']}"
+            assert message.sender == f"holder/{message.fields['anon_id']}"
 
     def test_accepted_versions_strictly_increase_per_id(self, field, key, sheet):
         bus, creds = self.full_run(field, key, sheet)
         latest: dict[tuple[str, str], int] = {}
         accepts = 0
-        for message in bus.messages:
+        for message in logged(bus):
             if message.kind != "cast-accept":
                 continue
             accepts += 1
-            fields = dict(message.fields)
+            fields = message.fields
             slot = (message.sender, fields["anon_id"])
             version = int(fields["version"])
             assert version > latest.get(slot, 0)
