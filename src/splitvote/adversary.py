@@ -84,12 +84,6 @@ class AttackOutcome:
     asymptotic: Fraction
     stderr: float
 
-    @property
-    def interval(self) -> tuple[float, float]:
-        """estimate +/- 3 standard errors."""
-        center = float(self.estimate)
-        return (center - 3 * self.stderr, center + 3 * self.stderr)
-
     def to_record(self) -> str:
         parts = [
             f"mode={self.mode}",
@@ -167,7 +161,7 @@ def _simulate(scenario, value, predicate, rewrite, trials, rng) -> tuple[int, in
     j = scenario.rewritten
     successes = 0
     # the draws of ``split`` on plain ints: k >= 2 and value != 0 are
-    # already checked, so no FieldElement or ShareSet is built per trial
+    # already checked, so no FieldElement is built per trial
     for _ in range(trials):
         leading = [rng.randrange(1, p) for _ in range(k - 1)]
         original = _complete_values(value, leading, p)[j]

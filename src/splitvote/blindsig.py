@@ -175,13 +175,6 @@ class ConfirmationTranscript:
     response: int
     accepted: bool
 
-    def to_record(self) -> str:
-        """Canonical text record: decimal fields in fixed order."""
-        return (
-            f"e1={self.e1} e2={self.e2} challenge={self.challenge} "
-            f"response={self.response} accepted={1 if self.accepted else 0}"
-        )
-
 
 def confirm(
     sig: Signature,

@@ -19,7 +19,6 @@ from .harness import (
     parse_attack_config,
     parse_election_config,
     run_attack,
-    run_election,
 )
 
 RECORDS = "records"
@@ -157,8 +156,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "snapshot_at", None) is not None and not args.snapshot:
+    snapshot_at = getattr(args, "snapshot_at", None)
+    if snapshot_at is not None and not args.snapshot:
         parser.error("--snapshot-at needs --snapshot")
+    if snapshot_at is not None and snapshot_at < 0:
+        parser.error("--snapshot-at must not be negative")
     try:
         return args.handler(args)
     except RegimeError as exc:

@@ -34,13 +34,12 @@ from .adversary import (
     attack_any_valid,
     attack_targeted,
 )
-from .blindsig import random_signing_key
+from .blindsig import confirm, random_signing_key, verify_with_key
 from .errors import ConfigError, VotingError
 from .modmath import FieldParams, generate_params, params_to_text
 from .protocol import (
     BOOTH_MODES,
     KEY_COPY,
-    ZK_RELAY,
     BallotSheet,
     MessageBus,
     PollingBooth,
@@ -48,10 +47,7 @@ from .protocol import (
     TallyResult,
     VoteServer,
     Voter,
-    VoterIdentity,
-    key_verifier,
     make_ballot_sheet,
-    relay_verifier,
     tally,
 )
 
@@ -182,7 +178,8 @@ def _take_candidates(pairs, problems) -> tuple[str, ...]:
     if raw is None:
         problems.append("missing key: candidates")
         return ()
-    if raw.isdigit():
+    # isdigit() also admits superscripts such as "²", which int() refuses
+    if raw.isdecimal():
         count = int(raw)
         if count < 2:
             problems.append("candidates: need at least two")
@@ -422,21 +419,15 @@ class ElectionRun:
         seed = config.seed
         self.key = random_signing_key(self.params, stream(seed, "authority-key"))
         self.sheet = make_ballot_sheet(config.candidates, self.key, stream(seed, "ballots"))
-        roster = [VoterIdentity(f"V{i:05d}") for i in range(config.n_voters)]
-        self.authority = RegistrationAuthority(self.key, roster, {"main": self.sheet})
-        self.booth = PollingBooth(
-            config.booth_mode,
-            stream(seed, "booth"),
-            key=self.key if config.booth_mode == KEY_COPY else None,
-            authority=self.authority if config.booth_mode == ZK_RELAY else None,
-        )
+        roster = [f"V{i:05d}" for i in range(config.n_voters)]
+        self.authority = RegistrationAuthority(self.key, roster, self.sheet)
+        self.booth = PollingBooth(config.booth_mode, stream(seed, "booth"), self.authority)
         self.servers = [VoteServer(i, self.booth) for i in range(config.k)]
         self.voters: list[Voter] = []
         drawn: dict[int, int] = {}
-        for i, identity in enumerate(roster):
-            voter = Voter(identity, self.key.public_key(), stream(seed, f"voter/{i}"))
-            voter.register(self.authority, self.bus)
-            anon = voter.credential.anon_id.value
+        for i, v_id in enumerate(roster):
+            voter = Voter(v_id, self.key.public_key(), stream(seed, f"voter/{i}"))
+            anon = voter.register(self.authority, self.bus).message.value
             if anon in drawn:
                 self.warnings.append(
                     f"anonymous id collision: registrants {drawn[anon]} and {i} share id {anon}"
@@ -453,14 +444,10 @@ class ElectionRun:
             raise VotingError("schedule exhausted")
         event = self.schedule[self.cursor]
         voter = self.voters[event.voter_index]
-        cred = voter.credential
-        token = self.booth.authenticate(cred.anon_id, cred.anon_id_sig, self.bus)
+        token = self.booth.authenticate(voter.credential, self.bus)
         ack = voter.cast(token, self.servers, event.candidate_index, self.bus, event.deliver_count)
         decisions = self.ledger.apply(
-            cred.anon_id.value,
-            ack.version,
-            [share.value for share in ack.shares.shares],
-            event.deliver_count,
+            voter.credential.message.value, ack.version, ack.shares, event.deliver_count
         )
         if decisions != [d.accepted for d in ack.deliveries]:
             raise VotingError(
@@ -482,13 +469,14 @@ class ElectionRun:
         if self.finished:
             return
         self.booth.close(self.bus)
-        if self.config.booth_mode == KEY_COPY:
-            verifier = key_verifier(self.key)
-        else:
-            verifier = relay_verifier(
-                self.key.public_key(), self.authority.responder, stream(self.config.seed, "tally")
-            )
-        self.result = tally(self.servers, self.sheet, verifier, self.bus)
+        responder, rng = self.authority.responder, stream(self.config.seed, "tally")
+
+        def verify(signature):
+            if self.config.booth_mode == KEY_COPY:
+                return verify_with_key(signature, self.key)
+            return confirm(signature, self.key.public_key(), responder, rng).accepted
+
+        self.result = tally(self.servers, self.sheet, verify, self.bus)
         self.predicted = self.ledger.predict(self.sheet)
         self.finished = True
 
@@ -502,7 +490,7 @@ class ElectionRun:
             self.result,
             self.predicted,
             len(self.authority.registered),
-            len({v.credential.anon_id.value for v in self.voters}),
+            len({v.credential.message.value for v in self.voters}),
             self.cursor,
             self.shares_accepted,
             len(self.bus),
@@ -521,7 +509,7 @@ class ElectionRun:
         for server in self.servers:
             digest.update(f"[server {server.index}]\n".encode("ascii"))
             for anon, record in sorted(server.store.items()):
-                digest.update(f"{anon} {record.version} {record.share.value}\n".encode("ascii"))
+                digest.update(f"{anon} {record.version} {record.share}\n".encode("ascii"))
         for index, store in enumerate(self.ledger.stores):
             digest.update(f"[ledger {index}]\n".encode("ascii"))
             for anon, (version, share) in sorted(store.items()):

@@ -38,7 +38,7 @@ from .blindsig import (
 )
 from .errors import DomainError, ParameterError, VotingError
 from .modmath import FieldElement, sample_subgroup_element
-from .sharing import ShareSet, split
+from .sharing import split
 
 KEY_COPY = "key-copy"
 ZK_RELAY = "zk-relay"
@@ -99,23 +99,6 @@ class MessageBus:
 
 
 @dataclass(frozen=True)
-class VoterIdentity:
-    v_id: str
-    precinct: str = "main"
-
-
-@dataclass(frozen=True)
-class Credential:
-    """Authority-signed anonymous id; all a voter needs after registration."""
-
-    anon_id: FieldElement
-    anon_id_sig: FieldElement
-
-    def as_signature(self) -> Signature:
-        return Signature(self.anon_id, self.anon_id_sig)
-
-
-@dataclass(frozen=True)
 class BallotSheet:
     """Public ballot values, one per candidate, plus their signatures.
 
@@ -156,17 +139,16 @@ class BallotSheet:
 
 @dataclass(frozen=True)
 class SessionToken:
-    """Opaque 128-bit session identifier bound to one anonymous id."""
+    """Opaque 128-bit session identifier."""
 
     token: str
-    bound_anon_id: int
     issued_at: int
 
 
 @dataclass(frozen=True)
 class CastRecord:
     version: int
-    share: FieldElement
+    share: int
 
 
 @dataclass(frozen=True)
@@ -181,14 +163,11 @@ class CastAck:
     """What the voter learns from one cast: which servers accepted."""
 
     version: int
-    shares: ShareSet
+    shares: tuple[int, ...]
     deliveries: tuple[DeliveryResult, ...]
 
     def accepted_servers(self) -> list[str]:
         return [d.server for d in self.deliveries if d.accepted]
-
-    def complete(self, k: int) -> bool:
-        return len(self.accepted_servers()) == k
 
 
 @dataclass
@@ -218,23 +197,15 @@ def _transcript_fields(transcript) -> dict[str, object]:
 
 class RegistrationAuthority:
     """Checks eligibility, signs blinded anonymous ids, and publishes the
-    signed ballot sheet for each precinct."""
+    signed ballot sheet."""
 
     name = "ra"
 
-    def __init__(
-        self,
-        key: SigningKey,
-        roster: Iterable[VoterIdentity],
-        sheets: dict[str, BallotSheet],
-    ):
+    def __init__(self, key: SigningKey, roster: Iterable[str], sheet: BallotSheet):
         self.key = key
-        self.roster = {identity.v_id: identity for identity in roster}
-        self.sheets = dict(sheets)
+        self.roster = set(roster)
+        self.sheet = sheet
         self.registered: set[str] = set()
-
-    def public_key(self) -> PublicKey:
-        return self.key.public_key()
 
     @property
     def responder(self) -> Responder:
@@ -245,14 +216,12 @@ class RegistrationAuthority:
 
         The authority never sees the id itself, only message * g**b.
         """
-        identity = self.roster.get(v_id)
-        if identity is None:
+        if v_id not in self.roster:
             bus.post(self.name, f"voter/{v_id}", "register-reject", reason="ineligible")
             raise IneligibleVoterError(f"{v_id} is not on the roster")
         if v_id in self.registered:
             bus.post(self.name, f"voter/{v_id}", "register-reject", reason="already-registered")
             raise AlreadyRegisteredError(f"{v_id} already registered")
-        sheet = self.sheets[identity.precinct]
         self.registered.add(v_id)
         signed_blinded = sign(blinded, self.key).sig
         bus.post(
@@ -260,40 +229,29 @@ class RegistrationAuthority:
             f"voter/{v_id}",
             "register-grant",
             signed_blinded=signed_blinded.value,
-            ballots=",".join(str(b.value) for b in sheet.ballots),
-            signed_ballots=",".join(str(s.value) for s in sheet.signed_ballots),
+            ballots=",".join(str(b.value) for b in self.sheet.ballots),
+            signed_ballots=",".join(str(s.value) for s in self.sheet.signed_ballots),
         )
-        return signed_blinded, sheet
+        return signed_blinded, self.sheet
 
 
 class Voter:
     """Carries the true identity through registration, then only the
     anonymous credential."""
 
-    def __init__(
-        self,
-        identity: VoterIdentity,
-        authority_key: PublicKey,
-        rng: Random,
-    ):
-        self.identity = identity
+    def __init__(self, v_id: str, authority_key: PublicKey, rng: Random):
+        self.v_id = v_id
         self.authority_key = authority_key
         self.rng = rng
-        self.credential: Credential | None = None
+        self.credential: Signature | None = None
         self.sheet: BallotSheet | None = None
         self.version = 0
 
     @property
     def reg_name(self) -> str:
-        return f"voter/{self.identity.v_id}"
+        return f"voter/{self.v_id}"
 
-    @property
-    def anon_name(self) -> str:
-        if self.credential is None:
-            raise VotingError("not registered")
-        return f"holder/{self.credential.anon_id.value}"
-
-    def register(self, authority: RegistrationAuthority, bus: MessageBus) -> Credential:
+    def register(self, authority: RegistrationAuthority, bus: MessageBus) -> Signature:
         """Blind a fresh anonymous id, have it signed, unblind, and confirm
         every signature received before trusting it.  Id 1 is redrawn: the
         booth refuses it, since it is its own signature under every key."""
@@ -307,17 +265,15 @@ class Voter:
             self.reg_name,
             authority.name,
             "register-request",
-            v_id=self.identity.v_id,
+            v_id=self.v_id,
             blinded=blinded.value,
         )
-        signed_blinded, sheet = authority.register(self.identity.v_id, blinded, bus)
-        anon_id_sig = unblind(signed_blinded, factor, self.authority_key)
-        self._confirm_or_disavow(
-            Signature(anon_id, anon_id_sig), "confirm-credential", authority, bus
-        )
+        signed_blinded, sheet = authority.register(self.v_id, blinded, bus)
+        credential = Signature(anon_id, unblind(signed_blinded, factor, self.authority_key))
+        self._confirm_or_disavow(credential, "confirm-credential", authority, bus)
         for label, signature in zip(sheet.candidates, sheet.signatures):
             self._confirm_or_disavow(signature, "confirm-ballot", authority, bus, candidate=label)
-        self.credential = Credential(anon_id, anon_id_sig)
+        self.credential = credential
         self.sheet = sheet
         return self.credential
 
@@ -360,16 +316,16 @@ class Voter:
         self.version += 1
         cast_value = self.sheet.signed_ballots[candidate_index]
         shares = split(cast_value, k, self.rng)
-        anon_id = self.credential.anon_id
+        anon_id = self.credential.message.value
         deliveries = []
-        for server, share in list(zip(servers, shares.shares))[:deliver_count]:
+        for server, share in list(zip(servers, shares))[:deliver_count]:
             bus.post(
-                self.anon_name,
+                f"holder/{anon_id}",
                 server.name,
                 "cast-share",
-                anon_id=anon_id.value,
+                anon_id=anon_id,
                 version=self.version,
-                share=share.value,
+                share=share,
                 token=token.token,
             )
             accepted, reason = server.store_share(anon_id, self.version, share, token, bus)
@@ -380,99 +336,78 @@ class Voter:
 class PollingBooth:
     """Validates credentials and issues the session tokens servers check.
 
-    ``key-copy`` booths hold a copy of the signing key and verify directly;
-    ``zk-relay`` booths run a confirmation round against the authority, which
-    therefore never learns which anonymous id is voting.  ``live`` maps each
-    anonymous id to its one valid session token.
+    ``key-copy`` booths hold a copy of the authority's signing key and verify
+    directly; ``zk-relay`` booths hold no key and run a confirmation round
+    against the authority, which therefore never learns which anonymous id
+    is voting.  ``live`` maps each anonymous id to its one valid session
+    token.
     """
 
     name = "booth"
 
-    def __init__(
-        self,
-        mode: str,
-        rng: Random,
-        *,
-        key: SigningKey | None = None,
-        authority: RegistrationAuthority | None = None,
-    ):
+    def __init__(self, mode: str, rng: Random, authority: RegistrationAuthority):
         if mode not in BOOTH_MODES:
             raise ParameterError(f"unknown booth mode {mode!r}")
-        if mode == KEY_COPY and key is None:
-            raise ParameterError("key-copy booth needs the signing key")
-        if mode == ZK_RELAY and authority is None:
-            raise ParameterError("zk-relay booth needs the authority")
         self.mode = mode
         self.rng = rng
-        self.key = key
+        self.key = authority.key if mode == KEY_COPY else None
         self.authority = authority
         self.seen: dict[int, int] = {}
         self.live: dict[int, str] = {}
         self.clock = 0
         self.closed = False
 
-    def authenticate(
-        self,
-        anon_id: FieldElement,
-        anon_id_sig: FieldElement,
-        bus: MessageBus,
-    ) -> SessionToken:
-        """Issue a session token for a valid credential.
+    def authenticate(self, credential: Signature, bus: MessageBus) -> SessionToken:
+        """Issue a session token for a valid credential, the anonymous id
+        and the authority's signature on it.
 
         Re-authenticating with the same credential is the re-vote path: the
         previous token dies.  A known id under a *different* valid signature
-        is a collision and the voter must re-register.
+        is a collision and the voter must re-register.  The credential's
+        cached subgroup verdicts are reused, so a voter showing the object
+        that registration confirmed costs no subgroup test here.
         """
-        holder = f"holder/{anon_id.value}"
-        bus.post(
-            holder,
-            self.name,
-            "auth-request",
-            anon_id=anon_id.value,
-            signature=anon_id_sig.value,
-        )
+        anon_id, signature = credential.message.value, credential.sig.value
+        holder = f"holder/{anon_id}"
+        bus.post(holder, self.name, "auth-request", anon_id=anon_id, signature=signature)
         if self.closed:
             bus.post(self.name, holder, "auth-reject", reason="closed")
             raise AuthenticationError("polling is closed")
-        candidate = Signature(anon_id, anon_id_sig)
         # sign() never issues a signature on 0, but 0**x = 0 would pass the
         # direct key check, so malformed ids are cut off before either mode;
-        # a zk-relay confirm reuses the candidate's verdict
-        if not candidate.message_in_subgroup:
+        # a zk-relay confirm reuses the credential's verdict
+        if not credential.message_in_subgroup:
             bus.post(self.name, holder, "auth-reject", reason="malformed-id")
             raise AuthenticationError("anonymous id must lie in the subgroup")
         # 1**x = 1, so (1, 1) verifies under every key without registration
-        if anon_id.value == 1:
+        if anon_id == 1:
             bus.post(self.name, holder, "auth-reject", reason="degenerate-id")
             raise AuthenticationError("anonymous id 1 is signed by every key")
         if self.mode == KEY_COPY:
-            valid = verify_with_key(candidate, self.key)
+            valid = verify_with_key(credential, self.key)
         else:
+            authority = self.authority
             transcript = confirm(
-                candidate, self.authority.public_key(), self.authority.responder, self.rng
+                credential, authority.key.public_key(), authority.responder, self.rng
             )
-            bus.post(self.name, self.authority.name, "auth-zk", **_transcript_fields(transcript))
+            bus.post(self.name, authority.name, "auth-zk", **_transcript_fields(transcript))
             valid = transcript.accepted
         if not valid:
             bus.post(self.name, holder, "auth-reject", reason="invalid-signature")
             raise AuthenticationError("credential signature does not verify")
-        recorded = self.seen.get(anon_id.value)
-        if recorded is not None and recorded != anon_id_sig.value:
+        recorded = self.seen.get(anon_id)
+        if recorded is not None and recorded != signature:
             bus.post(self.name, holder, "auth-reject", reason="collision")
             raise CollisionError("anonymous id already bound to a different signature")
-        self.seen[anon_id.value] = anon_id_sig.value
+        self.seen[anon_id] = signature
         self.clock += 1
-        token = SessionToken(f"{self.rng.getrandbits(128):032x}", anon_id.value, self.clock)
-        self.live[anon_id.value] = token.token
+        token = SessionToken(f"{self.rng.getrandbits(128):032x}", self.clock)
+        self.live[anon_id] = token.token
         bus.post(self.name, holder, "auth-grant", token=token.token, issued_at=token.issued_at)
         return token
 
-    def token_valid(self, token: str, anon_id_value: int) -> bool:
-        return not self.closed and self.live.get(anon_id_value) == token
-
-    def revoke(self, token: SessionToken) -> None:
-        if self.live.get(token.bound_anon_id) == token.token:
-            del self.live[token.bound_anon_id]
+    def token_valid(self, token: str, anon_id: int) -> bool:
+        return not self.closed and self.live.get(anon_id) == token
 
     def close(self, bus: MessageBus) -> None:
         self.closed = True
@@ -491,25 +426,25 @@ class VoteServer:
 
     def store_share(
         self,
-        anon_id: FieldElement,
+        anon_id: int,
         version: int,
-        share: FieldElement,
+        share: int,
         token: SessionToken,
         bus: MessageBus,
     ) -> tuple[bool, str]:
-        holder = f"holder/{anon_id.value}"
-        bus.post(self.name, self.booth.name, "token-check", token=token.token, anon_id=anon_id.value)
-        ok = self.booth.token_valid(token.token, anon_id.value)
+        holder = f"holder/{anon_id}"
+        bus.post(self.name, self.booth.name, "token-check", token=token.token, anon_id=anon_id)
+        ok = self.booth.token_valid(token.token, anon_id)
         bus.post(self.booth.name, self.name, "token-ok" if ok else "token-bad", token=token.token)
         if not ok:
             return self._reject(holder, anon_id, version, "unknown-token", bus)
-        if share.value == 0:
+        if share == 0:
             return self._reject(holder, anon_id, version, "zero-share", bus)
-        existing = self.store.get(anon_id.value)
+        existing = self.store.get(anon_id)
         if existing is not None and version <= existing.version:
             return self._reject(holder, anon_id, version, "stale-version", bus)
-        self.store[anon_id.value] = CastRecord(version, share)
-        bus.post(self.name, holder, "cast-accept", anon_id=anon_id.value, version=version)
+        self.store[anon_id] = CastRecord(version, share)
+        bus.post(self.name, holder, "cast-accept", anon_id=anon_id, version=version)
         return True, "stored"
 
     def _reject(self, holder, anon_id, version, reason, bus) -> tuple[bool, str]:
@@ -517,49 +452,29 @@ class VoteServer:
             self.name,
             holder,
             "cast-reject",
-            anon_id=anon_id.value,
+            anon_id=anon_id,
             version=version,
             reason=reason,
         )
         return False, reason
 
 
-SignatureVerifier = Callable[[Signature], bool]
-
-
-def key_verifier(key: SigningKey) -> SignatureVerifier:
-    """Direct sheet verification for a tally trusted with the key."""
-
-    def check(signature: Signature) -> bool:
-        return verify_with_key(signature, key)
-
-    return check
-
-
-def relay_verifier(signer_key: PublicKey, responder: Responder, rng: Random) -> SignatureVerifier:
-    """Sheet verification through confirmation rounds, same interface."""
-
-    def check(signature: Signature) -> bool:
-        return confirm(signature, signer_key, responder, rng).accepted
-
-    return check
-
-
 def tally(
     servers: Sequence[VoteServer],
     sheet: BallotSheet,
-    verifier: SignatureVerifier,
+    verify: Callable[[Signature], bool],
     bus: MessageBus,
 ) -> TallyResult:
-    """Pool every server's stored shares, reconstruct per anonymous id, and
-    match products against the signed ballot sheet.
+    """Check the sheet's signatures with ``verify``, pool every server's
+    stored shares, reconstruct per anonymous id, and match products against
+    the signed ballot sheet.
 
     An id missing a share on any server, or stored under mixed versions,
     counts as inconsistent; a unanimous product matching no signed ballot
     counts as invalid.
     """
     for signature in sheet.signatures:
-        if not verifier(signature):
+        if not verify(signature):
             raise DomainError("ballot sheet signature failed verification")
     for server in servers:
         bus.post(TALLY, server.name, "collect")
@@ -577,7 +492,7 @@ def tally(
             continue
         product = 1
         for record in records:
-            product = product * record.share.value % p
+            product = product * record.share % p
         label = index.get(product)
         if label is None:
             invalid += 1

@@ -8,40 +8,14 @@ v times the inverse of their product.  Any k - 1 shares say nothing about v.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from random import Random
 from typing import Sequence
 
-from .errors import DomainError, FieldMismatchError, ParameterError, RegimeError
-from .modmath import FieldElement
+from .errors import DomainError, ParameterError, RegimeError
+from .modmath import FieldElement, FieldParams
 
 EXHAUSTIVE_FIELD_LIMIT = 1 << 16
 _ENUMERATION_BUDGET = 5_000_000
-
-
-@dataclass(frozen=True)
-class ShareSet:
-    """An ordered tuple of k >= 2 nonzero shares over one field."""
-
-    shares: tuple[FieldElement, ...]
-
-    def __post_init__(self):
-        if len(self.shares) < 2:
-            raise ParameterError("a share set needs at least two shares")
-        params = self.shares[0].params
-        for share in self.shares:
-            if share.params != params:
-                raise FieldMismatchError("shares from different fields")
-            if share.value == 0:
-                raise DomainError("zero is not a valid share")
-
-    @property
-    def k(self) -> int:
-        return len(self.shares)
-
-    @property
-    def params(self):
-        return self.shares[0].params
 
 
 def _complete_values(value: int, leading: Sequence[int], p: int) -> tuple[int, ...]:
@@ -51,7 +25,7 @@ def _complete_values(value: int, leading: Sequence[int], p: int) -> tuple[int, .
     return (*leading, value * pow(prod, -1, p) % p)
 
 
-def complete_split(value: FieldElement, leading: Sequence[int]) -> ShareSet:
+def complete_split(value: FieldElement, leading: Sequence[int]) -> tuple[int, ...]:
     """Deterministic completion: append the one share that makes the product
     of all k come out to ``value``."""
     if value.value == 0:
@@ -60,27 +34,22 @@ def complete_split(value: FieldElement, leading: Sequence[int]) -> ShareSet:
     for r in leading:
         if not 1 <= r <= p - 1:
             raise DomainError(f"share {r} outside [1, p-1]")
-    values = _complete_values(value.value, leading, p)
-    return ShareSet(tuple(FieldElement(v, value.params) for v in values))
+    return _complete_values(value.value, leading, p)
 
 
-def split(value: FieldElement, k: int, rng: Random) -> ShareSet:
+def split(value: FieldElement, k: int, rng: Random) -> tuple[int, ...]:
     """Split ``value`` into k shares, k - 1 of them uniform on [1, p-1]."""
     if k < 2:
         raise ParameterError("k must be at least 2")
-    if value.value == 0:
-        raise DomainError("cannot split zero")
-    p = value.params.p
-    return complete_split(value, [rng.randrange(1, p) for _ in range(k - 1)])
+    return complete_split(value, [rng.randrange(1, value.params.p) for _ in range(k - 1)])
 
 
-def reconstruct(shares: ShareSet) -> FieldElement:
+def reconstruct(shares: Sequence[int], params: FieldParams) -> FieldElement:
     """Product of all shares mod p."""
-    p = shares.params.p
     acc = 1
-    for share in shares.shares:
-        acc = acc * share.value % p
-    return FieldElement(acc, shares.params)
+    for share in shares:
+        acc = acc * share % params.p
+    return FieldElement(acc, params)
 
 
 def marginal_distribution(

@@ -97,13 +97,13 @@ def test_criterion_02_sharing_round_trip():
         value = FIELD.element(v)
         for k in range(2, 7):
             shares = split(value, k, random.Random(1000 * v + k))
-            random_trips += reconstruct(shares).value == v
+            random_trips += reconstruct(shares, FIELD).value == v
     forced = 0
     for v in range(1, 23):
         value = FIELD.element(v)
         for r1 in range(1, 23):
             for r2 in range(1, 23):
-                forced += reconstruct(complete_split(value, (r1, r2))).value == v
+                forced += reconstruct(complete_split(value, (r1, r2)), FIELD).value == v
     duration = perf_counter() - start
     _verdict(2, {
         "22x5 seeded round trips": random_trips == 110,
@@ -208,7 +208,7 @@ def test_criterion_08_end_to_end_election():
     while run.cursor < len(run.schedule):
         event = run.schedule[run.cursor]
         voter = run.voters[event.voter_index]
-        anon = voter.credential.anon_id.value
+        anon = voter.credential.message.value
         before = len(run.bus)
         run.step()
         accepts = sum(1 for m in logged(run.bus, before) if m.kind == "cast-accept")
@@ -218,12 +218,8 @@ def test_criterion_08_end_to_end_election():
     # replay: stored versions reached 2 via re-votes; a version-1 cast with a
     # fresh valid token must still bounce
     anon, record = max(run.servers[0].store.items(), key=lambda kv: kv[1].version)
-    element = run.params.element(anon)
-    credential_sig = sign(element, run.key).sig
-    token = run.booth.authenticate(element, credential_sig, run.bus)
-    accepted, reason = run.servers[0].store_share(
-        element, 1, run.params.element(5), token, run.bus
-    )
+    token = run.booth.authenticate(sign(run.params.element(anon), run.key), run.bus)
+    accepted, reason = run.servers[0].store_share(anon, 1, 5, token, run.bus)
     run.finish()
     result = run.result
     expected = {label: 0 for label in ELECTION_CONFIG.candidates}

@@ -20,6 +20,7 @@ from splitvote.blindsig import (
 )
 from splitvote.errors import DomainError, ParameterError, ProtocolAbortError
 from splitvote.modmath import FIXTURE_FIELD, in_subgroup, mod_exp
+from splitvote.protocol import MessageBus, RegistrationAuthority, Voter, make_ballot_sheet
 
 SUBGROUP_23 = [1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18]
 
@@ -173,12 +174,18 @@ def test_confirm_refusal_aborts(field, key, pub):
 
 
 def test_transcript_record_fields(field, key, pub):
-    transcript = confirm(sign(field.element(9), key), pub, honest_responder(key), random.Random(5))
-    record = transcript.to_record()
-    assert record.startswith(f"e1={transcript.e1} e2={transcript.e2} ")
-    assert f"challenge={transcript.challenge}" in record
-    assert f"response={transcript.response}" in record
-    assert record.endswith("accepted=1")
+    # a confirmation round is recorded as the fields of its logged message
+    bus = MessageBus()
+    sheet = make_ballot_sheet(("a", "b"), key, random.Random(7))
+    voter = Voter("V00000", pub, random.Random(100))
+    credential = voter.register(RegistrationAuthority(key, ["V00000"], sheet), bus)
+    line = next(line for line in bus.render_log() if " confirm-credential " in line)
+    pairs = [pair.split("=", 1) for pair in line.split(" ")[5:]]
+    assert [name for name, _ in pairs] == ["e1", "e2", "challenge", "response", "accepted"]
+    e1, e2, challenge, response, accepted = (int(value) for _, value in pairs)
+    assert challenge == credential.message.value ** e1 * 2 ** e2 % 23
+    assert response == challenge ** 3 % 23
+    assert accepted == 1
 
 
 def test_disavow_reports_forgery(field, key, pub):

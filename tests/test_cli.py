@@ -144,6 +144,13 @@ class TestRun:
         assert main(["run", "--config", str(path)]) == 2
         _one_error_line(capsys)
 
+    def test_unicode_digit_candidate_count_exits_2(self, tmp_path, capsys):
+        # "²".isdigit() holds, but int("²") raises
+        path = tmp_path / "bad.cfg"
+        path.write_text(ELECTION_CFG.replace("alpha,beta", "²"), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 2
+        assert "candidates" in _one_error_line(capsys)
+
 
 class TestSnapshotResume:
     def test_resume_matches_uninterrupted(self, election_cfg, tmp_path, capsys):
@@ -172,6 +179,17 @@ class TestSnapshotResume:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--config", str(election_cfg), "--snapshot-at", "3"])
         assert exc.value.code == 2
+
+    def test_negative_snapshot_at_is_refused(self, election_cfg, tmp_path, capsys):
+        snap = tmp_path / "state.json"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "run", "--config", str(election_cfg),
+                "--snapshot", str(snap), "--snapshot-at", "-1",
+            ])
+        assert exc.value.code == 2
+        assert "--snapshot-at" in capsys.readouterr().err
+        assert not snap.exists()
 
     def test_corrupt_snapshot_exits_2(self, tmp_path, capsys):
         snap = tmp_path / "junk.json"
@@ -304,6 +322,12 @@ class TestAttack:
         path.write_bytes(ATTACK_CFG.encode("ascii") + b"goal = targeted\xff\n")
         assert main(["attack", "--config", str(path)]) == 2
         _one_error_line(capsys)
+
+    def test_unicode_digit_candidate_count_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(ATTACK_CFG + "candidates = ²\n", encoding="utf-8")
+        assert main(["attack", "--config", str(path)]) == 2
+        assert "candidates" in _one_error_line(capsys)
 
     def test_seed_override_is_the_seed_echoed(self, tmp_path, capsys):
         path = tmp_path / "mc.cfg"

@@ -388,7 +388,7 @@ class TestSnapshots:
         clean = run.state_digest()
         server = run.servers[0]
         anon, record = next(iter(server.store.items()))
-        other = FIXTURE_FIELD.element(record.share.value % (FIXTURE_FIELD.p - 1) + 1)
+        other = record.share % (FIXTURE_FIELD.p - 1) + 1
         server.store[anon] = CastRecord(record.version, other)
         assert run.state_digest() != clean
         server.store[anon] = record

@@ -47,7 +47,7 @@ def test_split_blind_and_confirm_round_trip(params, seed):
     key = random_signing_key(params, rng)
     pub = key.public_key()
     value = params.element(rng.randrange(1, params.p))
-    assert reconstruct(split(value, rng.randint(2, 5), rng)) == value
+    assert reconstruct(split(value, rng.randint(2, 5), rng), params) == value
     message = sample_subgroup_element(params, rng)
     factor = random_blinding_factor(params, rng)
     unblinded = unblind(sign(blind(message, factor, pub), key).sig, factor, pub)

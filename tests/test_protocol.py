@@ -2,6 +2,7 @@
 
 import random
 import sys
+from functools import partial
 
 import pytest
 
@@ -10,6 +11,7 @@ from splitvote.blindsig import (
     PublishedSignature,
     Signature,
     SigningKey,
+    confirm,
     random_signing_key,
     verify_with_key,
 )
@@ -31,10 +33,7 @@ from splitvote.protocol import (
     RegistrationAuthority,
     VoteServer,
     Voter,
-    VoterIdentity,
-    key_verifier,
     make_ballot_sheet,
-    relay_verifier,
     tally,
 )
 from tests.conftest import logged
@@ -58,18 +57,13 @@ def sheet(field, key):
 
 def make_setup(field, key, sheet, mode=KEY_COPY, n_voters=3, k=3, booth_seed=11):
     bus = MessageBus()
-    roster = [VoterIdentity(f"V{i:05d}") for i in range(n_voters)]
-    authority = RegistrationAuthority(key, roster, {"main": sheet})
-    booth = PollingBooth(
-        mode,
-        random.Random(booth_seed),
-        key=key if mode == KEY_COPY else None,
-        authority=authority if mode == ZK_RELAY else None,
-    )
+    roster = [f"V{i:05d}" for i in range(n_voters)]
+    authority = RegistrationAuthority(key, roster, sheet)
+    booth = PollingBooth(mode, random.Random(booth_seed), authority)
     servers = [VoteServer(i, booth) for i in range(k)]
     voters = [
-        Voter(identity, key.public_key(), random.Random(VOTER_SEEDS[j]))
-        for j, identity in enumerate(roster)
+        Voter(v_id, key.public_key(), random.Random(VOTER_SEEDS[j]))
+        for j, v_id in enumerate(roster)
     ]
     return bus, authority, booth, servers, voters
 
@@ -174,16 +168,16 @@ class TestRegistration:
     def test_credential_verifies_and_differs_from_blinded(self, field, key, sheet):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet)
         cred = voters[0].register(authority, bus)
-        assert in_subgroup(cred.anon_id)
-        assert verify_with_key(cred.as_signature(), key)
+        assert in_subgroup(cred.message)
+        assert verify_with_key(cred, key)
         request = next(m for m in logged(bus) if m.kind == "register-request")
         blinded = request.fields["blinded"]
-        assert int(blinded) != cred.anon_id.value
+        assert int(blinded) != cred.message.value
 
     def test_double_registration_rejected(self, field, key, sheet):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet)
         voters[0].register(authority, bus)
-        retry = Voter(voters[0].identity, key.public_key(), random.Random(1))
+        retry = Voter(voters[0].v_id, key.public_key(), random.Random(1))
         with pytest.raises(AlreadyRegisteredError):
             retry.register(authority, bus)
         assert any(
@@ -193,7 +187,7 @@ class TestRegistration:
 
     def test_unknown_voter_rejected(self, field, key, sheet):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet)
-        ghost = Voter(VoterIdentity("V99999"), key.public_key(), random.Random(2))
+        ghost = Voter("V99999", key.public_key(), random.Random(2))
         with pytest.raises(IneligibleVoterError):
             ghost.register(authority, bus)
 
@@ -212,10 +206,10 @@ class TestRegistration:
         rng = random.Random(31)
         assert rng.randrange(1, 23) == 1 and rng.randrange(1, 23) == 16
         bus, authority, booth, servers, voters = make_setup(field, key, sheet, n_voters=1)
-        voter = Voter(voters[0].identity, key.public_key(), random.Random(31))
+        voter = Voter(voters[0].v_id, key.public_key(), random.Random(31))
         cred = voter.register(authority, bus)
-        assert cred.anon_id.value == 16 * 16 % 23
-        assert verify_with_key(cred.as_signature(), key)
+        assert cred.message.value == 16 * 16 % 23
+        assert verify_with_key(cred, key)
 
     def test_tampered_signature_triggers_disavowal(self, field, key, sheet):
         class TamperingAuthority(RegistrationAuthority):
@@ -226,8 +220,8 @@ class TestRegistration:
                 return FieldElement(signed.value * 2 % 23, signed.params), sheet
 
         bus = MessageBus()
-        authority = TamperingAuthority(key, [VoterIdentity("V00000")], {"main": sheet})
-        voter = Voter(VoterIdentity("V00000"), key.public_key(), random.Random(100))
+        authority = TamperingAuthority(key, ["V00000"], sheet)
+        voter = Voter("V00000", key.public_key(), random.Random(100))
         with pytest.raises(CredentialInvalidError) as exc:
             voter.register(authority, bus)
         assert exc.value.disavowal.is_forgery
@@ -292,33 +286,32 @@ class TestBooth:
     def test_authenticate_issues_bound_token(self, field, key, sheet):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet)
         cred = voters[0].register(authority, bus)
-        token = booth.authenticate(cred.anon_id, cred.anon_id_sig, bus)
-        assert token.bound_anon_id == cred.anon_id.value
-        assert booth.token_valid(token.token, cred.anon_id.value)
-        assert not booth.token_valid(token.token, cred.anon_id.value + 1)
+        token = booth.authenticate(cred, bus)
+        assert booth.token_valid(token.token, cred.message.value)
+        assert not booth.token_valid(token.token, cred.message.value + 1)
         assert len(token.token) == 32
 
     def test_bad_signature_rejected(self, field, key, sheet):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet)
         cred = voters[0].register(authority, bus)
-        wrong = FieldElement(cred.anon_id_sig.value * 2 % 23, field)
+        wrong = FieldElement(cred.sig.value * 2 % 23, field)
         with pytest.raises(AuthenticationError):
-            booth.authenticate(cred.anon_id, wrong, bus)
+            booth.authenticate(Signature(cred.message, wrong), bus)
 
     def test_zero_id_rejected(self, field, key, sheet):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet)
         zero = FieldElement(0, field)
         with pytest.raises(AuthenticationError):
-            booth.authenticate(zero, zero, bus)
+            booth.authenticate(Signature(zero, zero), bus)
 
     def test_reauthentication_kills_previous_token(self, field, key, sheet):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet)
         cred = voters[0].register(authority, bus)
-        first = booth.authenticate(cred.anon_id, cred.anon_id_sig, bus)
-        second = booth.authenticate(cred.anon_id, cred.anon_id_sig, bus)
+        first = booth.authenticate(cred, bus)
+        second = booth.authenticate(cred, bus)
         assert first.token != second.token
-        assert not booth.token_valid(first.token, cred.anon_id.value)
-        assert booth.token_valid(second.token, cred.anon_id.value)
+        assert not booth.token_valid(first.token, cred.message.value)
+        assert booth.token_valid(second.token, cred.message.value)
         assert second.issued_at > first.issued_at
 
     def test_same_id_different_signature_is_collision(self, field, key, sheet):
@@ -326,39 +319,29 @@ class TestBooth:
         cred = voters[0].register(authority, bus)
         # a correct key admits one signature per id, so the conflicting
         # binding has to be planted directly
-        booth.seen[cred.anon_id.value] = (cred.anon_id_sig.value * 2) % 23
+        booth.seen[cred.message.value] = (cred.sig.value * 2) % 23
         with pytest.raises(CollisionError):
-            booth.authenticate(cred.anon_id, cred.anon_id_sig, bus)
+            booth.authenticate(cred, bus)
 
     def test_closed_booth_rejects(self, field, key, sheet):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet)
         cred = voters[0].register(authority, bus)
-        token = booth.authenticate(cred.anon_id, cred.anon_id_sig, bus)
+        token = booth.authenticate(cred, bus)
         booth.close(bus)
-        assert not booth.token_valid(token.token, cred.anon_id.value)
+        assert not booth.token_valid(token.token, cred.message.value)
         with pytest.raises(AuthenticationError):
-            booth.authenticate(cred.anon_id, cred.anon_id_sig, bus)
-
-    def test_revoke(self, field, key, sheet):
-        bus, authority, booth, servers, voters = make_setup(field, key, sheet)
-        cred = voters[0].register(authority, bus)
-        token = booth.authenticate(cred.anon_id, cred.anon_id_sig, bus)
-        booth.revoke(token)
-        assert not booth.token_valid(token.token, cred.anon_id.value)
+            booth.authenticate(cred, bus)
 
     def test_mode_validation(self, field, key, sheet):
+        authority = RegistrationAuthority(key, [], sheet)
         with pytest.raises(ParameterError):
-            PollingBooth("carrier-pigeon", random.Random(0), key=key)
-        with pytest.raises(ParameterError):
-            PollingBooth(KEY_COPY, random.Random(0))
-        with pytest.raises(ParameterError):
-            PollingBooth(ZK_RELAY, random.Random(0))
+            PollingBooth("carrier-pigeon", random.Random(0), authority)
 
     def test_zk_relay_authenticates_without_key_copy(self, field, key, sheet):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet, mode=ZK_RELAY)
         cred = voters[0].register(authority, bus)
-        token = booth.authenticate(cred.anon_id, cred.anon_id_sig, bus)
-        assert booth.token_valid(token.token, cred.anon_id.value)
+        token = booth.authenticate(cred, bus)
+        assert booth.token_valid(token.token, cred.message.value)
         assert booth.key is None
         relayed = [m for m in logged(bus) if m.kind == "auth-zk"]
         assert len(relayed) == 1
@@ -387,20 +370,32 @@ class TestBooth:
 
         monkeypatch.setattr(blindsig, "mod_exp", counted_mod_exp)
         monkeypatch.setattr(modmath.FixedBase, "__init__", counted_build)
-        booth.authenticate(creds[0].anon_id, creds[0].anon_id_sig, bus)
+        booth.authenticate(creds[0], bus)
         assert counts == {"mod_exp": 3, "tables": 0}
 
-    @pytest.mark.parametrize("mode, tests", [(KEY_COPY, 1), (ZK_RELAY, 2)])
-    def test_authentication_tests_the_id_once(self, mode, tests, monkeypatch):
-        # the malformed-id check and a zk-relay confirm share the
-        # candidate's verdict; confirm adds only the signature half's
+    @pytest.mark.parametrize(
+        "mode, present, tests",
+        [
+            # a fresh wire copy of the credential: the malformed-id check and
+            # a zk-relay confirm share its verdict; confirm adds only the
+            # signature half's
+            pytest.param(KEY_COPY, "wire-copy", 1, id="key-copy-1"),
+            pytest.param(ZK_RELAY, "wire-copy", 2, id="zk-relay-2"),
+            # the registered object: its confirmation cached both verdicts
+            pytest.param(KEY_COPY, "registered", 0, id="key-copy-registered-0"),
+            pytest.param(ZK_RELAY, "registered", 0, id="zk-relay-registered-0"),
+        ],
+    )
+    def test_authentication_tests_the_id_once(self, mode, present, tests, monkeypatch):
         params = field_64()
         key = random_signing_key(params, random.Random(1))
         sheet = make_ballot_sheet(CANDIDATES, key, random.Random(7))
         bus, authority, booth, servers, voters = make_setup(params, key, sheet, mode=mode)
         cred = voters[0].register(authority, bus)
+        if present == "wire-copy":
+            cred = Signature(cred.message, cred.sig)
         counts = count_calls(monkeypatch, "in_subgroup")
-        booth.authenticate(cred.anon_id, cred.anon_id_sig, bus)
+        booth.authenticate(cred, bus)
         assert counts == {"in_subgroup": tests}
 
     @pytest.mark.parametrize("mode", BOOTH_MODES)
@@ -408,7 +403,7 @@ class TestBooth:
         bus, authority, booth, servers, voters = make_setup(field, key, sheet, mode=mode)
         five = FieldElement(5, field)
         with pytest.raises(AuthenticationError):
-            booth.authenticate(five, five, bus)
+            booth.authenticate(Signature(five, five), bus)
         assert [(m.kind, m.fields) for m in logged(bus, 1)] == [
             ("auth-reject", {"reason": "malformed-id"})
         ]
@@ -416,9 +411,9 @@ class TestBooth:
     def test_zk_relay_rejects_forged_signature(self, field, key, sheet):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet, mode=ZK_RELAY)
         cred = voters[0].register(authority, bus)
-        wrong = FieldElement(cred.anon_id_sig.value * 2 % 23, field)
+        wrong = FieldElement(cred.sig.value * 2 % 23, field)
         with pytest.raises(AuthenticationError):
-            booth.authenticate(cred.anon_id, wrong, bus)
+            booth.authenticate(Signature(cred.message, wrong), bus)
 
     @pytest.mark.parametrize("mode", [KEY_COPY, ZK_RELAY])
     def test_degenerate_id_rejected_before_any_registration(self, field, key, sheet, mode):
@@ -427,7 +422,7 @@ class TestBooth:
         bus, authority, booth, servers, voters = make_setup(field, key, sheet, mode=mode)
         one = FieldElement(1, field)
         with pytest.raises(AuthenticationError):
-            booth.authenticate(one, one, bus)
+            booth.authenticate(Signature(one, one), bus)
         assert [(m.kind, m.fields) for m in logged(bus, 1)] == [
             ("auth-reject", {"reason": "degenerate-id"})
         ]
@@ -442,92 +437,85 @@ class TestCasting:
 
     def test_full_cast_accepted_everywhere(self, field, key, sheet):
         bus, authority, booth, servers, voters, creds = self.setup_voted(field, key, sheet)
-        token = booth.authenticate(creds[0].anon_id, creds[0].anon_id_sig, bus)
+        token = booth.authenticate(creds[0], bus)
         ack = voters[0].cast(token, servers, 0, bus)
         assert ack.version == 1
-        assert ack.complete(3)
         assert ack.accepted_servers() == ["server/0", "server/1", "server/2"]
         product = 1
-        for share in ack.shares.shares:
-            product = product * share.value % 23
+        for share in ack.shares:
+            product = product * share % 23
         assert product == sheet.signed_ballots[0].value
         for server in servers:
-            record = server.store[creds[0].anon_id.value]
+            record = server.store[creds[0].message.value]
             assert record.version == 1
 
     def test_recast_overwrites(self, field, key, sheet):
         bus, authority, booth, servers, voters, creds = self.setup_voted(field, key, sheet)
-        token = booth.authenticate(creds[0].anon_id, creds[0].anon_id_sig, bus)
+        token = booth.authenticate(creds[0], bus)
         voters[0].cast(token, servers, 0, bus)
-        token2 = booth.authenticate(creds[0].anon_id, creds[0].anon_id_sig, bus)
+        token2 = booth.authenticate(creds[0], bus)
         ack = voters[0].cast(token2, servers, 2, bus)
         assert ack.version == 2
-        assert ack.complete(3)
-        result = tally(servers, sheet, key_verifier(key), bus)
+        assert ack.accepted_servers() == ["server/0", "server/1", "server/2"]
+        result = tally(servers, sheet, partial(verify_with_key, key=key), bus)
         assert result.counts == {"alpha": 0, "beta": 0, "gamma": 1}
         assert result.distinct_ids == 1
 
     def test_stale_version_rejected(self, field, key, sheet):
         bus, authority, booth, servers, voters, creds = self.setup_voted(field, key, sheet)
-        token = booth.authenticate(creds[0].anon_id, creds[0].anon_id_sig, bus)
+        token = booth.authenticate(creds[0], bus)
         voters[0].cast(token, servers, 0, bus)
         voters[0].cast(token, servers, 1, bus)
-        replay = FieldElement(5, field)
-        accepted, reason = servers[0].store_share(
-            creds[0].anon_id, 1, replay, token, bus
-        )
+        anon_id = creds[0].message.value
+        accepted, reason = servers[0].store_share(anon_id, 1, 5, token, bus)
         assert not accepted and reason == "stale-version"
-        accepted, reason = servers[0].store_share(
-            creds[0].anon_id, 2, replay, token, bus
-        )
+        accepted, reason = servers[0].store_share(anon_id, 2, 5, token, bus)
         assert not accepted and reason == "stale-version"
 
     def test_old_token_rejected_after_reauthentication(self, field, key, sheet):
         bus, authority, booth, servers, voters, creds = self.setup_voted(field, key, sheet)
-        token = booth.authenticate(creds[0].anon_id, creds[0].anon_id_sig, bus)
+        token = booth.authenticate(creds[0], bus)
         voters[0].cast(token, servers, 0, bus)
-        booth.authenticate(creds[0].anon_id, creds[0].anon_id_sig, bus)
+        booth.authenticate(creds[0], bus)
         ack = voters[0].cast(token, servers, 1, bus)
         assert ack.accepted_servers() == []
         assert all(d.reason == "unknown-token" for d in ack.deliveries)
-        result = tally(servers, sheet, key_verifier(key), bus)
+        result = tally(servers, sheet, partial(verify_with_key, key=key), bus)
         assert result.counts["alpha"] == 1
 
     def test_partial_cast_counts_as_inconsistent(self, field, key, sheet):
         bus, authority, booth, servers, voters, creds = self.setup_voted(field, key, sheet)
-        token = booth.authenticate(creds[0].anon_id, creds[0].anon_id_sig, bus)
+        token = booth.authenticate(creds[0], bus)
         ack = voters[0].cast(token, servers, 0, bus, deliver_count=2)
         assert ack.accepted_servers() == ["server/0", "server/1"]
-        result = tally(servers, sheet, key_verifier(key), bus)
+        result = tally(servers, sheet, partial(verify_with_key, key=key), bus)
         assert result.counts == {"alpha": 0, "beta": 0, "gamma": 0}
         assert result.inconsistent == 1
         assert result.distinct_ids == 1
 
     def test_partial_recast_leaves_mixed_versions(self, field, key, sheet):
         bus, authority, booth, servers, voters, creds = self.setup_voted(field, key, sheet)
-        token = booth.authenticate(creds[0].anon_id, creds[0].anon_id_sig, bus)
+        token = booth.authenticate(creds[0], bus)
         voters[0].cast(token, servers, 0, bus)
         voters[0].cast(token, servers, 1, bus, deliver_count=1)
-        result = tally(servers, sheet, key_verifier(key), bus)
+        result = tally(servers, sheet, partial(verify_with_key, key=key), bus)
         assert result.inconsistent == 1
         assert result.counts == {"alpha": 0, "beta": 0, "gamma": 0}
 
     def test_zero_share_rejected(self, field, key, sheet):
         bus, authority, booth, servers, voters, creds = self.setup_voted(field, key, sheet)
-        token = booth.authenticate(creds[0].anon_id, creds[0].anon_id_sig, bus)
-        accepted, reason = servers[0].store_share(
-            creds[0].anon_id, 1, FieldElement(0, field), token, bus
-        )
+        token = booth.authenticate(creds[0], bus)
+        accepted, reason = servers[0].store_share(creds[0].message.value, 1, 0, token, bus)
         assert not accepted and reason == "zero-share"
 
     def test_cast_argument_checks(self, field, key, sheet):
         bus, authority, booth, servers, voters, creds = self.setup_voted(field, key, sheet)
-        token = booth.authenticate(creds[0].anon_id, creds[0].anon_id_sig, bus)
+        token = booth.authenticate(creds[0], bus)
         with pytest.raises(ParameterError):
             voters[0].cast(token, servers, 9, bus)
         with pytest.raises(ParameterError):
             voters[0].cast(token, servers, 0, bus, deliver_count=0)
-        fresh = Voter(VoterIdentity("V00009"), key.public_key(), random.Random(3))
+        fresh = Voter("V00009", key.public_key(), random.Random(3))
         with pytest.raises(VotingError):
             fresh.cast(token, servers, 0, bus)
 
@@ -540,13 +528,13 @@ class TestTally:
         )
         creds = register_all(voters, authority, bus)
         for voter, cred, choice in zip(voters, creds, choices):
-            token = booth.authenticate(cred.anon_id, cred.anon_id_sig, bus)
+            token = booth.authenticate(cred, bus)
             voter.cast(token, servers, choice, bus)
         return bus, booth, servers, creds
 
     def test_three_voter_example(self, field, key, sheet):
         bus, booth, servers, creds = self.run_votes(field, key, sheet, [0, 0, 1])
-        result = tally(servers, sheet, key_verifier(key), bus)
+        result = tally(servers, sheet, partial(verify_with_key, key=key), bus)
         assert result.counts == {"alpha": 2, "beta": 1, "gamma": 0}
         assert result.invalid == 0
         assert result.inconsistent == 0
@@ -562,20 +550,20 @@ class TestTally:
         # matches no signed ballot
         shares = [1] * (len(servers) - 1) + [target]
         for server, share in zip(servers, shares):
-            server.store[9] = CastRecord(1, FieldElement(share, field))
-        result = tally(servers, sheet, key_verifier(key), bus)
+            server.store[9] = CastRecord(1, share)
+        result = tally(servers, sheet, partial(verify_with_key, key=key), bus)
         assert result.invalid == 1
         assert result.counts["alpha"] == 1
         assert result.distinct_ids == 2
 
     def test_relay_verifier_matches_key_verifier(self, field, key, sheet):
         bus, booth, servers, creds = self.run_votes(field, key, sheet, [2, 1])
-        by_key = tally(servers, sheet, key_verifier(key), bus)
-        authority = RegistrationAuthority(key, [], {"main": sheet})
+        by_key = tally(servers, sheet, partial(verify_with_key, key=key), bus)
+        responder, rng = RegistrationAuthority(key, [], sheet).responder, random.Random(5)
         by_relay = tally(
             servers,
             sheet,
-            relay_verifier(key.public_key(), authority.responder, random.Random(5)),
+            lambda signature: confirm(signature, key.public_key(), responder, rng).accepted,
             bus,
         )
         assert by_key.counts == by_relay.counts
@@ -588,11 +576,11 @@ class TestTally:
             tuple(FieldElement(s.value * 2 % 23, field) for s in sheet.signed_ballots),
         )
         with pytest.raises(DomainError):
-            tally(servers, forged, key_verifier(key), bus)
+            tally(servers, forged, partial(verify_with_key, key=key), bus)
 
     def test_render_lines(self, field, key, sheet):
         bus, booth, servers, creds = self.run_votes(field, key, sheet, [1])
-        result = tally(servers, sheet, key_verifier(key), bus)
+        result = tally(servers, sheet, partial(verify_with_key, key=key), bus)
         lines = result.render_lines(CANDIDATES)
         assert lines[0] == "count alpha = 0"
         assert lines[1] == "count beta = 1"
@@ -604,12 +592,12 @@ class TestTraceProperties:
         bus, authority, booth, servers, voters = make_setup(field, key, sheet, n_voters=4)
         creds = register_all(voters, authority, bus)
         for i, (voter, cred) in enumerate(zip(voters, creds)):
-            token = booth.authenticate(cred.anon_id, cred.anon_id_sig, bus)
+            token = booth.authenticate(cred, bus)
             voter.cast(token, servers, i % 3, bus)
-        token = booth.authenticate(creds[0].anon_id, creds[0].anon_id_sig, bus)
+        token = booth.authenticate(creds[0], bus)
         voters[0].cast(token, servers, 2, bus)
         booth.close(bus)
-        tally(servers, sheet, key_verifier(key), bus)
+        tally(servers, sheet, partial(verify_with_key, key=key), bus)
         return bus, creds
 
     REGISTRATION_KINDS = {
