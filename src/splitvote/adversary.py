@@ -22,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DomainError, RegimeError, ScenarioError
 from .modmath import FieldElement, FieldParams
-from .sharing import EXHAUSTIVE_FIELD_LIMIT, _complete_values
+from .sharing import EXHAUSTIVE_FIELD_LIMIT
 
 TARGETED = "targeted"
 ANY_VALID = "any-valid"
@@ -118,6 +118,12 @@ def _resolve_rewrite(scenario, replacement, rng) -> int | str:
     return _check_value(replacement, scenario.params, "replacement share")
 
 
+def check_enumerable(p: int) -> None:
+    """Refuse an exact count over a field too large to sweep."""
+    if p > EXHAUSTIVE_FIELD_LIMIT:
+        raise RegimeError(f"field too large to enumerate (p > {EXHAUSTIVE_FIELD_LIMIT})")
+
+
 def _final_product(value: int, rewrite: int | str, original: int, p: int) -> int:
     """Reconstructed product after the rewrite: the original coordinate is
     divided back out, so the result depends on the split only through it."""
@@ -126,76 +132,110 @@ def _final_product(value: int, rewrite: int | str, original: int, p: int) -> int
     return value * rewrite * pow(original, -1, p) % p
 
 
-def _exhaust(scenario, value, predicate, rewrite, rng) -> tuple[int, int]:
-    params = scenario.params
-    p = params.p
-    if p > EXHAUSTIVE_FIELD_LIMIT:
-        raise RegimeError(f"field too large to enumerate (p > {EXHAUSTIVE_FIELD_LIMIT})")
+def _exhaust(scenario, value, winners, rewrite, rng) -> int:
+    p = scenario.params.p
+    check_enumerable(p)
+    k = scenario.k
     j = scenario.rewritten
     # sweep the rewritten coordinate itself, or any free coordinate when the
     # rewritten one is the forced k-th share; either way the rewritten
     # coordinate's original value is a bijection of the sweep variable
-    sweep = j if j < scenario.k - 1 else 0
-    constants = {
-        i: rng.randrange(1, p) for i in range(scenario.k - 1) if i != sweep
-    }
+    sweep = j if j < k - 1 else 0
+    fixed = 1
+    for i in range(k - 1):
+        if i != sweep:
+            fixed = fixed * rng.randrange(1, p) % p
     successes = 0
     for u in range(1, p):
-        free = dict(constants)
-        free[sweep] = u
-        prod_free = 1
-        for share in free.values():
-            prod_free = prod_free * share % p
-        forced = value * pow(prod_free, -1, p) % p
-        original = free[j] if j < scenario.k - 1 else forced
-        if predicate(_final_product(value, rewrite, original, p)):
+        original = u if j < k - 1 else value * pow(fixed * u, -1, p) % p
+        if _final_product(value, rewrite, original, p) in winners:
             successes += 1
-    return successes, p - 1
+    return successes
 
 
-def _simulate(scenario, value, predicate, rewrite, trials, rng) -> tuple[int, int]:
+def _simulate(scenario, value, winners, rewrite, trials, rng) -> int:
+    """Successes over ``trials`` fresh splits, drawn as ``split`` draws them.
+
+    ``randrange(1, p)`` is ``getrandbits((p - 1).bit_length())``, redrawn
+    while it is at least p - 1, plus one (``Random._randbelow_with_getrandbits``);
+    making those calls here gives the same shares from the same words.  The
+    rewritten product is rewrite * prod(leading) when the forced k-th share
+    is rewritten, and value * rewrite / r when a free share r is, so the
+    winning values of that one coordinate are found before the loop.
+    """
     if trials < 1:
         raise ScenarioError("need at least one trial")
+    if rewrite == KEEP:
+        return trials if value in winners else 0
     p = scenario.params.p
     k = scenario.k
     j = scenario.rewritten
+    bound = p - 1
+    bits = bound.bit_length()
+    draw = rng.getrandbits
     successes = 0
-    # the draws of ``split`` on plain ints: k >= 2 and value != 0 are
-    # already checked, so no FieldElement is built per trial
+    if j == k - 1:
+        inverse = pow(rewrite, -1, p)
+        wins = frozenset(w * inverse % p for w in winners)
+        rest = range(k - 2)
+        for _ in range(trials):
+            prod = draw(bits)
+            while prod >= bound:
+                prod = draw(bits)
+            prod += 1
+            for _ in rest:
+                r = draw(bits)
+                while r >= bound:
+                    r = draw(bits)
+                prod = prod * (r + 1) % p
+            if prod in wins:
+                successes += 1
+        return successes
+    # winning shares r, less one: the raw draw is tested as it comes
+    wins = frozenset(value * rewrite * pow(w, -1, p) % p - 1 for w in winners)
+    before, after = range(j), range(k - 2 - j)
     for _ in range(trials):
-        leading = [rng.randrange(1, p) for _ in range(k - 1)]
-        original = _complete_values(value, leading, p)[j]
-        if predicate(_final_product(value, rewrite, original, p)):
+        for _ in before:
+            while draw(bits) >= bound:
+                pass
+        r = draw(bits)
+        while r >= bound:
+            r = draw(bits)
+        for _ in after:
+            while draw(bits) >= bound:
+                pass
+        if r in wins:
             successes += 1
-    return successes, trials
+    return successes
 
 
 def _run(
     scenario: CollusionScenario,
     value: FieldElement,
     goal: str,
-    predicate: Callable[[int], bool],
-    hits: int,
+    winners: frozenset[int],
     replacement,
     trials: int | None,
 ) -> AttackOutcome:
+    """One attack on ``value``; it succeeds when the reconstructed product
+    lands in ``winners``."""
     v = _check_value(value, scenario.params, "split value")
     rng = Random(scenario.seed)
     rewrite = _resolve_rewrite(scenario, replacement, rng)
+    p = scenario.params.p
+    asymptotic = Fraction(len(winners), p)
     if trials is None:
-        successes, total = _exhaust(scenario, v, predicate, rewrite, rng)
-        estimate = Fraction(successes, total)
+        successes = _exhaust(scenario, v, winners, rewrite, rng)
+        estimate = Fraction(successes, p - 1)
         return AttackOutcome(
-            EXHAUSTIVE, goal, successes, total, estimate, estimate,
-            Fraction(hits, scenario.params.p), 0.0,
+            EXHAUSTIVE, goal, successes, p - 1, estimate, estimate, asymptotic, 0.0,
         )
-    successes, total = _simulate(scenario, v, predicate, rewrite, trials, rng)
-    estimate = Fraction(successes, total)
+    successes = _simulate(scenario, v, winners, rewrite, trials, rng)
+    estimate = Fraction(successes, trials)
     rate = float(estimate)
-    stderr = (rate * (1.0 - rate) / total) ** 0.5
+    stderr = (rate * (1.0 - rate) / trials) ** 0.5
     return AttackOutcome(
-        MONTE_CARLO, goal, successes, total, estimate, None,
-        Fraction(hits, scenario.params.p), stderr,
+        MONTE_CARLO, goal, successes, trials, estimate, None, asymptotic, stderr,
     )
 
 
@@ -214,7 +254,7 @@ def attack_targeted(
     leaves the stored share alone (so success means target == value).
     """
     t = _check_value(target, scenario.params, "target")
-    return _run(scenario, value, TARGETED, lambda f: f == t, 1, replacement, trials)
+    return _run(scenario, value, TARGETED, frozenset({t}), replacement, trials)
 
 
 def attack_any_valid(
@@ -227,21 +267,16 @@ def attack_any_valid(
     """Success probabilities of landing on any signed ballot, and on any
     signed ballot other than the one actually cast."""
     v = _check_value(value, scenario.params, "split value")
-    valid = {
+    valid = frozenset(
         _check_value(ballot, scenario.params, "signed ballot")
         for ballot in signed_ballots
-    }
+    )
     if len(valid) != len(signed_ballots):
         raise ScenarioError("signed ballot values must be distinct")
     if v not in valid:
         raise ScenarioError("the cast value must be one of the signed ballots")
-    other = valid - {v}
-    any_outcome = _run(
-        scenario, value, ANY_VALID, lambda f: f in valid, len(valid), replacement, trials
-    )
-    other_outcome = _run(
-        scenario, value, ANY_OTHER, lambda f: f in other, len(other), replacement, trials
-    )
+    any_outcome = _run(scenario, value, ANY_VALID, valid, replacement, trials)
+    other_outcome = _run(scenario, value, ANY_OTHER, valid - {v}, replacement, trials)
     return any_outcome, other_outcome
 
 
@@ -284,8 +319,7 @@ def collusion_equivalence(
         raise ScenarioError("need at least two shares")
     if not 1 <= i <= k - 1:
         raise ScenarioError(f"honest count must lie in [1, {k - 1}]")
-    if params.p > EXHAUSTIVE_FIELD_LIMIT:
-        raise RegimeError(f"field too large to enumerate (p > {EXHAUSTIVE_FIELD_LIMIT})")
+    check_enumerable(params.p)
     rng = Random(seed)
     value = params.element(rng.randrange(1, params.p))
     target = params.element(rng.randrange(1, params.p))

@@ -33,6 +33,7 @@ from .adversary import (
     CollusionScenario,
     attack_any_valid,
     attack_targeted,
+    check_enumerable,
 )
 from .blindsig import confirm, random_signing_key, verify_with_key
 from .errors import ConfigError, VotingError
@@ -703,6 +704,9 @@ def run_attack(config: AttackConfig, seed: int | None = None) -> AttackReport:
     if seed is not None:
         config = replace(config, seed=seed)
     seed = config.seed
+    if config.trials is None and config.params is None:
+        # the least p of a bit length: refuse before the safe-prime search
+        check_enumerable((1 << (config.field_bits - 1)) + 1)
     params = _resolve_field(config)
     scenario = CollusionScenario(params, config.k, config.colluders, seed)
     rng = stream(seed, "attack")

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitvote.adversary import (
     ANY_OTHER,
@@ -15,6 +17,8 @@ from splitvote.adversary import (
     TARGETED,
     AttackOutcome,
     CollusionScenario,
+    _resolve_rewrite,
+    _simulate,
     attack_any_valid,
     attack_targeted,
     collusion_equivalence,
@@ -22,6 +26,7 @@ from splitvote.adversary import (
 )
 from splitvote.errors import DomainError, RegimeError, ScenarioError
 from splitvote.modmath import FieldParams, generate_params
+from splitvote.sharing import split
 
 # every nonzero residue is a possible reconstruction, so targets need not be
 # squares
@@ -255,3 +260,120 @@ class TestArgumentChecks:
         assert isinstance(outcome, AttackOutcome)
         with pytest.raises(AttributeError):
             outcome.successes = 5
+
+
+# The trial loop as it was before it drew shares with getrandbits: one
+# randrange per share, the forced share completed, the rewritten coordinate
+# divided back out and the product handed to a predicate.  It is the oracle
+# the fast loop must match in successes and in the generator state it leaves.
+
+
+def oracle_complete_values(value, leading, p):
+    prod = 1
+    for r in leading:
+        prod = prod * r % p
+    return (*leading, value * pow(prod, -1, p) % p)
+
+
+def oracle_final_product(value, rewrite, original, p):
+    if rewrite == KEEP:
+        return value
+    return value * rewrite * pow(original, -1, p) % p
+
+
+def oracle_simulate(scenario, value, predicate, rewrite, trials, rng):
+    if trials < 1:
+        raise ScenarioError("need at least one trial")
+    p = scenario.params.p
+    k = scenario.k
+    j = scenario.rewritten
+    successes = 0
+    for _ in range(trials):
+        leading = [rng.randrange(1, p) for _ in range(k - 1)]
+        original = oracle_complete_values(value, leading, p)[j]
+        if predicate(oracle_final_product(value, rewrite, original, p)):
+            successes += 1
+    return successes, trials
+
+
+def assert_matches_oracle(s, value, winners, replacement, trials):
+    old_rng = random.Random(s.seed)
+    old_rewrite = _resolve_rewrite(s, replacement, old_rng)
+    expected = oracle_simulate(
+        s, value, lambda f: f in winners, old_rewrite, trials, old_rng
+    )
+    rng = random.Random(s.seed)
+    rewrite = _resolve_rewrite(s, replacement, rng)
+    assert (_simulate(s, value, frozenset(winners), rewrite, trials, rng), trials) == expected
+    if rewrite != KEEP:
+        # KEEP draws nothing: the product is the cast value whatever the split
+        assert rng.getstate() == old_rng.getstate()
+
+
+SHEET = frozenset({1, 2, 3, 4, 6})
+CAST = 3
+
+
+class TestTrialLoopOracle:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_every_rewritten_index_at_p23(self, field, k):
+        # the forced k-th share and each free share, under every kind of
+        # rewrite and every goal's winning set
+        for j in range(k):
+            s = scenario(field, k, (j,), seed=10 * k + j)
+            for replacement in (None, field.element(5), field.element(22), KEEP):
+                goals = [{t} for t in ALL_TARGETS] + [SHEET, SHEET - {CAST}]
+                for winners in goals:
+                    assert_matches_oracle(s, CAST, winners, replacement, 150)
+
+    def test_first_trial_draws_the_leading_shares_of_split(self, field):
+        for k in range(2, 6):
+            for seed in range(20):
+                shares = split(field.element(CAST), k, random.Random(seed))
+                for j in range(k):
+                    s = scenario(field, k, (j,), seed=seed)
+                    # the one product that rewrites share j of that split
+                    # to 9: the trial wins exactly when it drew the same split
+                    hit = CAST * 9 * pow(shares[j], -1, 23) % 23
+                    miss = hit % 22 + 1
+                    rng = random.Random(seed)
+                    assert _simulate(s, CAST, frozenset({hit}), 9, 1, rng) == 1
+                    split_rng = random.Random(seed)
+                    split(field.element(CAST), k, split_rng)
+                    assert rng.getstate() == split_rng.getstate()
+                    rng = random.Random(seed)
+                    assert _simulate(s, CAST, frozenset({miss}), 9, 1, rng) == 0
+
+    def test_keep_draws_nothing(self, field):
+        s = scenario(field, 3, (0,), seed=1)
+        rng = random.Random(1)
+        before = rng.getstate()
+        assert _simulate(s, CAST, SHEET, KEEP, 1000, rng) == 1000
+        assert _simulate(s, CAST, SHEET - {CAST}, KEEP, 1000, rng) == 0
+        assert rng.getstate() == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(8, 64), st.integers(0, 2**32 - 1), st.data())
+def test_trial_loop_matches_oracle_on_random_fields(bits, seed, data):
+    # above 32 bits each getrandbits call takes two words of the generator
+    params = generate_params(bits, random.Random(seed))
+    p = params.p
+    k = data.draw(st.integers(2, 5))
+    size = data.draw(st.integers(1, k - 1))
+    colluders = data.draw(st.permutations(range(k)))[:size]
+    s = CollusionScenario(params, k, tuple(colluders), seed)
+    value = data.draw(st.integers(1, p - 1))
+    replacement = data.draw(
+        st.one_of(st.none(), st.just(KEEP), st.integers(1, p - 1).map(params.element))
+    )
+    trials = data.draw(st.integers(1, 200))
+    # some products the oracle's own trials reach, so a large field still
+    # has successes to count
+    rng = random.Random(seed)
+    rewrite = _resolve_rewrite(s, replacement, rng)
+    reached = []
+    oracle_simulate(s, value, lambda f: reached.append(f), rewrite, trials, rng)
+    winners = set(data.draw(st.lists(st.sampled_from(reached), max_size=3)))
+    winners |= set(data.draw(st.lists(st.integers(1, p - 1), max_size=3)))
+    assert_matches_oracle(s, value, winners, replacement, trials)

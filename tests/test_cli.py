@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from splitvote import harness
 from splitvote.cli import main
 from splitvote.modmath import params_from_text
 
@@ -311,6 +312,32 @@ class TestAttack:
         assert main(["attack", "--config", str(path)]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_impossible_exhaustive_count_refused_before_prime_search(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a 17-bit p exceeds 2**16, so the count cannot run: refuse before
+        # the safe-prime search, which takes seconds at large bit lengths
+        def no_search(*args):
+            raise AssertionError("safe-prime search ran")
+
+        monkeypatch.setattr(harness, "generate_params", no_search)
+        path = tmp_path / "big.cfg"
+        path.write_text(
+            "field_bits = 17\nservers = 2\ncolluders = 0\ngoal = targeted\n",
+            encoding="utf-8",
+        )
+        assert main(["attack", "--config", str(path)]) == 3
+        assert _one_error_line(capsys) == "error: field too large to enumerate (p > 65536)\n"
+
+    def test_largest_countable_bit_length_still_counts(self, tmp_path, capsys):
+        path = tmp_path / "edge.cfg"
+        path.write_text(
+            "field_bits = 16\nservers = 2\ncolluders = 0\ngoal = targeted\n",
+            encoding="utf-8",
+        )
+        assert main(["attack", "--config", str(path)]) == 0
+        assert "mode=exhaustive goal=targeted successes=1 " in capsys.readouterr().out
+
     def test_bad_attack_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("servers = 3\ncolluders = 0,1,2\n", encoding="utf-8")
@@ -340,6 +367,30 @@ class TestAttack:
         again.write_text(echoed, encoding="utf-8")
         assert main(["attack", "--config", str(again)]) == 0
         assert capsys.readouterr().out == overridden
+
+    @pytest.mark.parametrize(
+        "config, digest",
+        [
+            (
+                ATTACK_CFG.replace("exhaustive", "50000"),
+                "10701ec4f8bc2dd888bed49407a7f3d0e12583ac539e6746ef96b9ae1d0c6487",
+            ),
+            (
+                "p = 23\nq = 11\ng = 2\nservers = 4\ncolluders = 1,3\n"
+                "goal = any-valid\ntrials = 20000\ncandidates = 5\nseed = 2\n",
+                "c1ad15e99bc0b25cb4b2c201fa288996687bc4b1673693c4d74ad2ae0b793ded",
+            ),
+        ],
+        ids=["targeted", "any-valid"],
+    )
+    def test_monte_carlo_records_are_pinned(self, tmp_path, capsys, config, digest):
+        # digests of the records as the randrange-per-share trial loop
+        # produced them; a faster loop must reproduce them byte for byte
+        path = tmp_path / "mc.cfg"
+        path.write_text(config, encoding="utf-8")
+        assert main(["attack", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_monte_carlo_table(self, tmp_path, capsys):
         path = tmp_path / "mc.cfg"
