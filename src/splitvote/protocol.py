@@ -78,7 +78,9 @@ class MessageBus:
     """Append-only ordered log; delivery is synchronous, so the order is the
     program order and identical across runs with the same seed.  Each
     message is kept as its rendered line,
-    ``<seq:06d> <sender> -> <recipient> <kind> key=value ...``."""
+    ``<seq:06d> <sender> -> <recipient> <kind> key=value ...``; the caller
+    renders the ``key=value ...`` body with one f-string, which fixes the
+    field order at the call site."""
 
     def __init__(self):
         self._lines: list[str] = []
@@ -86,9 +88,8 @@ class MessageBus:
     def __len__(self) -> int:
         return len(self._lines)
 
-    def post(self, sender: str, recipient: str, kind: str, **fields) -> None:
+    def post(self, sender: str, recipient: str, kind: str, body: str = "") -> None:
         head = f"{len(self._lines) + 1:06d} {sender} -> {recipient} {kind}"
-        body = " ".join(f"{k}={v}" for k, v in fields.items())
         self._lines.append(f"{head} {body}" if body else head)
 
     def render_log(self) -> list[str]:
@@ -132,6 +133,13 @@ class BallotSheet:
     @cached_property
     def signatures(self) -> tuple[PublishedSignature, ...]:
         return tuple(map(PublishedSignature, self.ballots, self.signed_ballots))
+
+    @cached_property
+    def published(self) -> str:
+        """The sheet's value lists as a ``register-grant`` carries them."""
+        ballots = ",".join(str(b.value) for b in self.ballots)
+        signed = ",".join(str(s.value) for s in self.signed_ballots)
+        return f"ballots={ballots} signed_ballots={signed}"
 
     def signed_index(self) -> dict[int, str]:
         return {s.value: label for s, label in zip(self.signed_ballots, self.candidates)}
@@ -185,14 +193,11 @@ class TallyResult:
         return lines
 
 
-def _transcript_fields(transcript) -> dict[str, object]:
-    return {
-        "e1": transcript.e1,
-        "e2": transcript.e2,
-        "challenge": transcript.challenge,
-        "response": transcript.response,
-        "accepted": 1 if transcript.accepted else 0,
-    }
+def _transcript_body(t) -> str:
+    return (
+        f"e1={t.e1} e2={t.e2} challenge={t.challenge} response={t.response} "
+        f"accepted={1 if t.accepted else 0}"
+    )
 
 
 class RegistrationAuthority:
@@ -217,10 +222,10 @@ class RegistrationAuthority:
         The authority never sees the id itself, only message * g**b.
         """
         if v_id not in self.roster:
-            bus.post(self.name, f"voter/{v_id}", "register-reject", reason="ineligible")
+            bus.post(self.name, f"voter/{v_id}", "register-reject", "reason=ineligible")
             raise IneligibleVoterError(f"{v_id} is not on the roster")
         if v_id in self.registered:
-            bus.post(self.name, f"voter/{v_id}", "register-reject", reason="already-registered")
+            bus.post(self.name, f"voter/{v_id}", "register-reject", "reason=already-registered")
             raise AlreadyRegisteredError(f"{v_id} already registered")
         self.registered.add(v_id)
         signed_blinded = sign(blinded, self.key).sig
@@ -228,9 +233,7 @@ class RegistrationAuthority:
             self.name,
             f"voter/{v_id}",
             "register-grant",
-            signed_blinded=signed_blinded.value,
-            ballots=",".join(str(b.value) for b in self.sheet.ballots),
-            signed_ballots=",".join(str(s.value) for s in self.sheet.signed_ballots),
+            f"signed_blinded={signed_blinded.value} {self.sheet.published}",
         )
         return signed_blinded, self.sheet
 
@@ -265,29 +268,26 @@ class Voter:
             self.reg_name,
             authority.name,
             "register-request",
-            v_id=self.v_id,
-            blinded=blinded.value,
+            f"v_id={self.v_id} blinded={blinded.value}",
         )
         signed_blinded, sheet = authority.register(self.v_id, blinded, bus)
         credential = Signature(anon_id, unblind(signed_blinded, factor, self.authority_key))
         self._confirm_or_disavow(credential, "confirm-credential", authority, bus)
         for label, signature in zip(sheet.candidates, sheet.signatures):
-            self._confirm_or_disavow(signature, "confirm-ballot", authority, bus, candidate=label)
+            self._confirm_or_disavow(
+                signature, "confirm-ballot", authority, bus, lead=f"candidate={label} "
+            )
         self.credential = credential
         self.sheet = sheet
         return self.credential
 
-    def _confirm_or_disavow(self, signature, kind, authority, bus, **extra):
+    def _confirm_or_disavow(self, signature, kind, authority, bus, lead=""):
         transcript = confirm(signature, self.authority_key, authority.responder, self.rng)
-        bus.post(self.reg_name, authority.name, kind, **extra, **_transcript_fields(transcript))
+        bus.post(self.reg_name, authority.name, kind, lead + _transcript_body(transcript))
         if not transcript.accepted:
             verdict = disavow(signature, self.authority_key, authority.responder, self.rng)
-            bus.post(
-                self.reg_name,
-                authority.name,
-                "disavow",
-                forgery=1 if verdict.is_forgery else 0,
-            )
+            forgery = 1 if verdict.is_forgery else 0
+            bus.post(self.reg_name, authority.name, "disavow", f"forgery={forgery}")
             raise CredentialInvalidError("authority signature failed confirmation", verdict)
 
     def cast(
@@ -317,16 +317,14 @@ class Voter:
         cast_value = self.sheet.signed_ballots[candidate_index]
         shares = split(cast_value, k, self.rng)
         anon_id = self.credential.message.value
+        holder = f"holder/{anon_id}"
         deliveries = []
-        for server, share in list(zip(servers, shares))[:deliver_count]:
+        for server, share in zip(servers[:deliver_count], shares):
             bus.post(
-                f"holder/{anon_id}",
+                holder,
                 server.name,
                 "cast-share",
-                anon_id=anon_id,
-                version=self.version,
-                share=share,
-                token=token.token,
+                f"anon_id={anon_id} version={self.version} share={share} token={token.token}",
             )
             accepted, reason = server.store_share(anon_id, self.version, share, token, bus)
             deliveries.append(DeliveryResult(server.name, accepted, reason))
@@ -369,19 +367,19 @@ class PollingBooth:
         """
         anon_id, signature = credential.message.value, credential.sig.value
         holder = f"holder/{anon_id}"
-        bus.post(holder, self.name, "auth-request", anon_id=anon_id, signature=signature)
+        bus.post(holder, self.name, "auth-request", f"anon_id={anon_id} signature={signature}")
         if self.closed:
-            bus.post(self.name, holder, "auth-reject", reason="closed")
+            bus.post(self.name, holder, "auth-reject", "reason=closed")
             raise AuthenticationError("polling is closed")
         # sign() never issues a signature on 0, but 0**x = 0 would pass the
         # direct key check, so malformed ids are cut off before either mode;
         # a zk-relay confirm reuses the credential's verdict
         if not credential.message_in_subgroup:
-            bus.post(self.name, holder, "auth-reject", reason="malformed-id")
+            bus.post(self.name, holder, "auth-reject", "reason=malformed-id")
             raise AuthenticationError("anonymous id must lie in the subgroup")
         # 1**x = 1, so (1, 1) verifies under every key without registration
         if anon_id == 1:
-            bus.post(self.name, holder, "auth-reject", reason="degenerate-id")
+            bus.post(self.name, holder, "auth-reject", "reason=degenerate-id")
             raise AuthenticationError("anonymous id 1 is signed by every key")
         if self.mode == KEY_COPY:
             valid = verify_with_key(credential, self.key)
@@ -390,20 +388,20 @@ class PollingBooth:
             transcript = confirm(
                 credential, authority.key.public_key(), authority.responder, self.rng
             )
-            bus.post(self.name, authority.name, "auth-zk", **_transcript_fields(transcript))
+            bus.post(self.name, authority.name, "auth-zk", _transcript_body(transcript))
             valid = transcript.accepted
         if not valid:
-            bus.post(self.name, holder, "auth-reject", reason="invalid-signature")
+            bus.post(self.name, holder, "auth-reject", "reason=invalid-signature")
             raise AuthenticationError("credential signature does not verify")
         recorded = self.seen.get(anon_id)
         if recorded is not None and recorded != signature:
-            bus.post(self.name, holder, "auth-reject", reason="collision")
+            bus.post(self.name, holder, "auth-reject", "reason=collision")
             raise CollisionError("anonymous id already bound to a different signature")
         self.seen[anon_id] = signature
         self.clock += 1
         token = SessionToken(f"{self.rng.getrandbits(128):032x}", self.clock)
         self.live[anon_id] = token.token
-        bus.post(self.name, holder, "auth-grant", token=token.token, issued_at=token.issued_at)
+        bus.post(self.name, holder, "auth-grant", f"token={token.token} issued_at={self.clock}")
         return token
 
     def token_valid(self, token: str, anon_id: int) -> bool:
@@ -422,6 +420,7 @@ class VoteServer:
         self.index = index
         self.name = f"server/{index}"
         self.booth = booth
+        self.p = booth.authority.key.params.p
         self.store: dict[int, CastRecord] = {}
 
     def store_share(
@@ -432,29 +431,29 @@ class VoteServer:
         token: SessionToken,
         bus: MessageBus,
     ) -> tuple[bool, str]:
+        """Store a share under a live token, or refuse it: ``unknown-token``,
+        ``zero-share``, ``share-out-of-range`` (any other share outside
+        [1, p - 1]) or ``stale-version``."""
         holder = f"holder/{anon_id}"
-        bus.post(self.name, self.booth.name, "token-check", token=token.token, anon_id=anon_id)
-        ok = self.booth.token_valid(token.token, anon_id)
-        bus.post(self.booth.name, self.name, "token-ok" if ok else "token-bad", token=token.token)
+        booth = self.booth
+        bus.post(self.name, booth.name, "token-check", f"token={token.token} anon_id={anon_id}")
+        ok = booth.token_valid(token.token, anon_id)
+        bus.post(booth.name, self.name, "token-ok" if ok else "token-bad", f"token={token.token}")
         if not ok:
             return self._reject(holder, anon_id, version, "unknown-token", bus)
-        if share == 0:
-            return self._reject(holder, anon_id, version, "zero-share", bus)
+        if not 0 < share < self.p:
+            reason = "zero-share" if share == 0 else "share-out-of-range"
+            return self._reject(holder, anon_id, version, reason, bus)
         existing = self.store.get(anon_id)
         if existing is not None and version <= existing.version:
             return self._reject(holder, anon_id, version, "stale-version", bus)
         self.store[anon_id] = CastRecord(version, share)
-        bus.post(self.name, holder, "cast-accept", anon_id=anon_id, version=version)
+        bus.post(self.name, holder, "cast-accept", f"anon_id={anon_id} version={version}")
         return True, "stored"
 
     def _reject(self, holder, anon_id, version, reason, bus) -> tuple[bool, str]:
         bus.post(
-            self.name,
-            holder,
-            "cast-reject",
-            anon_id=anon_id,
-            version=version,
-            reason=reason,
+            self.name, holder, "cast-reject", f"anon_id={anon_id} version={version} reason={reason}"
         )
         return False, reason
 
@@ -478,7 +477,7 @@ def tally(
             raise DomainError("ballot sheet signature failed verification")
     for server in servers:
         bus.post(TALLY, server.name, "collect")
-        bus.post(server.name, TALLY, "records", count=len(server.store))
+        bus.post(server.name, TALLY, "records", f"count={len(server.store)}")
     ids = sorted({anon for server in servers for anon in server.store})
     index = sheet.signed_index()
     p = sheet.ballots[0].params.p
@@ -499,14 +498,12 @@ def tally(
         else:
             counts[label] += 1
     result = TallyResult(counts, invalid, inconsistent, len(ids))
+    tallied = ",".join(f"{label}:{counts[label]}" for label in sheet.candidates)
     bus.post(
         TALLY,
         "*",
         "tally-result",
-        counts=",".join(f"{label}:{counts[label]}" for label in sheet.candidates),
-        invalid=invalid,
-        inconsistent=inconsistent,
-        distinct_ids=len(ids),
+        f"counts={tallied} invalid={invalid} inconsistent={inconsistent} distinct_ids={len(ids)}",
     )
     return result
 

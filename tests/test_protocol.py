@@ -68,6 +68,14 @@ def make_setup(field, key, sheet, mode=KEY_COPY, n_voters=3, k=3, booth_seed=11)
     return bus, authority, booth, servers, voters
 
 
+class TamperingAuthority(RegistrationAuthority):
+    def register(self, v_id, blinded, bus):
+        signed, sheet = super().register(v_id, blinded, bus)
+        # doubling stays inside the subgroup (2 is a residue), so only the
+        # response equation can catch it
+        return FieldElement(signed.value * 2 % 23, signed.params), sheet
+
+
 def register_all(voters, authority, bus):
     return [voter.register(authority, bus) for voter in voters]
 
@@ -152,7 +160,7 @@ class TestBallotSheet:
 class TestMessageBus:
     def test_sequence_and_render(self):
         bus = MessageBus()
-        bus.post("a", "b", "ping", x=1)
+        bus.post("a", "b", "ping", "x=1")
         bus.post("b", "a", "pong")
         assert bus.render_log() == ["000001 a -> b ping x=1", "000002 b -> a pong"]
 
@@ -162,6 +170,178 @@ class TestMessageBus:
             bus.post("a", "b", "ping")
         bus.post("a", "b", "pong")
         assert bus.kind_counts() == {"ping": 3, "pong": 1}
+
+
+class TestRenderedLines:
+    """The literal log lines of the message kinds and reasons that no
+    pinned-digest run reaches.  Parsing lines into dicts cannot see field
+    order or spacing; these comparisons do."""
+
+    @staticmethod
+    def ineligible(field, key, sheet, mode):
+        bus, authority, booth, servers, voters = make_setup(field, key, sheet, mode=mode)
+        with pytest.raises(IneligibleVoterError):
+            Voter("V99999", key.public_key(), random.Random(2)).register(authority, bus)
+        return bus, 0
+
+    @staticmethod
+    def already_registered(field, key, sheet, mode):
+        bus, authority, booth, servers, voters = make_setup(field, key, sheet, mode=mode)
+        voters[0].register(authority, bus)
+        start = len(bus)
+        with pytest.raises(AlreadyRegisteredError):
+            Voter(voters[0].v_id, key.public_key(), random.Random(1)).register(authority, bus)
+        return bus, start
+
+    @staticmethod
+    def disavow(field, key, sheet, mode):
+        bus = MessageBus()
+        authority = TamperingAuthority(key, ["V00000"], sheet)
+        with pytest.raises(CredentialInvalidError):
+            Voter("V00000", key.public_key(), random.Random(100)).register(authority, bus)
+        return bus, 2  # after the register-request and register-grant
+
+    @staticmethod
+    def registered(field, key, sheet, mode):
+        bus, authority, booth, servers, voters = make_setup(field, key, sheet, mode=mode)
+        return bus, booth, servers, voters[0], voters[0].register(authority, bus)
+
+    @classmethod
+    def closed(cls, field, key, sheet, mode):
+        bus, booth, servers, voter, cred = cls.registered(field, key, sheet, mode)
+        start = len(bus)
+        booth.close(bus)
+        with pytest.raises(AuthenticationError):
+            booth.authenticate(cred, bus)
+        return bus, start
+
+    @staticmethod
+    def malformed_id(field, key, sheet, mode):
+        bus, authority, booth, servers, voters = make_setup(field, key, sheet, mode=mode)
+        five = FieldElement(5, field)
+        with pytest.raises(AuthenticationError):
+            booth.authenticate(Signature(five, five), bus)
+        return bus, 0
+
+    @staticmethod
+    def degenerate_id(field, key, sheet, mode):
+        bus, authority, booth, servers, voters = make_setup(field, key, sheet, mode=mode)
+        one = FieldElement(1, field)
+        with pytest.raises(AuthenticationError):
+            booth.authenticate(Signature(one, one), bus)
+        return bus, 0
+
+    @classmethod
+    def invalid_signature(cls, field, key, sheet, mode):
+        bus, booth, servers, voter, cred = cls.registered(field, key, sheet, mode)
+        start = len(bus)
+        wrong = FieldElement(cred.sig.value * 2 % 23, field)
+        with pytest.raises(AuthenticationError):
+            booth.authenticate(Signature(cred.message, wrong), bus)
+        return bus, start
+
+    @classmethod
+    def collision(cls, field, key, sheet, mode):
+        bus, booth, servers, voter, cred = cls.registered(field, key, sheet, mode)
+        start = len(bus)
+        booth.seen[cred.message.value] = cred.sig.value * 2 % 23
+        with pytest.raises(CollisionError):
+            booth.authenticate(cred, bus)
+        return bus, start
+
+    @classmethod
+    def unknown_token(cls, field, key, sheet, mode):
+        bus, booth, servers, voter, cred = cls.registered(field, key, sheet, mode)
+        token = booth.authenticate(cred, bus)
+        booth.authenticate(cred, bus)
+        start = len(bus)
+        voter.cast(token, servers, 0, bus, deliver_count=1)
+        return bus, start
+
+    @classmethod
+    def zero_share(cls, field, key, sheet, mode):
+        bus, booth, servers, voter, cred = cls.registered(field, key, sheet, mode)
+        token = booth.authenticate(cred, bus)
+        start = len(bus)
+        servers[0].store_share(cred.message.value, 1, 0, token, bus)
+        return bus, start
+
+    @classmethod
+    def stale_version(cls, field, key, sheet, mode):
+        bus, booth, servers, voter, cred = cls.registered(field, key, sheet, mode)
+        token = booth.authenticate(cred, bus)
+        voter.cast(token, servers, 0, bus, deliver_count=1)
+        start = len(bus)
+        servers[0].store_share(cred.message.value, 1, 5, token, bus)
+        return bus, start
+
+    EXPECTED = {
+        "ineligible": [
+            "000001 voter/V99999 -> ra register-request v_id=V99999 blinded=16",
+            "000002 ra -> voter/V99999 register-reject reason=ineligible",
+        ],
+        "already_registered": [
+            "000007 voter/V00000 -> ra register-request v_id=V00000 blinded=1",
+            "000008 ra -> voter/V00000 register-reject reason=already-registered",
+        ],
+        "disavow": [
+            "000003 voter/V00000 -> ra confirm-credential e1=8 e2=3 challenge=1 response=1 accepted=0",
+            "000004 voter/V00000 -> ra disavow forgery=1",
+        ],
+        "closed": [
+            "000007 booth -> * close",
+            "000008 holder/2 -> booth auth-request anon_id=2 signature=8",
+            "000009 booth -> holder/2 auth-reject reason=closed",
+        ],
+        "malformed_id": [
+            "000001 holder/5 -> booth auth-request anon_id=5 signature=5",
+            "000002 booth -> holder/5 auth-reject reason=malformed-id",
+        ],
+        "degenerate_id": [
+            "000001 holder/1 -> booth auth-request anon_id=1 signature=1",
+            "000002 booth -> holder/1 auth-reject reason=degenerate-id",
+        ],
+        "invalid_signature/key-copy": [
+            "000007 holder/2 -> booth auth-request anon_id=2 signature=16",
+            "000008 booth -> holder/2 auth-reject reason=invalid-signature",
+        ],
+        "invalid_signature/zk-relay": [
+            "000007 holder/2 -> booth auth-request anon_id=2 signature=16",
+            "000008 booth -> ra auth-zk e1=8 e2=9 challenge=18 response=13 accepted=0",
+            "000009 booth -> holder/2 auth-reject reason=invalid-signature",
+        ],
+        "collision/key-copy": [
+            "000007 holder/2 -> booth auth-request anon_id=2 signature=8",
+            "000008 booth -> holder/2 auth-reject reason=collision",
+        ],
+        "collision/zk-relay": [
+            "000007 holder/2 -> booth auth-request anon_id=2 signature=8",
+            "000008 booth -> ra auth-zk e1=8 e2=9 challenge=18 response=13 accepted=1",
+            "000009 booth -> holder/2 auth-reject reason=collision",
+        ],
+        "unknown_token": [
+            "000011 holder/2 -> server/0 cast-share anon_id=2 version=1 share=4 token=db5b5fab8f4d3e27dda1494c73cf256d",
+            "000012 server/0 -> booth token-check token=db5b5fab8f4d3e27dda1494c73cf256d anon_id=2",
+            "000013 booth -> server/0 token-bad token=db5b5fab8f4d3e27dda1494c73cf256d",
+            "000014 server/0 -> holder/2 cast-reject anon_id=2 version=1 reason=unknown-token",
+        ],
+        "zero_share": [
+            "000009 server/0 -> booth token-check token=db5b5fab8f4d3e27dda1494c73cf256d anon_id=2",
+            "000010 booth -> server/0 token-ok token=db5b5fab8f4d3e27dda1494c73cf256d",
+            "000011 server/0 -> holder/2 cast-reject anon_id=2 version=1 reason=zero-share",
+        ],
+        "stale_version": [
+            "000013 server/0 -> booth token-check token=db5b5fab8f4d3e27dda1494c73cf256d anon_id=2",
+            "000014 booth -> server/0 token-ok token=db5b5fab8f4d3e27dda1494c73cf256d",
+            "000015 server/0 -> holder/2 cast-reject anon_id=2 version=1 reason=stale-version",
+        ],
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(EXPECTED))
+    def test_rendered_lines(self, field, key, sheet, scenario):
+        name, _, mode = scenario.partition("/")
+        bus, start = getattr(self, name)(field, key, sheet, mode or KEY_COPY)
+        assert bus.render_log()[start:] == self.EXPECTED[scenario]
 
 
 class TestRegistration:
@@ -212,13 +392,6 @@ class TestRegistration:
         assert verify_with_key(cred, key)
 
     def test_tampered_signature_triggers_disavowal(self, field, key, sheet):
-        class TamperingAuthority(RegistrationAuthority):
-            def register(self, v_id, blinded, bus):
-                signed, sheet = super().register(v_id, blinded, bus)
-                # doubling stays inside the subgroup (2 is a residue), so
-                # only the response equation can catch it
-                return FieldElement(signed.value * 2 % 23, signed.params), sheet
-
         bus = MessageBus()
         authority = TamperingAuthority(key, ["V00000"], sheet)
         voter = Voter("V00000", key.public_key(), random.Random(100))
@@ -507,6 +680,19 @@ class TestCasting:
         token = booth.authenticate(creds[0], bus)
         accepted, reason = servers[0].store_share(creds[0].message.value, 1, 0, token, bus)
         assert not accepted and reason == "zero-share"
+
+    @pytest.mark.parametrize("mode", BOOTH_MODES)
+    @pytest.mark.parametrize("share", [23, 46, -1, 24])
+    def test_share_outside_the_field_rejected(self, field, key, sheet, mode, share):
+        # p and 2p are 0 mod p, so they would slip past the zero-share rule
+        bus, authority, booth, servers, voters, creds = self.setup_voted(
+            field, key, sheet, mode=mode
+        )
+        token = booth.authenticate(creds[0], bus)
+        accepted, reason = servers[0].store_share(creds[0].message.value, 1, share, token, bus)
+        assert (accepted, reason) == (False, "share-out-of-range")
+        assert servers[0].store == {}
+        assert logged(bus, len(bus) - 1)[0].fields["reason"] == "share-out-of-range"
 
     def test_cast_argument_checks(self, field, key, sheet):
         bus, authority, booth, servers, voters, creds = self.setup_voted(field, key, sheet)
