@@ -34,9 +34,6 @@ ANY_OTHER = "any-other"
 EXHAUSTIVE = "exhaustive"
 MONTE_CARLO = "monte-carlo"
 
-# strategy sentinel: leave the stored share untouched
-KEEP = "keep"
-
 
 @dataclass(frozen=True)
 class CollusionScenario:
@@ -63,10 +60,6 @@ class CollusionScenario:
             raise ScenarioError(f"colluder indices must lie in [0, {self.k})")
         if len(self.colluders) == self.k:
             raise ScenarioError("with every server colluding there is no secret left")
-
-    @property
-    def honest(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.k) if i not in self.colluders)
 
     @property
     def rewritten(self) -> int:
@@ -108,11 +101,7 @@ def _check_value(value: FieldElement, params: FieldParams, label: str) -> int:
     return value.value
 
 
-def _resolve_rewrite(scenario, replacement, rng) -> int | str:
-    if isinstance(replacement, str):
-        if replacement != KEEP:
-            raise ScenarioError(f"unknown rewrite strategy {replacement!r}")
-        return KEEP
+def _resolve_rewrite(scenario, replacement, rng) -> int:
     if replacement is None:
         return rng.randrange(1, scenario.params.p)
     return _check_value(replacement, scenario.params, "replacement share")
@@ -122,14 +111,6 @@ def check_enumerable(p: int) -> None:
     """Refuse an exact count over a field too large to sweep."""
     if p > EXHAUSTIVE_FIELD_LIMIT:
         raise RegimeError(f"field too large to enumerate (p > {EXHAUSTIVE_FIELD_LIMIT})")
-
-
-def _final_product(value: int, rewrite: int | str, original: int, p: int) -> int:
-    """Reconstructed product after the rewrite: the original coordinate is
-    divided back out, so the result depends on the split only through it."""
-    if rewrite == KEEP:
-        return value
-    return value * rewrite * pow(original, -1, p) % p
 
 
 def _exhaust(scenario, value, winners, rewrite, rng) -> int:
@@ -148,7 +129,8 @@ def _exhaust(scenario, value, winners, rewrite, rng) -> int:
     successes = 0
     for u in range(1, p):
         original = u if j < k - 1 else value * pow(fixed * u, -1, p) % p
-        if _final_product(value, rewrite, original, p) in winners:
+        # the rewrite divides the original coordinate back out of the product
+        if value * rewrite * pow(original, -1, p) % p in winners:
             successes += 1
     return successes
 
@@ -165,8 +147,6 @@ def _simulate(scenario, value, winners, rewrite, trials, rng) -> int:
     """
     if trials < 1:
         raise ScenarioError("need at least one trial")
-    if rewrite == KEEP:
-        return trials if value in winners else 0
     p = scenario.params.p
     k = scenario.k
     j = scenario.rewritten
@@ -243,15 +223,14 @@ def attack_targeted(
     scenario: CollusionScenario,
     value: FieldElement,
     target: FieldElement,
-    replacement: FieldElement | str | None = None,
+    replacement: FieldElement | None = None,
     trials: int | None = None,
 ) -> AttackOutcome:
     """Success probability of steering the product to one chosen value.
 
     ``trials=None`` enumerates exactly (small fields only); an integer runs
     that many Monte Carlo trials instead.  ``replacement`` fixes the
-    rewritten share, ``None`` deals one from the scenario seed, and KEEP
-    leaves the stored share alone (so success means target == value).
+    rewritten share; ``None`` deals one from the scenario seed.
     """
     t = _check_value(target, scenario.params, "target")
     return _run(scenario, value, TARGETED, frozenset({t}), replacement, trials)
@@ -261,7 +240,7 @@ def attack_any_valid(
     scenario: CollusionScenario,
     value: FieldElement,
     signed_ballots: Sequence[FieldElement],
-    replacement: FieldElement | str | None = None,
+    replacement: FieldElement | None = None,
     trials: int | None = None,
 ) -> tuple[AttackOutcome, AttackOutcome]:
     """Success probabilities of landing on any signed ballot, and on any

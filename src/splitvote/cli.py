@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from time import perf_counter
 
@@ -32,11 +33,14 @@ def _write_or_print(text: str, path: str | None) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _read_config(path: str) -> str:
+def _load_config(args: argparse.Namespace, parse):
+    """The ``--config`` file parsed, with ``--seed`` applied when given."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(args.config).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError([f"config is not valid UTF-8: {exc}"]) from None
+    config = parse(text)
+    return config if args.seed is None else replace(config, seed=args.seed)
 
 
 def _add_report_flags(parser: argparse.ArgumentParser) -> None:
@@ -70,16 +74,13 @@ def _finish_run(run: ElectionRun, duration: float, args: argparse.Namespace) -> 
         Path(args.events).write_text(
             "\n".join(run.bus.render_log()) + "\n", encoding="utf-8"
         )
-    final_snapshot = getattr(args, "snapshot", None)
-    if final_snapshot and getattr(args, "snapshot_at", None) is None:
-        Path(final_snapshot).write_text(run.snapshot_json() + "\n", encoding="utf-8")
     return 0
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = parse_election_config(_read_config(args.config))
+    config = _load_config(args, parse_election_config)
     start = perf_counter()
-    run = ElectionRun(config, args.seed)
+    run = ElectionRun(config)
     if args.snapshot_at is not None:
         run.run_schedule(upto=args.snapshot_at)
         Path(args.snapshot).write_text(run.snapshot_json() + "\n", encoding="utf-8")
@@ -104,8 +105,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    config = parse_attack_config(_read_config(args.config))
-    report = run_attack(config, args.seed)
+    report = run_attack(_load_config(args, parse_attack_config))
     _write_or_print(_render(report, args.format), args.out)
     return 0
 
@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
     _add_report_flags(run)
     run.add_argument("--events", help="write the full message log here")
-    run.add_argument("--snapshot", help="write a state snapshot here")
+    run.add_argument("--snapshot", help="write the --snapshot-at state snapshot here")
     run.add_argument(
         "--snapshot-at",
         type=int,
@@ -156,11 +156,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    snapshot_at = getattr(args, "snapshot_at", None)
-    if snapshot_at is not None and not args.snapshot:
-        parser.error("--snapshot-at needs --snapshot")
-    if snapshot_at is not None and snapshot_at < 0:
-        parser.error("--snapshot-at must not be negative")
+    if args.command == "run":
+        if (args.snapshot is None) != (args.snapshot_at is None):
+            parser.error("--snapshot and --snapshot-at go together")
+        if args.snapshot_at is not None and (args.out or args.events):
+            parser.error("--snapshot-at stops before any report or event log, "
+                         "so --out and --events go with resume")
+        if args.snapshot_at is not None and args.snapshot_at < 0:
+            parser.error("--snapshot-at must not be negative")
     try:
         return args.handler(args)
     except RegimeError as exc:

@@ -8,19 +8,19 @@ against an independently maintained prediction.  Reports come in two
 renderings: a canonical record format that is byte-identical across runs
 (no wall-clock time), and a human table that includes timing.
 
-A mid-run snapshot records only what replay needs, the config, seed and
-cast cursor, plus a sha256 digest of the state at the cursor (message log,
-server stores, ledger).  Resuming rebuilds the run from config and seed,
-replays it to the cursor, checks the digest and continues, so the resumed
-run produces exactly the messages, tokens and shares of an uninterrupted
-one.
+A mid-run snapshot records only what replay needs, the config (seed
+included) and the cast cursor, plus a sha256 digest of the state at the
+cursor (message log, server stores, ledger).  Resuming rebuilds the run from
+the config, replays it to the cursor, checks the digest and continues, so
+the resumed run produces exactly the messages, tokens and shares of an
+uninterrupted one.  A finished run has no snapshot.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 from time import perf_counter
@@ -53,7 +53,7 @@ from .protocol import (
 )
 
 SNAPSHOT_KIND = "splitvote-snapshot"
-SNAPSHOT_FORMAT = 2
+SNAPSHOT_FORMAT = 3
 
 
 def stream(seed: int, label: str) -> Random:
@@ -274,10 +274,13 @@ def _build_schedule(config: ElectionConfig) -> tuple[CastEvent, ...]:
 class IntentLedger:
     """Parallel bookkeeping of what every server should be storing.
 
-    The ledger applies the same acceptance rule the servers do, so after
-    every cast the two must agree share for share; ``predict`` then mirrors
-    the tally over the ledger's copy.  Divergence at any point is a bug in
-    one of the two, which is the point of keeping both.
+    ``apply`` mirrors the servers' version rule only: it stores a share
+    when its id has none yet or an older version.  It has no share-range
+    rule, as ``split`` deals only shares in [1, p - 1]; a share outside
+    that range would stop the run with "ledger diverged".  After every cast
+    the two must agree share for share; ``predict`` then mirrors the tally
+    over the ledger's copy.  Divergence at any point is a bug in one of the
+    two, which is the point of keeping both.
     """
 
     def __init__(self, k: int):
@@ -395,20 +398,15 @@ class RunReport:
 
 
 class ElectionRun:
-    """One end-to-end simulated election, steppable cast by cast.  A
-    ``seed`` given here replaces the config's, so the config names the seed
-    that ran."""
+    """One end-to-end simulated election, steppable cast by cast."""
 
-    def __init__(self, config: ElectionConfig, seed: int | None = None):
-        if seed is not None:
-            config = replace(config, seed=seed)
+    def __init__(self, config: ElectionConfig):
         self.config = config
         self.params = _resolve_field(config)
         self.bus = MessageBus()
         self.warnings: list[str] = []
         self.cursor = 0
         self.shares_accepted = 0
-        self.finished = False
         self.result: TallyResult | None = None
         self.predicted: TallyResult | None = None
         self._setup()
@@ -439,8 +437,6 @@ class ElectionRun:
 
     def step(self) -> CastEvent:
         """Run the next scheduled cast and cross-check ledger vs servers."""
-        if self.finished:
-            raise VotingError("run already finished")
         if self.cursor >= len(self.schedule):
             raise VotingError("schedule exhausted")
         event = self.schedule[self.cursor]
@@ -467,7 +463,7 @@ class ElectionRun:
     def finish(self) -> None:
         if self.cursor < len(self.schedule):
             raise VotingError(f"{len(self.schedule) - self.cursor} casts still scheduled")
-        if self.finished:
+        if self.result is not None:
             return
         self.booth.close(self.bus)
         responder, rng = self.authority.responder, stream(self.config.seed, "tally")
@@ -479,10 +475,9 @@ class ElectionRun:
 
         self.result = tally(self.servers, self.sheet, verify, self.bus)
         self.predicted = self.ledger.predict(self.sheet)
-        self.finished = True
 
     def report(self, duration: float = 0.0) -> RunReport:
-        if not self.finished:
+        if self.result is None:
             raise VotingError("run not finished")
         return RunReport(
             self.config.echo_lines(),
@@ -522,14 +517,15 @@ class ElectionRun:
 
     def snapshot_state(self) -> dict:
         """What replay needs to reach the current cast, plus a digest of
-        the state it must arrive at."""
+        the state it must arrive at.  A finished run has nothing left to
+        resume, so it has no snapshot."""
+        if self.result is not None:
+            raise VotingError("a finished run has no snapshot")
         return {
             "kind": SNAPSHOT_KIND,
             "format": SNAPSHOT_FORMAT,
-            "seed": self.config.seed,
             "config": list(self.config.echo_lines()),
             "cursor": self.cursor,
-            "finished": self.finished,
             "sha256": self.state_digest(),
         }
 
@@ -540,35 +536,27 @@ class ElectionRun:
     def resume(cls, state: object) -> "ElectionRun":
         """Replay ``snapshot_state`` output to its cursor, check the digest,
         and hand back the run ready to keep going.  Every malformed,
-        foreign, finished or tampered snapshot raises ``ConfigError``."""
+        foreign or tampered snapshot raises ``ConfigError``."""
         problems = _snapshot_problems(state)
         if problems:
             raise ConfigError(problems)
-        if state["finished"]:
-            raise ConfigError(["snapshot is of a finished run; nothing to resume"])
-        config = replace(parse_election_config("\n".join(state["config"])), seed=state["seed"])
-        # the schedule needs only config and seed, so a bad cursor is
-        # refused before registration runs
+        config = parse_election_config("\n".join(state["config"]))
+        # the schedule needs only the config, so a bad cursor is refused
+        # before registration runs
         if state["cursor"] > len(_build_schedule(config)):
             raise ConfigError(["snapshot cursor lies beyond the schedule"])
         run = cls(config)
         run.run_schedule(state["cursor"])
         if run.state_digest() != state["sha256"]:
-            raise ConfigError(["snapshot digest mismatch: replaying its config and seed "
+            raise ConfigError(["snapshot digest mismatch: replaying its config "
                                "does not reach the state it recorded"])
         return run
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 _SNAPSHOT_FIELDS = {
-    "seed": (_is_int, "an integer"),
     "config": (lambda v: isinstance(v, list) and all(isinstance(line, str) for line in v),
                "a list of config lines"),
-    "cursor": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
-    "finished": (lambda v: isinstance(v, bool), "true or false"),
+    "cursor": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
     "sha256": (lambda v: isinstance(v, str), "a hex digest"),
 }
 
@@ -596,9 +584,9 @@ def _snapshot_problems(state: object) -> list[str]:
     return problems
 
 
-def run_election(config: ElectionConfig, seed: int | None = None) -> tuple[ElectionRun, RunReport]:
+def run_election(config: ElectionConfig) -> tuple[ElectionRun, RunReport]:
     start = perf_counter()
-    run = ElectionRun(config, seed)
+    run = ElectionRun(config)
     run.run_schedule()
     run.finish()
     return run, run.report(perf_counter() - start)
@@ -700,12 +688,9 @@ class AttackReport:
         return "\n".join(lines) + "\n"
 
 
-def run_attack(config: AttackConfig, seed: int | None = None) -> AttackReport:
-    """Run the attack the config describes; a ``seed`` given here replaces
-    the config's, so the report names the seed that ran."""
+def run_attack(config: AttackConfig) -> AttackReport:
+    """Run the attack the config describes."""
     start = perf_counter()
-    if seed is not None:
-        config = replace(config, seed=seed)
     seed = config.seed
     if config.trials is None and config.params is None:
         # the least p of a bit length: refuse before the safe-prime search

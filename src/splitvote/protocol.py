@@ -161,21 +161,18 @@ class CastRecord:
 
 @dataclass(frozen=True)
 class DeliveryResult:
-    server: str
     accepted: bool
     reason: str
 
 
 @dataclass(frozen=True)
 class CastAck:
-    """What the voter learns from one cast: which servers accepted."""
+    """What the voter learns from one cast: each server's verdict, in
+    server order."""
 
     version: int
     shares: tuple[int, ...]
     deliveries: tuple[DeliveryResult, ...]
-
-    def accepted_servers(self) -> list[str]:
-        return [d.server for d in self.deliveries if d.accepted]
 
 
 @dataclass
@@ -327,7 +324,7 @@ class Voter:
                 f"anon_id={anon_id} version={self.version} share={share} token={token.token}",
             )
             accepted, reason = server.store_share(anon_id, self.version, share, token, bus)
-            deliveries.append(DeliveryResult(server.name, accepted, reason))
+            deliveries.append(DeliveryResult(accepted, reason))
         return CastAck(self.version, shares, tuple(deliveries))
 
 

@@ -12,7 +12,6 @@ from splitvote.adversary import (
     ANY_OTHER,
     ANY_VALID,
     EXHAUSTIVE,
-    KEEP,
     MONTE_CARLO,
     TARGETED,
     AttackOutcome,
@@ -65,7 +64,6 @@ class TestScenarioValidation:
 
     def test_honest_and_rewritten(self, field):
         s = scenario(field, 4, (2, 0))
-        assert s.honest == (1, 3)
         assert s.rewritten == 0
 
 
@@ -105,14 +103,6 @@ class TestTargetedExact:
         for v in ALL_TARGETS:
             outcome = attack_targeted(s, field.element(v), field.element(13))
             assert outcome.exact == Fraction(1, 22)
-
-    def test_keep_strategy_changes_nothing(self, field):
-        s = scenario(field, 3, (0, 1))
-        value = field.element(8)
-        hit = attack_targeted(s, value, value, KEEP)
-        assert hit.exact == Fraction(1)
-        miss = attack_targeted(s, value, field.element(9), KEEP)
-        assert miss.exact == Fraction(0)
 
     def test_estimate_equals_exact_when_exhaustive(self, field):
         s = scenario(field, 2, (0,))
@@ -249,11 +239,6 @@ class TestArgumentChecks:
         with pytest.raises(DomainError):
             attack_targeted(s, other.element(4), field.element(3))
 
-    def test_unknown_strategy_string(self, field):
-        s = scenario(field, 2, (0,))
-        with pytest.raises(ScenarioError):
-            attack_targeted(s, field.element(2), field.element(3), "swap")
-
     def test_outcome_is_frozen(self, field):
         s = scenario(field, 2, (0,))
         outcome = attack_targeted(s, field.element(2), field.element(3))
@@ -276,8 +261,6 @@ def oracle_complete_values(value, leading, p):
 
 
 def oracle_final_product(value, rewrite, original, p):
-    if rewrite == KEEP:
-        return value
     return value * rewrite * pow(original, -1, p) % p
 
 
@@ -305,9 +288,7 @@ def assert_matches_oracle(s, value, winners, replacement, trials):
     rng = random.Random(s.seed)
     rewrite = _resolve_rewrite(s, replacement, rng)
     assert (_simulate(s, value, frozenset(winners), rewrite, trials, rng), trials) == expected
-    if rewrite != KEEP:
-        # KEEP draws nothing: the product is the cast value whatever the split
-        assert rng.getstate() == old_rng.getstate()
+    assert rng.getstate() == old_rng.getstate()
 
 
 SHEET = frozenset({1, 2, 3, 4, 6})
@@ -321,7 +302,7 @@ class TestTrialLoopOracle:
         # rewrite and every goal's winning set
         for j in range(k):
             s = scenario(field, k, (j,), seed=10 * k + j)
-            for replacement in (None, field.element(5), field.element(22), KEEP):
+            for replacement in (None, field.element(5), field.element(22)):
                 goals = [{t} for t in ALL_TARGETS] + [SHEET, SHEET - {CAST}]
                 for winners in goals:
                     assert_matches_oracle(s, CAST, winners, replacement, 150)
@@ -344,14 +325,6 @@ class TestTrialLoopOracle:
                     rng = random.Random(seed)
                     assert _simulate(s, CAST, frozenset({miss}), 9, 1, rng) == 0
 
-    def test_keep_draws_nothing(self, field):
-        s = scenario(field, 3, (0,), seed=1)
-        rng = random.Random(1)
-        before = rng.getstate()
-        assert _simulate(s, CAST, SHEET, KEEP, 1000, rng) == 1000
-        assert _simulate(s, CAST, SHEET - {CAST}, KEEP, 1000, rng) == 0
-        assert rng.getstate() == before
-
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(8, 64), st.integers(0, 2**32 - 1), st.data())
@@ -365,7 +338,7 @@ def test_trial_loop_matches_oracle_on_random_fields(bits, seed, data):
     s = CollusionScenario(params, k, tuple(colluders), seed)
     value = data.draw(st.integers(1, p - 1))
     replacement = data.draw(
-        st.one_of(st.none(), st.just(KEEP), st.integers(1, p - 1).map(params.element))
+        st.one_of(st.none(), st.integers(1, p - 1).map(params.element))
     )
     trials = data.draw(st.integers(1, 200))
     # some products the oracle's own trials reach, so a large field still

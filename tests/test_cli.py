@@ -181,6 +181,26 @@ class TestSnapshotResume:
             main(["run", "--config", str(election_cfg), "--snapshot-at", "3"])
         assert exc.value.code == 2
 
+    def test_snapshot_needs_snapshot_at(self, election_cfg, tmp_path, capsys):
+        # a finished run has no snapshot, so --snapshot alone names nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(election_cfg), "--snapshot", str(tmp_path / "state.json")])
+        assert exc.value.code == 2
+        assert "--snapshot and --snapshot-at go together" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["election.cfg"]
+
+    @pytest.mark.parametrize("flag", ["--out", "--events"])
+    def test_snapshot_at_refuses_report_files(self, election_cfg, tmp_path, capsys, flag):
+        # the run stops before any report or event log exists
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "run", "--config", str(election_cfg), "--snapshot", str(tmp_path / "state.json"),
+                "--snapshot-at", "9", flag, str(tmp_path / "written.txt"),
+            ])
+        assert exc.value.code == 2
+        assert "--out and --events go with resume" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["election.cfg"]
+
     def test_negative_snapshot_at_is_refused(self, election_cfg, tmp_path, capsys):
         snap = tmp_path / "state.json"
         with pytest.raises(SystemExit) as exc:
@@ -226,6 +246,11 @@ def _resume_fails_with_one_line(snap, capsys):
     return _one_error_line(capsys)
 
 
+def seed_line(lines):
+    """Config echo lines with the closing ``seed =`` line edited."""
+    return [*lines[:-1], "seed = 6"]
+
+
 class TestHostileSnapshots:
     """Every malformed, foreign or tampered snapshot exits 2 with one line."""
 
@@ -254,13 +279,15 @@ class TestHostileSnapshots:
             ("cursor", "9", "cursor must be a non-negative integer"),
             ("cursor", True, "cursor must be a non-negative integer"),
             ("cursor", -1, "cursor must be a non-negative integer"),
-            ("seed", None, "seed must be an integer"),
             ("config", "voters = 20", "config must be a list"),
-            ("finished", 0, "finished must be true or false"),
             ("sha256", 0, "sha256 must be a hex digest"),
             ("format", 1, "format 1 is not supported"),
+            ("format", 2, "format 2 is not supported"),
             ("cursor", 10_000, "beyond the schedule"),
             ("sha256", "0" * 64, "digest mismatch"),
+            # format 2 kept these; the seed now lives in the config alone
+            ("seed", 5, "unknown key seed"),
+            ("finished", False, "unknown key finished"),
         ],
     )
     def test_bad_field(self, election_cfg, tmp_path, capsys, key, value, complaint):
@@ -271,23 +298,23 @@ class TestHostileSnapshots:
 
     def test_missing_and_unknown_keys(self, election_cfg, tmp_path, capsys):
         snap, state = _snapshot_at_9(election_cfg, tmp_path, capsys)
-        del state["finished"]
+        del state["cursor"]
         state["servers"] = [{}]
         snap.write_text(json.dumps(state), encoding="utf-8")
         err = _resume_fails_with_one_line(snap, capsys)
-        assert "missing key finished" in err and "unknown key servers" in err
+        assert "missing key cursor" in err and "unknown key servers" in err
 
     @pytest.mark.parametrize("booth", ["key-copy", "zk-relay"])
     @pytest.mark.parametrize(
         "key, edit",
-        [("seed", lambda seed: seed + 1), ("config", lambda lines: lines[:3] + ["voters = 21"] + lines[4:]),
+        [("config", seed_line), ("config", lambda lines: lines[:3] + ["voters = 21"] + lines[4:]),
          ("cursor", lambda cursor: cursor - 1)],
     )
     def test_tampered_run_fails_the_digest(self, tmp_path, capsys, booth, key, edit):
         config = tmp_path / "election.cfg"
         config.write_text(ELECTION_CFG + f"booth = {booth}\n", encoding="utf-8")
         snap, state = _snapshot_at_9(config, tmp_path, capsys)
-        assert state["config"][3] == "voters = 20"
+        assert state["config"][3] == "voters = 20" and state["config"][-1] == "seed = 5"
         state[key] = edit(state[key])
         snap.write_text(json.dumps(state), encoding="utf-8")
         assert "digest mismatch" in _resume_fails_with_one_line(snap, capsys)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splitvote import protocol
 from splitvote.errors import ConfigError, RegimeError, VotingError
 from splitvote.harness import (
     AttackConfig,
@@ -204,6 +205,17 @@ class TestLedger:
         predicted = ledger.predict(sheet)
         assert predicted == TallyResult({"a": 1, "b": 0}, 1, 2, 4)
 
+    @pytest.mark.parametrize("booth", BOOTH_MODES)
+    def test_share_a_server_refuses_stops_the_run(self, booth, monkeypatch):
+        # the ledger has no share-range rule: a zero share, which split never
+        # deals, is kept by the ledger and refused by the server
+        dealt = protocol.split
+        monkeypatch.setattr(protocol, "split", lambda value, k, rng: (0, *dealt(value, k, rng)[1:]))
+        run = ElectionRun(base_config(booth_mode=booth))
+        with pytest.raises(VotingError, match="ledger diverged"):
+            run.step()
+        assert run.cursor == 0
+
 
 class TestElectionRun:
     def test_ledger_agrees_with_tally(self):
@@ -225,8 +237,8 @@ class TestElectionRun:
         assert a.bus.render_log() == b.bus.render_log()
 
     def test_seed_changes_the_run(self):
-        a, _ = run_election(base_config(), seed=1)
-        b, _ = run_election(base_config(), seed=2)
+        a, _ = run_election(base_config(seed=1))
+        b, _ = run_election(base_config(seed=2))
         assert a.bus.render_log() != b.bus.render_log()
 
     def test_starved_server_makes_everything_inconsistent(self):
@@ -334,9 +346,10 @@ class TestSnapshots:
     def test_finished_snapshot_rejected(self):
         run = ElectionRun(base_config(n_voters=3, recast_fraction=0.0))
         run.run_schedule()
+        run.snapshot_state()
         run.finish()
-        with pytest.raises(ConfigError):
-            ElectionRun.resume(run.snapshot_state())
+        with pytest.raises(VotingError, match="a finished run has no snapshot"):
+            run.snapshot_state()
 
     def test_foreign_json_rejected(self):
         with pytest.raises(ConfigError):
@@ -364,10 +377,9 @@ class TestSnapshots:
             ElectionRun.resume(state)
 
     def test_seed_override_is_the_config_seed(self):
-        run, report = run_election(base_config(), seed=11)
-        assert run.config.seed == 11
+        run, report = run_election(base_config(seed=11))
         assert "seed = 11" in report.render_records()
-        assert run.snapshot_state()["seed"] == 11
+        assert "seed = 11" in ElectionRun(base_config(seed=11)).snapshot_state()["config"]
         _, again = run_election(parse_election_config("\n".join(run.config.echo_lines())))
         assert again.render_records() == report.render_records()
 
@@ -375,8 +387,8 @@ class TestSnapshots:
         run = ElectionRun(base_config())
         run.run_schedule(upto=20)
         state = json.loads(run.snapshot_json())
-        assert sorted(state) == ["config", "cursor", "finished", "format", "kind", "seed", "sha256"]
-        assert state["format"] == 2 and state["cursor"] == 20
+        assert sorted(state) == ["config", "cursor", "format", "kind", "sha256"]
+        assert state["format"] == 3 and state["cursor"] == 20
         assert state["config"] == list(base_config().echo_lines())
         assert len(run.snapshot_json()) < 600
 

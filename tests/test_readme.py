@@ -1,13 +1,17 @@
 """The README's examples are what the code prints and runs."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from splitvote.cli import main
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README, flags=re.DOTALL | re.MULTILINE)
 
 
@@ -52,6 +56,17 @@ def test_quoted_event_lines_are_in_the_demo_log(demo_cfg, tmp_path):
 def test_params_example(capsys):
     assert main(["params", "--bits", "24", "--seed", "4"]) == 0
     assert capsys.readouterr().out.splitlines() == _transcript("splitvote params --bits 24 --seed 4")
+
+
+def test_params_example_through_python_m():
+    # the module entry point, in a process of its own, as a user runs it
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "splitvote", "params", "--bits", "24", "--seed", "4"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == _transcript("splitvote params --bits 24 --seed 4")
 
 
 def test_attack_example(tmp_path, capsys):
