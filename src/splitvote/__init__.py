@@ -20,7 +20,7 @@ from .errors import (
     ScenarioError,
     VotingError,
 )
-from .modmath import FIXTURE_FIELD, FieldElement, FieldParams, generate_params
+from .modmath import FIXTURE_FIELD, FieldParams, generate_params
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,6 @@ __all__ = [
     "ConfigError",
     "DomainError",
     "FIXTURE_FIELD",
-    "FieldElement",
     "FieldMismatchError",
     "FieldParams",
     "NoInverseError",

@@ -25,7 +25,7 @@ from random import Random
 from typing import Sequence
 
 from .errors import DomainError, RegimeError, ScenarioError
-from .modmath import FieldElement, FieldParams
+from .modmath import FieldParams
 from .sharing import EXHAUSTIVE_FIELD_LIMIT
 
 TARGETED = "targeted"
@@ -93,12 +93,10 @@ class AttackOutcome:
         return " ".join(parts)
 
 
-def _check_value(value: FieldElement, params: FieldParams, label: str) -> int:
-    if value.params != params:
-        raise DomainError(f"{label} belongs to a different field")
-    if value.value == 0:
-        raise DomainError(f"{label} must be nonzero")
-    return value.value
+def _check_value(value: int, params: FieldParams, label: str) -> int:
+    if not 1 <= value <= params.p - 1:
+        raise DomainError(f"{label} must lie in [1, p-1], got {value}")
+    return value
 
 
 def _resolve_rewrite(scenario, replacement, rng) -> int:
@@ -191,7 +189,7 @@ def _simulate(scenario, value, winners, rewrite, trials, rng) -> int:
 
 def _run(
     scenario: CollusionScenario,
-    value: FieldElement,
+    value: int,
     goal: str,
     winners: frozenset[int],
     replacement,
@@ -221,9 +219,9 @@ def _run(
 
 def attack_targeted(
     scenario: CollusionScenario,
-    value: FieldElement,
-    target: FieldElement,
-    replacement: FieldElement | None = None,
+    value: int,
+    target: int,
+    replacement: int | None = None,
     trials: int | None = None,
 ) -> AttackOutcome:
     """Success probability of steering the product to one chosen value.
@@ -238,9 +236,9 @@ def attack_targeted(
 
 def attack_any_valid(
     scenario: CollusionScenario,
-    value: FieldElement,
-    signed_ballots: Sequence[FieldElement],
-    replacement: FieldElement | None = None,
+    value: int,
+    signed_ballots: Sequence[int],
+    replacement: int | None = None,
     trials: int | None = None,
 ) -> tuple[AttackOutcome, AttackOutcome]:
     """Success probabilities of landing on any signed ballot, and on any
@@ -259,7 +257,7 @@ def attack_any_valid(
     return any_outcome, other_outcome
 
 
-def sweep_image(params: FieldParams, fixed_shares: Sequence[FieldElement]) -> list[int]:
+def sweep_image(params: FieldParams, fixed_shares: Sequence[int]) -> list[int]:
     """Products u * prod(fixed) as u sweeps [1, p - 1].
 
     The image being a permutation of [1, p - 1] is the bijection behind the
@@ -300,13 +298,13 @@ def collusion_equivalence(
         raise ScenarioError(f"honest count must lie in [1, {k - 1}]")
     check_enumerable(params.p)
     rng = Random(seed)
-    value = params.element(rng.randrange(1, params.p))
-    target = params.element(rng.randrange(1, params.p))
+    value = rng.randrange(1, params.p)
+    target = rng.randrange(1, params.p)
     large = CollusionScenario(params, k, tuple(range(k - 1)), seed)
     small = CollusionScenario(params, k, tuple(range(k - i)), seed)
     rate_large = attack_targeted(large, value, target).exact
     rate_small = attack_targeted(small, value, target).exact
-    fixed = [params.element(rng.randrange(1, params.p)) for _ in range(k - 1)]
+    fixed = [rng.randrange(1, params.p) for _ in range(k - 1)]
     image = sweep_image(params, fixed)
     bijection = sorted(image) == list(range(1, params.p))
     return EquivalenceReport(

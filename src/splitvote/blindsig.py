@@ -16,8 +16,8 @@ from functools import cached_property
 from random import Random
 from typing import Callable, Optional
 
-from .errors import DomainError, ParameterError, ProtocolAbortError
-from .modmath import FieldElement, FieldParams, FixedBase, in_subgroup, mod_exp, mod_inv
+from .errors import DomainError, FieldMismatchError, ParameterError, ProtocolAbortError
+from .modmath import FieldParams, FixedBase, in_subgroup, mod_exp, mod_inv
 
 
 @dataclass(frozen=True)
@@ -37,23 +37,24 @@ class SigningKey:
 
     @cached_property
     def _public_key(self) -> PublicKey:
-        return PublicKey(self.params.g_table.power(self.exponent))
+        return PublicKey(self.params.g_table.power(self.exponent), self.params)
 
 
 @dataclass(frozen=True)
 class PublicKey:
     """g**x; a subgroup element."""
 
-    value: FieldElement
+    value: int
+    params: FieldParams
 
     def __post_init__(self):
-        if not in_subgroup(self.value):
+        if not in_subgroup(self.value, self.params):
             raise ParameterError("public key must lie in the subgroup")
 
     @cached_property
     def table(self) -> FixedBase:
         """Fixed-base table for powers of y, built on first use."""
-        return FixedBase(self.value)
+        return FixedBase(self.value, self.params)
 
 
 @dataclass(frozen=True)
@@ -78,22 +79,23 @@ class Signature:
     at most once per object, so every check of one claim shares it.
     """
 
-    message: FieldElement
-    sig: FieldElement
+    message: int
+    sig: int
+    params: FieldParams
 
     @cached_property
     def message_in_subgroup(self) -> bool:
-        return in_subgroup(self.message)
+        return in_subgroup(self.message, self.params)
 
     @cached_property
     def sig_in_subgroup(self) -> bool:
-        return in_subgroup(self.sig)
+        return in_subgroup(self.sig, self.params)
 
-    def message_power(self, exponent: int) -> FieldElement:
-        return mod_exp(self.message, exponent)
+    def message_power(self, exponent: int) -> int:
+        return mod_exp(self.message, exponent, self.params)
 
-    def sig_power(self, exponent: int) -> FieldElement:
-        return mod_exp(self.sig, exponent)
+    def sig_power(self, exponent: int) -> int:
+        return mod_exp(self.sig, exponent, self.params)
 
 
 @dataclass(frozen=True)
@@ -104,23 +106,23 @@ class PublishedSignature(Signature):
     since a table refuses it, so every power and verdict is that of a plain
     ``Signature``."""
 
-    def message_power(self, exponent: int) -> FieldElement:
+    def message_power(self, exponent: int) -> int:
         if not self.message_in_subgroup:
             return super().message_power(exponent)
         return self._message_table.power(exponent)
 
-    def sig_power(self, exponent: int) -> FieldElement:
+    def sig_power(self, exponent: int) -> int:
         if not self.sig_in_subgroup:
             return super().sig_power(exponent)
         return self._sig_table.power(exponent)
 
     @cached_property
     def _message_table(self) -> FixedBase:
-        return FixedBase(self.message)
+        return FixedBase(self.message, self.params)
 
     @cached_property
     def _sig_table(self) -> FixedBase:
-        return FixedBase(self.sig)
+        return FixedBase(self.sig, self.params)
 
 
 def random_signing_key(params: FieldParams, rng: Random) -> SigningKey:
@@ -131,38 +133,46 @@ def random_blinding_factor(params: FieldParams, rng: Random) -> BlindingFactor:
     return BlindingFactor(rng.randrange(1, params.q), params)
 
 
-def blind(message: FieldElement, factor: BlindingFactor, signer_key: PublicKey) -> FieldElement:
+def _same_field(sig: Signature, params: FieldParams) -> None:
+    if sig.params != params:
+        raise FieldMismatchError("signature and key belong to different fields")
+
+
+def blind(message: int, factor: BlindingFactor, signer_key: PublicKey) -> int:
     """message * g**b; over uniform b this is uniform on the subgroup."""
-    if not in_subgroup(message):
+    params = signer_key.params
+    if not in_subgroup(message, params):
         raise DomainError("only subgroup members can be blinded")
-    return message * message.params.g_table.power(factor.exponent)
+    return message * params.g_table.power(factor.exponent) % params.p
 
 
-def sign(message: FieldElement, key: SigningKey) -> Signature:
+def sign(message: int, key: SigningKey) -> Signature:
     """message**x."""
-    if message.value == 0:
-        raise DomainError("cannot sign zero")
-    return Signature(message, mod_exp(message, key.exponent))
+    if not 0 < message < key.params.p:
+        raise DomainError("can only sign a value in [1, p-1]")
+    return Signature(message, mod_exp(message, key.exponent, key.params), key.params)
 
 
-def unblind(blinded_sig: FieldElement, factor: BlindingFactor, signer_key: PublicKey) -> FieldElement:
+def unblind(blinded_sig: int, factor: BlindingFactor, signer_key: PublicKey) -> int:
     """Strip the blinding from (m * g**b)**x by dividing out (g**x)**b."""
-    return blinded_sig * mod_inv(signer_key.table.power(factor.exponent))
+    params = signer_key.params
+    return blinded_sig * mod_inv(signer_key.table.power(factor.exponent), params) % params.p
 
 
 def verify_with_key(sig: Signature, key: SigningKey) -> bool:
     """Direct check sig = message**x; only the key holder can run this."""
+    _same_field(sig, key.params)
     return sig.sig == sig.message_power(key.exponent)
 
 
-Responder = Callable[[FieldElement], Optional[FieldElement]]
+Responder = Callable[[int], Optional[int]]
 
 
 def honest_responder(key: SigningKey) -> Responder:
     """A signer that answers every confirmation challenge with challenge**x."""
 
-    def respond(challenge: FieldElement) -> FieldElement:
-        return mod_exp(challenge, key.exponent)
+    def respond(challenge: int) -> int:
+        return mod_exp(challenge, key.exponent, key.params)
 
     return respond
 
@@ -196,7 +206,8 @@ def confirm(
     Explicit e1/e2 pin the challenge for exhaustive soundness sweeps; live
     runs draw them uniformly from [1, q-1].
     """
-    params = sig.message.params
+    params = sig.params
+    _same_field(sig, signer_key.params)
     if not sig.message_in_subgroup:
         raise DomainError("confirmation needs a subgroup message")
     if e1 is None:
@@ -205,14 +216,15 @@ def confirm(
         e2 = rng.randrange(1, params.q)
     if not (0 <= e1 < params.q and 0 <= e2 < params.q):
         raise ParameterError("challenge exponents must lie in [0, q)")
-    challenge = sig.message_power(e1) * params.g_table.power(e2)
+    p = params.p
+    challenge = sig.message_power(e1) * params.g_table.power(e2) % p
     response = responder(challenge)
     if response is None:
         raise ProtocolAbortError("signer refused the confirmation challenge")
     accepted = sig.sig_in_subgroup and (
-        response == sig.sig_power(e1) * signer_key.table.power(e2)
+        response == sig.sig_power(e1) * signer_key.table.power(e2) % p
     )
-    return ConfirmationTranscript(e1, e2, challenge.value, response.value, accepted)
+    return ConfirmationTranscript(e1, e2, challenge, response, accepted)
 
 
 @dataclass(frozen=True)
@@ -242,12 +254,11 @@ def disavow(
     second = confirm(claimed, signer_key, responder, rng)
     if second.accepted:
         return DisavowalOutcome(False, (first, second))
-    params = claimed.message.params
-    d1 = params.element(first.response)
-    d2 = params.element(second.response)
-    if not (in_subgroup(d1) and in_subgroup(d2)):
+    params = claimed.params
+    d1, d2 = first.response, second.response
+    if not (in_subgroup(d1, params) and in_subgroup(d2, params)):
         return DisavowalOutcome(False, (first, second))
-    y = signer_key.table
-    a1 = mod_exp(d1 * mod_inv(y.power(first.e2)), second.e1)
-    a2 = mod_exp(d2 * mod_inv(y.power(second.e2)), first.e1)
+    y, p = signer_key.table, params.p
+    a1 = mod_exp(d1 * mod_inv(y.power(first.e2), params) % p, second.e1, params)
+    a2 = mod_exp(d2 * mod_inv(y.power(second.e2), params) % p, first.e1, params)
     return DisavowalOutcome(a1 == a2, (first, second))

@@ -48,7 +48,6 @@ def _add_report_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format",
         choices=(RECORDS, TABLE),
-        default=RECORDS,
         help="canonical records (default) or a human table",
     )
 
@@ -63,7 +62,7 @@ def cmd_params(args: argparse.Namespace) -> int:
 
 
 def _render(report, fmt: str) -> str:
-    return report.render_records() if fmt == RECORDS else report.render_table()
+    return report.render_table() if fmt == TABLE else report.render_records()
 
 
 def _finish_run(run: ElectionRun, duration: float, args: argparse.Namespace) -> int:
@@ -159,9 +158,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "run":
         if (args.snapshot is None) != (args.snapshot_at is None):
             parser.error("--snapshot and --snapshot-at go together")
-        if args.snapshot_at is not None and (args.out or args.events):
+        if args.snapshot_at is not None and (args.format or args.out or args.events):
             parser.error("--snapshot-at stops before any report or event log, "
-                         "so --out and --events go with resume")
+                         "so --format, --out and --events go with resume")
         if args.snapshot_at is not None and args.snapshot_at < 0:
             parser.error("--snapshot-at must not be negative")
     try:

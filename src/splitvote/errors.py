@@ -10,7 +10,7 @@ class ParameterError(VotingError, ValueError):
 
 
 class FieldMismatchError(VotingError, ValueError):
-    """Operands belong to different field parameter sets."""
+    """A signature and a key belong to different field parameter sets."""
 
 
 class NoInverseError(VotingError, ArithmeticError):

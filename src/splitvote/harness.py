@@ -301,7 +301,7 @@ class IntentLedger:
     def predict(self, sheet: BallotSheet) -> TallyResult:
         ids = sorted({anon for store in self.stores for anon in store})
         index = sheet.signed_index()
-        p = sheet.ballots[0].params.p
+        p = sheet.params.p
         counts = {label: 0 for label in sheet.candidates}
         invalid = 0
         inconsistent = 0
@@ -426,7 +426,7 @@ class ElectionRun:
         drawn: dict[int, int] = {}
         for i, v_id in enumerate(roster):
             voter = Voter(v_id, self.key.public_key(), stream(seed, f"voter/{i}"))
-            anon = voter.register(self.authority, self.bus).message.value
+            anon = voter.register(self.authority, self.bus).message
             if anon in drawn:
                 self.warnings.append(
                     f"anonymous id collision: registrants {drawn[anon]} and {i} share id {anon}"
@@ -444,12 +444,12 @@ class ElectionRun:
         token = self.booth.authenticate(voter.credential, self.bus)
         ack = voter.cast(token, self.servers, event.candidate_index, self.bus, event.deliver_count)
         decisions = self.ledger.apply(
-            voter.credential.message.value, ack.version, ack.shares, event.deliver_count
+            voter.credential.message, ack.version, ack.shares, event.deliver_count
         )
-        if decisions != [d.accepted for d in ack.deliveries]:
+        if decisions != list(ack.accepted):
             raise VotingError(
                 f"ledger diverged from servers at cast {self.cursor}: "
-                f"{decisions} != {[d.accepted for d in ack.deliveries]}"
+                f"{decisions} != {list(ack.accepted)}"
             )
         self.shares_accepted += sum(decisions)
         self.cursor += 1
@@ -486,7 +486,7 @@ class ElectionRun:
             self.result,
             self.predicted,
             len(self.authority.registered),
-            len({v.credential.message.value for v in self.voters}),
+            len({v.credential.message for v in self.voters}),
             self.cursor,
             self.shares_accepted,
             len(self.bus),
@@ -699,8 +699,8 @@ def run_attack(config: AttackConfig) -> AttackReport:
     scenario = CollusionScenario(params, config.k, config.colluders, seed)
     rng = stream(seed, "attack")
     if config.goal == TARGETED:
-        value = params.element(rng.randrange(1, params.p))
-        target = params.element(rng.randrange(1, params.p))
+        value = rng.randrange(1, params.p)
+        target = rng.randrange(1, params.p)
         outcomes = (attack_targeted(scenario, value, target, trials=config.trials),)
     else:
         key = random_signing_key(params, stream(seed, "authority-key"))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from random import Random
 
-from .errors import FieldMismatchError, NoInverseError, ParameterError
+from .errors import NoInverseError, ParameterError
 
 MIN_PRIME = 23
 MILLER_RABIN_ROUNDS = 64
@@ -109,41 +109,13 @@ class FieldParams:
         if not 1 < self.g < self.p or _jacobi(self.g, self.p) != 1:
             raise ParameterError(f"g = {self.g} does not generate the order-q subgroup")
 
-    def element(self, value: int) -> FieldElement:
-        return FieldElement(value % self.p, self)
-
-    def generator(self) -> FieldElement:
-        return FieldElement(self.g, self)
-
     @cached_property
     def g_table(self) -> FixedBase:
         """Fixed-base table for powers of g, built on first use."""
-        return FixedBase(self.generator())
+        return FixedBase(self.g, self)
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """A residue mod p, pinned to the parameters it was created under."""
-
-    value: int
-    params: FieldParams
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.params.p:
-            raise ParameterError(f"value {self.value} outside [0, {self.params.p})")
-
-    def _same_field(self, other: FieldElement) -> None:
-        if self.params != other.params:
-            raise FieldMismatchError("operands belong to different fields")
-
-    def __mul__(self, other: FieldElement) -> FieldElement:
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        self._same_field(other)
-        return FieldElement(self.value * other.value % self.params.p, self.params)
-
-
-def mod_exp(base: FieldElement, exponent: int) -> FieldElement:
+def mod_exp(base: int, exponent: int, params: FieldParams) -> int:
     """base**exponent mod p by the built-in three-argument ``pow``.
 
     This is the path for bases that change from call to call; powers of g
@@ -151,13 +123,13 @@ def mod_exp(base: FieldElement, exponent: int) -> FieldElement:
     """
     if exponent < 0:
         raise ParameterError("exponent must be non-negative")
-    return FieldElement(pow(base.value, exponent, base.params.p), base.params)
+    return pow(base, exponent, params.p)
 
 
-def mod_inv(a: FieldElement) -> FieldElement:
-    if a.value == 0:
+def mod_inv(a: int, params: FieldParams) -> int:
+    if a % params.p == 0:
         raise NoInverseError("0 has no inverse mod p")
-    return FieldElement(pow(a.value, -1, a.params.p), a.params)
+    return pow(a, -1, params.p)
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -174,15 +146,17 @@ def _jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def in_subgroup(a: FieldElement) -> bool:
-    """True iff a is a nonzero quadratic residue, i.e. a**q = 1.
+def in_subgroup(a: int, params: FieldParams) -> bool:
+    """True iff a is a quadratic residue in [1, p-1], i.e. a**q = 1.
 
     Decided by the Jacobi symbol: p is prime, so (a/p) is the Legendre
-    symbol, which equals a**q = a**((p-1)/2) mod p by Euler's criterion and
-    is 0 for a = 0.  The verdict is that of the exponentiation, at a
-    fraction of its cost.
+    symbol, which equals a**q = a**((p-1)/2) mod p by Euler's criterion.
+    The verdict is that of the exponentiation, at a fraction of its cost.
+    An int outside [1, p-1] is refused, even one congruent to a residue:
+    its powers equal those of the residue, so it would pass as a second
+    name for a signed value.
     """
-    return _jacobi(a.value, a.params.p) == 1
+    return 0 < a < params.p and _jacobi(a, params.p) == 1
 
 
 class FixedBase:
@@ -195,13 +169,13 @@ class FixedBase:
     because the order of every subgroup element divides q.
     """
 
-    def __init__(self, base: FieldElement):
-        if not in_subgroup(base):
+    def __init__(self, base: int, params: FieldParams):
+        if not in_subgroup(base, params):
             raise ParameterError("a fixed-base table needs a subgroup element")
-        p = base.params.p
-        self.params = base.params
+        p = params.p
+        self.params = params
         self._rows: list[list[int]] = []
-        step = base.value
+        step = base
         for _ in range(-(-self.params.q.bit_length() // FIXED_BASE_WINDOW)):
             row = [1]
             for _ in range((1 << FIXED_BASE_WINDOW) - 1):
@@ -209,7 +183,7 @@ class FixedBase:
             self._rows.append(row)
             step = row[-1] * step % p
 
-    def power(self, exponent: int) -> FieldElement:
+    def power(self, exponent: int) -> int:
         """base**exponent mod p; the same value ``mod_exp`` returns."""
         if exponent < 0:
             raise ParameterError("exponent must be non-negative")
@@ -220,16 +194,16 @@ class FixedBase:
         for row in self._rows:
             acc = acc * row[e & mask] % p
             e >>= FIXED_BASE_WINDOW
-        return FieldElement(acc, self.params)
+        return acc
 
 
-def sample_subgroup_element(params: FieldParams, rng: Random) -> FieldElement:
+def sample_subgroup_element(params: FieldParams, rng: Random) -> int:
     """Uniform subgroup sample: square a uniform element of [1, p-1].
 
     The result is never 0 and never p - 1 (a non-residue).
     """
     u = rng.randrange(1, params.p)
-    return FieldElement(u * u % params.p, params)
+    return u * u % params.p
 
 
 def generate_params(bit_length: int, rng: Random) -> FieldParams:

@@ -37,7 +37,7 @@ from .blindsig import (
     verify_with_key,
 )
 from .errors import DomainError, ParameterError, VotingError
-from .modmath import FieldElement, sample_subgroup_element
+from .modmath import FieldParams, sample_subgroup_element
 from .sharing import split
 
 KEY_COPY = "key-copy"
@@ -109,21 +109,20 @@ class BallotSheet:
     """
 
     candidates: tuple[str, ...]
-    ballots: tuple[FieldElement, ...]
-    signed_ballots: tuple[FieldElement, ...]
+    ballots: tuple[int, ...]
+    signed_ballots: tuple[int, ...]
+    params: FieldParams
 
     def __post_init__(self):
         if len(self.candidates) < 2:
             raise ParameterError("a ballot sheet needs at least two candidates")
         if not (len(self.candidates) == len(self.ballots) == len(self.signed_ballots)):
             raise ParameterError("candidates, ballots and signatures must line up")
-        values = [b.value for b in self.ballots]
-        if len(set(values)) != len(values):
+        if len(set(self.ballots)) != len(self.ballots):
             raise ParameterError("ballot values must be distinct")
         if not all(signature.message_in_subgroup for signature in self.signatures):
             raise DomainError("ballot values must lie in the subgroup")
-        signed = [b.value for b in self.signed_ballots]
-        if len(set(signed)) != len(signed):
+        if len(set(self.signed_ballots)) != len(self.signed_ballots):
             raise ParameterError("signed ballot values must be distinct")
 
     @property
@@ -132,17 +131,18 @@ class BallotSheet:
 
     @cached_property
     def signatures(self) -> tuple[PublishedSignature, ...]:
-        return tuple(map(PublishedSignature, self.ballots, self.signed_ballots))
+        pairs = zip(self.ballots, self.signed_ballots)
+        return tuple(PublishedSignature(m, sig, self.params) for m, sig in pairs)
 
     @cached_property
     def published(self) -> str:
         """The sheet's value lists as a ``register-grant`` carries them."""
-        ballots = ",".join(str(b.value) for b in self.ballots)
-        signed = ",".join(str(s.value) for s in self.signed_ballots)
+        ballots = ",".join(map(str, self.ballots))
+        signed = ",".join(map(str, self.signed_ballots))
         return f"ballots={ballots} signed_ballots={signed}"
 
     def signed_index(self) -> dict[int, str]:
-        return {s.value: label for s, label in zip(self.signed_ballots, self.candidates)}
+        return dict(zip(self.signed_ballots, self.candidates))
 
 
 @dataclass(frozen=True)
@@ -160,19 +160,13 @@ class CastRecord:
 
 
 @dataclass(frozen=True)
-class DeliveryResult:
-    accepted: bool
-    reason: str
-
-
-@dataclass(frozen=True)
 class CastAck:
-    """What the voter learns from one cast: each server's verdict, in
-    server order."""
+    """What the voter learns from one cast: whether each server it reached
+    stored its share, in server order."""
 
     version: int
     shares: tuple[int, ...]
-    deliveries: tuple[DeliveryResult, ...]
+    accepted: tuple[bool, ...]
 
 
 @dataclass
@@ -213,7 +207,7 @@ class RegistrationAuthority:
     def responder(self) -> Responder:
         return honest_responder(self.key)
 
-    def register(self, v_id: str, blinded: FieldElement, bus: MessageBus):
+    def register(self, v_id: str, blinded: int, bus: MessageBus):
         """Sign a blinded anonymous id for an eligible, fresh registrant.
 
         The authority never sees the id itself, only message * g**b.
@@ -230,7 +224,7 @@ class RegistrationAuthority:
             self.name,
             f"voter/{v_id}",
             "register-grant",
-            f"signed_blinded={signed_blinded.value} {self.sheet.published}",
+            f"signed_blinded={signed_blinded} {self.sheet.published}",
         )
         return signed_blinded, self.sheet
 
@@ -255,9 +249,9 @@ class Voter:
         """Blind a fresh anonymous id, have it signed, unblind, and confirm
         every signature received before trusting it.  Id 1 is redrawn: the
         booth refuses it, since it is its own signature under every key."""
-        params = self.authority_key.value.params
+        params = self.authority_key.params
         anon_id = sample_subgroup_element(params, self.rng)
-        while anon_id.value == 1:
+        while anon_id == 1:
             anon_id = sample_subgroup_element(params, self.rng)
         factor = random_blinding_factor(params, self.rng)
         blinded = blind(anon_id, factor, self.authority_key)
@@ -265,10 +259,10 @@ class Voter:
             self.reg_name,
             authority.name,
             "register-request",
-            f"v_id={self.v_id} blinded={blinded.value}",
+            f"v_id={self.v_id} blinded={blinded}",
         )
         signed_blinded, sheet = authority.register(self.v_id, blinded, bus)
-        credential = Signature(anon_id, unblind(signed_blinded, factor, self.authority_key))
+        credential = Signature(anon_id, unblind(signed_blinded, factor, self.authority_key), params)
         self._confirm_or_disavow(credential, "confirm-credential", authority, bus)
         for label, signature in zip(sheet.candidates, sheet.signatures):
             self._confirm_or_disavow(
@@ -312,10 +306,10 @@ class Voter:
             raise ParameterError("deliver_count must lie in [1, k]")
         self.version += 1
         cast_value = self.sheet.signed_ballots[candidate_index]
-        shares = split(cast_value, k, self.rng)
-        anon_id = self.credential.message.value
+        shares = split(cast_value, k, self.sheet.params, self.rng)
+        anon_id = self.credential.message
         holder = f"holder/{anon_id}"
-        deliveries = []
+        accepted = []
         for server, share in zip(servers[:deliver_count], shares):
             bus.post(
                 holder,
@@ -323,9 +317,8 @@ class Voter:
                 "cast-share",
                 f"anon_id={anon_id} version={self.version} share={share} token={token.token}",
             )
-            accepted, reason = server.store_share(anon_id, self.version, share, token, bus)
-            deliveries.append(DeliveryResult(accepted, reason))
-        return CastAck(self.version, shares, tuple(deliveries))
+            accepted.append(server.store_share(anon_id, self.version, share, token, bus)[0])
+        return CastAck(self.version, shares, tuple(accepted))
 
 
 class PollingBooth:
@@ -362,7 +355,7 @@ class PollingBooth:
         cached subgroup verdicts are reused, so a voter showing the object
         that registration confirmed costs no subgroup test here.
         """
-        anon_id, signature = credential.message.value, credential.sig.value
+        anon_id, signature = credential.message, credential.sig
         holder = f"holder/{anon_id}"
         bus.post(holder, self.name, "auth-request", f"anon_id={anon_id} signature={signature}")
         if self.closed:
@@ -477,7 +470,7 @@ def tally(
         bus.post(server.name, TALLY, "records", f"count={len(server.store)}")
     ids = sorted({anon for server in servers for anon in server.store})
     index = sheet.signed_index()
-    p = sheet.ballots[0].params.p
+    p = sheet.params.p
     counts = {label: 0 for label in sheet.candidates}
     invalid = 0
     inconsistent = 0
@@ -512,12 +505,10 @@ def make_ballot_sheet(
     params = key.params
     if len(candidates) > params.q:
         raise ParameterError("more candidates than subgroup elements")
-    values: list[FieldElement] = []
-    seen: set[int] = set()
+    values: list[int] = []
     while len(values) < len(candidates):
         ballot = sample_subgroup_element(params, rng)
-        if ballot.value not in seen:
-            seen.add(ballot.value)
+        if ballot not in values:
             values.append(ballot)
     signed = tuple(sign(ballot, key).sig for ballot in values)
-    return BallotSheet(tuple(candidates), tuple(values), signed)
+    return BallotSheet(tuple(candidates), tuple(values), signed, params)

@@ -12,7 +12,7 @@ from random import Random
 from typing import Sequence
 
 from .errors import DomainError, ParameterError, RegimeError
-from .modmath import FieldElement, FieldParams
+from .modmath import FieldParams
 
 EXHAUSTIVE_FIELD_LIMIT = 1 << 16
 _ENUMERATION_BUDGET = 5_000_000
@@ -25,35 +25,39 @@ def _complete_values(value: int, leading: Sequence[int], p: int) -> tuple[int, .
     return (*leading, value * pow(prod, -1, p) % p)
 
 
-def complete_split(value: FieldElement, leading: Sequence[int]) -> tuple[int, ...]:
+def _check_value(value: int, p: int) -> None:
+    if not 0 < value < p:
+        raise DomainError(f"can only split a value in [1, p-1], got {value}")
+
+
+def complete_split(value: int, leading: Sequence[int], params: FieldParams) -> tuple[int, ...]:
     """Deterministic completion: append the one share that makes the product
     of all k come out to ``value``."""
-    if value.value == 0:
-        raise DomainError("cannot split zero")
-    p = value.params.p
+    p = params.p
+    _check_value(value, p)
     for r in leading:
         if not 1 <= r <= p - 1:
             raise DomainError(f"share {r} outside [1, p-1]")
-    return _complete_values(value.value, leading, p)
+    return _complete_values(value, leading, p)
 
 
-def split(value: FieldElement, k: int, rng: Random) -> tuple[int, ...]:
+def split(value: int, k: int, params: FieldParams, rng: Random) -> tuple[int, ...]:
     """Split ``value`` into k shares, k - 1 of them uniform on [1, p-1]."""
     if k < 2:
         raise ParameterError("k must be at least 2")
-    return complete_split(value, [rng.randrange(1, value.params.p) for _ in range(k - 1)])
+    return complete_split(value, [rng.randrange(1, params.p) for _ in range(k - 1)], params)
 
 
-def reconstruct(shares: Sequence[int], params: FieldParams) -> FieldElement:
+def reconstruct(shares: Sequence[int], params: FieldParams) -> int:
     """Product of all shares mod p."""
     acc = 1
     for share in shares:
         acc = acc * share % params.p
-    return FieldElement(acc, params)
+    return acc
 
 
 def marginal_distribution(
-    value: FieldElement, k: int, positions: Sequence[int]
+    value: int, k: int, positions: Sequence[int], params: FieldParams
 ) -> dict[tuple[int, ...], int]:
     """Exact joint distribution of the shares at ``positions``.
 
@@ -61,8 +65,8 @@ def marginal_distribution(
     leading tuples) and tabulates the observed share values at the given
     positions.  Small fields only.
     """
-    if value.value == 0:
-        raise DomainError("cannot split zero")
+    p = params.p
+    _check_value(value, p)
     if k < 2:
         raise ParameterError("k must be at least 2")
     pos = tuple(positions)
@@ -70,15 +74,13 @@ def marginal_distribution(
         raise ParameterError("positions must be a nonempty proper subset of range(k)")
     if len(set(pos)) != len(pos) or any(not 0 <= i < k for i in pos):
         raise ParameterError("positions must be distinct indices in range(k)")
-    p = value.params.p
     if p > EXHAUSTIVE_FIELD_LIMIT:
         raise RegimeError(f"exhaustive enumeration limited to p <= {EXHAUSTIVE_FIELD_LIMIT}")
     if (p - 1) ** (k - 1) > _ENUMERATION_BUDGET:
         raise RegimeError("enumeration of (p-1)**(k-1) leading tuples is too large")
     counts: dict[tuple[int, ...], int] = {}
-    v = value.value
     for leading in itertools.product(range(1, p), repeat=k - 1):
-        values = _complete_values(v, leading, p)
+        values = _complete_values(value, leading, p)
         key = tuple(values[i] for i in pos)
         counts[key] = counts.get(key, 0) + 1
     return counts

@@ -77,11 +77,10 @@ def test_criterion_01_blind_signature_round_trip():
     pub = key.public_key()
     hits = 0
     for m in SUBGROUP:
-        message = FIELD.element(m)
-        direct = sign(message, key).sig
+        direct = sign(m, key).sig
         for b in range(1, 11):
             factor = BlindingFactor(b, FIELD)
-            blinded_sig = sign(blind(message, factor, pub), key).sig
+            blinded_sig = sign(blind(m, factor, pub), key).sig
             hits += unblind(blinded_sig, factor, pub) == direct
     duration = perf_counter() - start
     _verdict(1, {
@@ -94,16 +93,14 @@ def test_criterion_02_sharing_round_trip():
     start = perf_counter()
     random_trips = 0
     for v in range(1, 23):
-        value = FIELD.element(v)
         for k in range(2, 7):
-            shares = split(value, k, random.Random(1000 * v + k))
-            random_trips += reconstruct(shares, FIELD).value == v
+            shares = split(v, k, FIELD, random.Random(1000 * v + k))
+            random_trips += reconstruct(shares, FIELD) == v
     forced = 0
     for v in range(1, 23):
-        value = FIELD.element(v)
         for r1 in range(1, 23):
             for r2 in range(1, 23):
-                forced += reconstruct(complete_split(value, (r1, r2)), FIELD).value == v
+                forced += reconstruct(complete_split(v, (r1, r2), FIELD), FIELD) == v
     duration = perf_counter() - start
     _verdict(2, {
         "22x5 seeded round trips": random_trips == 110,
@@ -115,13 +112,13 @@ def test_criterion_02_sharing_round_trip():
 def test_criterion_03_targeted_attack_rate():
     start = perf_counter()
     scenario = CollusionScenario(FIELD, 4, (0, 1, 3), seed=3)
-    exact = attack_targeted(scenario, FIELD.element(8), FIELD.element(5))
+    exact = attack_targeted(scenario, 8, 5)
     big = generate_params(31, random.Random(1))
     mc_scenario = CollusionScenario(big, 3, (0, 2), seed=5)
     mc = attack_targeted(
         mc_scenario,
-        big.element(1234567 % big.p),
-        big.element(7654321 % big.p),
+        1234567 % big.p,
+        7654321 % big.p,
         trials=1_000_000,
     )
     truth = 1.0 / (big.p - 1)
@@ -139,7 +136,7 @@ def test_criterion_03_targeted_attack_rate():
 def test_criterion_04_any_valid_attack_rate():
     checks = {}
     for m in (2, 3, 5):
-        signed = [FIELD.element(v) for v in (1, 2, 3, 4, 6)[:m]]
+        signed = list((1, 2, 3, 4, 6)[:m])
         scenario = CollusionScenario(FIELD, 3, (1, 2), seed=m)
         any_hit, _ = attack_any_valid(scenario, signed[0], signed)
         checks[f"m={m} rate exactly {m}/22"] = any_hit.exact == Fraction(m, 22)
@@ -148,12 +145,12 @@ def test_criterion_04_any_valid_attack_rate():
 
 
 def test_criterion_05_sweep_and_coalition_size():
-    fixed = [FIELD.element(r) for r in (5, 7, 11)]
+    fixed = [5, 7, 11]
     image = sweep_image(FIELD, fixed)
     rates = []
     for colluders in ((0,), (0, 1), (0, 1, 2)):
         scenario = CollusionScenario(FIELD, 4, colluders, seed=2)
-        rates.append(attack_targeted(scenario, FIELD.element(9), FIELD.element(14)).exact)
+        rates.append(attack_targeted(scenario, 9, 14).exact)
     _verdict(5, {
         "sweep image is all 22 nonzero residues": sorted(image) == list(range(1, 23)),
         "1, 2, 3 colluders all at 1/22": rates == [Fraction(1, 22)] * 3,
@@ -164,9 +161,9 @@ def test_criterion_06_share_subsets_hide_the_secret():
     subsets = ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2))
     identical = True
     for positions in subsets:
-        baseline = marginal_distribution(FIELD.element(1), 3, positions)
+        baseline = marginal_distribution(1, 3, positions, FIELD)
         for v in range(2, 23):
-            identical &= marginal_distribution(FIELD.element(v), 3, positions) == baseline
+            identical &= marginal_distribution(v, 3, positions, FIELD) == baseline
     _verdict(6, {
         "every proper subset's table identical across all v": identical,
     })
@@ -183,8 +180,8 @@ def test_criterion_07_confirmation_soundness():
         genuine += confirm(sign(message, key), pub, responder, rng).accepted
     # 4**3 = 18, so both claims below are forgeries; 13 stays inside the
     # subgroup, 17 does not
-    in_subgroup_forgery = Signature(FIELD.element(4), FIELD.element(13))
-    outside_forgery = Signature(FIELD.element(4), FIELD.element(17))
+    in_subgroup_forgery = Signature(4, 13, FIELD)
+    outside_forgery = Signature(4, 17, FIELD)
     counts = []
     for forged in (in_subgroup_forgery, outside_forgery):
         accepted = 0
@@ -208,7 +205,7 @@ def test_criterion_08_end_to_end_election():
     while run.cursor < len(run.schedule):
         event = run.schedule[run.cursor]
         voter = run.voters[event.voter_index]
-        anon = voter.credential.message.value
+        anon = voter.credential.message
         before = len(run.bus)
         run.step()
         accepts = sum(1 for m in logged(run.bus, before) if m.kind == "cast-accept")
@@ -218,7 +215,7 @@ def test_criterion_08_end_to_end_election():
     # replay: stored versions reached 2 via re-votes; a version-1 cast with a
     # fresh valid token must still bounce
     anon, record = max(run.servers[0].store.items(), key=lambda kv: kv[1].version)
-    token = run.booth.authenticate(sign(run.params.element(anon), run.key), run.bus)
+    token = run.booth.authenticate(sign(anon, run.key), run.bus)
     accepted, reason = run.servers[0].store_share(anon, 1, 5, token, run.bus)
     run.finish()
     result = run.result
@@ -257,7 +254,7 @@ def test_criterion_10_headline_number_substituted():
     refused = False
     try:
         attack_targeted(
-            CollusionScenario(big, 2, (0,), seed=0), big.element(4), big.element(9)
+            CollusionScenario(big, 2, (0,), seed=0), 4, 9
         )
     except RegimeError:
         refused = True

@@ -24,7 +24,7 @@ from splitvote.adversary import (
     sweep_image,
 )
 from splitvote.errors import DomainError, RegimeError, ScenarioError
-from splitvote.modmath import FieldParams, generate_params
+from splitvote.modmath import generate_params
 from splitvote.sharing import split
 
 # every nonzero residue is a possible reconstruction, so targets need not be
@@ -70,9 +70,9 @@ class TestScenarioValidation:
 class TestTargetedExact:
     def test_uniform_over_all_targets(self, field):
         s = scenario(field, 3, (0, 1))
-        value = field.element(8)
+        value = 8
         for target in ALL_TARGETS:
-            outcome = attack_targeted(s, value, field.element(target))
+            outcome = attack_targeted(s, value, target)
             assert outcome.mode == EXHAUSTIVE
             assert outcome.goal == TARGETED
             assert outcome.exact == Fraction(1, 22)
@@ -83,8 +83,8 @@ class TestTargetedExact:
         # more colluders never help: the rate is 1/(p-1) for every proper
         # subset at every k
         for k in range(2, 6):
-            value = field.element(12)
-            target = field.element(7)
+            value = 12
+            target = 7
             for colluders in proper_subsets(k):
                 s = scenario(field, k, colluders, seed=k)
                 outcome = attack_targeted(s, value, target)
@@ -92,27 +92,27 @@ class TestTargetedExact:
 
     def test_every_rewrite_constant(self, field):
         s = scenario(field, 2, (1,))
-        value = field.element(4)
-        target = field.element(9)
+        value = 4
+        target = 9
         for rewrite in ALL_TARGETS:
-            outcome = attack_targeted(s, value, target, field.element(rewrite))
+            outcome = attack_targeted(s, value, target, rewrite)
             assert outcome.exact == Fraction(1, 22)
 
     def test_every_cast_value(self, field):
         s = scenario(field, 3, (2,))
         for v in ALL_TARGETS:
-            outcome = attack_targeted(s, field.element(v), field.element(13))
+            outcome = attack_targeted(s, v, 13)
             assert outcome.exact == Fraction(1, 22)
 
     def test_estimate_equals_exact_when_exhaustive(self, field):
         s = scenario(field, 2, (0,))
-        outcome = attack_targeted(s, field.element(2), field.element(3))
+        outcome = attack_targeted(s, 2, 3)
         assert outcome.estimate == outcome.exact
         assert outcome.stderr == 0.0
 
     def test_asymptotic_rate_reported_beside_exact(self, field):
         s = scenario(field, 3, (1, 2))
-        outcome = attack_targeted(s, field.element(6), field.element(6))
+        outcome = attack_targeted(s, 6, 6)
         assert outcome.exact == Fraction(1, 22)
         assert outcome.asymptotic == Fraction(1, 23)
         record = outcome.to_record()
@@ -125,7 +125,7 @@ class TestAnyValidExact:
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_rates_scale_with_sheet_size(self, field, m):
         # distinct squares standing in for signed ballots
-        signed = [field.element(v) for v in (1, 2, 3, 4, 6)[:m]]
+        signed = list((1, 2, 3, 4, 6)[:m])
         s = scenario(field, 3, (0, 2), seed=m)
         any_hit, other_hit = attack_any_valid(s, signed[0], signed)
         assert any_hit.goal == ANY_VALID
@@ -136,29 +136,29 @@ class TestAnyValidExact:
         assert other_hit.asymptotic == Fraction(m - 1, 23)
 
     def test_cast_value_must_be_on_sheet(self, field):
-        signed = [field.element(v) for v in (2, 4)]
+        signed = [2, 4]
         s = scenario(field, 2, (0,))
         with pytest.raises(ScenarioError):
-            attack_any_valid(s, field.element(9), signed)
+            attack_any_valid(s, 9, signed)
 
     def test_rejects_duplicate_sheet(self, field):
-        signed = [field.element(2), field.element(2)]
+        signed = [2, 2]
         s = scenario(field, 2, (0,))
         with pytest.raises(ScenarioError):
-            attack_any_valid(s, field.element(2), signed)
+            attack_any_valid(s, 2, signed)
 
 
 class TestSweepImage:
     def test_image_is_a_permutation(self, field):
         rng = random.Random(3)
         for size in range(0, 4):
-            fixed = [field.element(rng.randrange(1, 23)) for _ in range(size)]
+            fixed = [rng.randrange(1, 23) for _ in range(size)]
             image = sweep_image(field, fixed)
             assert sorted(image) == list(range(1, 23))
 
     def test_zero_share_rejected(self, field):
         with pytest.raises(DomainError):
-            sweep_image(field, [field.element(0)])
+            sweep_image(field, [0])
 
 
 class TestEquivalence:
@@ -187,8 +187,8 @@ class TestMonteCarlo:
     def test_matches_exact_rate_at_large_field(self):
         params = generate_params(31, random.Random(1))
         s = CollusionScenario(params, 4, (0, 3), seed=5)
-        value = params.element(2 * 2 % params.p)
-        target = params.element(3 * 3 % params.p)
+        value = 2 * 2 % params.p
+        target = 3 * 3 % params.p
         trials = 20_000
         outcome = attack_targeted(s, value, target, trials=trials)
         assert outcome.mode == MONTE_CARLO
@@ -199,8 +199,8 @@ class TestMonteCarlo:
 
     def test_small_field_agrees_with_enumeration(self, field):
         s = scenario(field, 3, (1,), seed=2)
-        value = field.element(3)
-        target = field.element(16)
+        value = 3
+        target = 16
         exact = attack_targeted(s, value, target).exact
         mc = attack_targeted(s, value, target, trials=40_000)
         assert abs(float(mc.estimate) - float(exact)) <= 3 * mc.stderr
@@ -209,14 +209,14 @@ class TestMonteCarlo:
 
     def test_deterministic_under_seed(self, field):
         s = scenario(field, 3, (0,), seed=8)
-        a = attack_targeted(s, field.element(6), field.element(5), trials=500)
-        b = attack_targeted(s, field.element(6), field.element(5), trials=500)
+        a = attack_targeted(s, 6, 5, trials=500)
+        b = attack_targeted(s, 6, 5, trials=500)
         assert a == b
 
     def test_rejects_zero_trials(self, field):
         s = scenario(field, 2, (0,))
         with pytest.raises(ScenarioError):
-            attack_targeted(s, field.element(2), field.element(3), trials=0)
+            attack_targeted(s, 2, 3, trials=0)
 
 
 class TestArgumentChecks:
@@ -224,24 +224,26 @@ class TestArgumentChecks:
         params = generate_params(31, random.Random(1))
         s = CollusionScenario(params, 2, (0,))
         with pytest.raises(RegimeError):
-            attack_targeted(s, params.element(4), params.element(9))
+            attack_targeted(s, 4, 9)
 
     def test_zero_value_rejected(self, field):
         s = scenario(field, 2, (0,))
         with pytest.raises(DomainError):
-            attack_targeted(s, field.element(0), field.element(3))
+            attack_targeted(s, 0, 3)
         with pytest.raises(DomainError):
-            attack_targeted(s, field.element(3), field.element(0))
+            attack_targeted(s, 3, 0)
 
     def test_cross_field_rejected(self, field):
-        other = FieldParams(47, 23, 4)
+        # a value from another field is an int outside [1, p-1] here
         s = scenario(field, 2, (0,))
-        with pytest.raises(DomainError):
-            attack_targeted(s, other.element(4), field.element(3))
+        for outside in (0, 23, -1):
+            for value, target, replacement in ((outside, 3, 5), (3, outside, 5), (3, 4, outside)):
+                with pytest.raises(DomainError, match=r"\[1, p-1\]"):
+                    attack_targeted(s, value, target, replacement)
 
     def test_outcome_is_frozen(self, field):
         s = scenario(field, 2, (0,))
-        outcome = attack_targeted(s, field.element(2), field.element(3))
+        outcome = attack_targeted(s, 2, 3)
         assert isinstance(outcome, AttackOutcome)
         with pytest.raises(AttributeError):
             outcome.successes = 5
@@ -302,7 +304,7 @@ class TestTrialLoopOracle:
         # rewrite and every goal's winning set
         for j in range(k):
             s = scenario(field, k, (j,), seed=10 * k + j)
-            for replacement in (None, field.element(5), field.element(22)):
+            for replacement in (None, 5, 22):
                 goals = [{t} for t in ALL_TARGETS] + [SHEET, SHEET - {CAST}]
                 for winners in goals:
                     assert_matches_oracle(s, CAST, winners, replacement, 150)
@@ -310,7 +312,7 @@ class TestTrialLoopOracle:
     def test_first_trial_draws_the_leading_shares_of_split(self, field):
         for k in range(2, 6):
             for seed in range(20):
-                shares = split(field.element(CAST), k, random.Random(seed))
+                shares = split(CAST, k, field, random.Random(seed))
                 for j in range(k):
                     s = scenario(field, k, (j,), seed=seed)
                     # the one product that rewrites share j of that split
@@ -320,7 +322,7 @@ class TestTrialLoopOracle:
                     rng = random.Random(seed)
                     assert _simulate(s, CAST, frozenset({hit}), 9, 1, rng) == 1
                     split_rng = random.Random(seed)
-                    split(field.element(CAST), k, split_rng)
+                    split(CAST, k, field, split_rng)
                     assert rng.getstate() == split_rng.getstate()
                     rng = random.Random(seed)
                     assert _simulate(s, CAST, frozenset({miss}), 9, 1, rng) == 0
@@ -338,7 +340,7 @@ def test_trial_loop_matches_oracle_on_random_fields(bits, seed, data):
     s = CollusionScenario(params, k, tuple(colluders), seed)
     value = data.draw(st.integers(1, p - 1))
     replacement = data.draw(
-        st.one_of(st.none(), st.integers(1, p - 1).map(params.element))
+        st.one_of(st.none(), st.integers(1, p - 1))
     )
     trials = data.draw(st.integers(1, 200))
     # some products the oracle's own trials reach, so a large field still

@@ -36,7 +36,7 @@ def pub(key):
 
 
 def test_public_key_value(key):
-    assert key.public_key().value.value == 8  # 2**3 mod 23
+    assert key.public_key().value == 8  # 2**3 mod 23
 
 
 def test_public_key_is_computed_once_per_key(key):
@@ -45,30 +45,29 @@ def test_public_key_is_computed_once_per_key(key):
 
 
 def test_blind_worked_example(field, pub):
-    blinded = blind(field.element(9), BlindingFactor(5, field), pub)
-    assert blinded.value == 12  # 2**5 = 9, 9 * 9 = 81 = 12 mod 23
+    blinded = blind(9, BlindingFactor(5, field), pub)
+    assert blinded == 12  # 2**5 = 9, 9 * 9 = 81 = 12 mod 23
 
 
 def test_sign_worked_examples(field, key):
-    assert sign(field.element(4), key).sig.value == 18
-    assert sign(field.element(12), key).sig.value == 3
+    assert sign(4, key).sig == 18
+    assert sign(12, key).sig == 3
 
 
 def test_unblind_worked_example(field, key, pub):
-    recovered = unblind(field.element(3), BlindingFactor(5, field), pub)
-    assert recovered.value == 16
-    assert recovered == mod_exp(field.element(9), 3)
+    recovered = unblind(3, BlindingFactor(5, field), pub)
+    assert recovered == 16
+    assert recovered == mod_exp(9, 3, field)
 
 
 def test_blind_sign_unblind_round_trip_exhaustive(field, key, pub):
     # every subgroup message times every legal blinding exponent
     count = 0
     for m in SUBGROUP_23:
-        message = field.element(m)
-        expected = sign(message, key).sig
+        expected = sign(m, key).sig
         for b in range(1, 11):
             factor = BlindingFactor(b, field)
-            blinded_sig = sign(blind(message, factor, pub), key).sig
+            blinded_sig = sign(blind(m, factor, pub), key).sig
             assert unblind(blinded_sig, factor, pub) == expected
             count += 1
     assert count == 110
@@ -78,7 +77,7 @@ def test_blinded_values_sweep_the_subgroup_uniformly(field, pub):
     # for fixed m the blinded value over b in [1, q-1], plus m itself
     # (b = q would give g**q = 1), covers the subgroup exactly once each
     for m in SUBGROUP_23:
-        seen = {blind(field.element(m), BlindingFactor(b, field), pub).value for b in range(1, 11)}
+        seen = {blind(m, BlindingFactor(b, field), pub) for b in range(1, 11)}
         seen.add(m)
         assert seen == set(SUBGROUP_23)
 
@@ -92,12 +91,13 @@ def test_blinding_factor_boundaries(field):
 
 def test_blind_rejects_non_subgroup_message(field, pub):
     with pytest.raises(DomainError):
-        blind(field.element(5), BlindingFactor(2, field), pub)
+        blind(5, BlindingFactor(2, field), pub)
 
 
 def test_sign_rejects_zero(field, key):
-    with pytest.raises(DomainError):
-        sign(field.element(0), key)
+    for outside in (0, 23, -4):
+        with pytest.raises(DomainError):
+            sign(outside, key)
 
 
 def test_signing_key_range(field):
@@ -108,16 +108,16 @@ def test_signing_key_range(field):
 
 
 def test_verify_with_key(field, key):
-    good = sign(field.element(9), key)
+    good = sign(9, key)
     assert verify_with_key(good, key)
-    assert not verify_with_key(Signature(field.element(9), field.element(13)), key)
+    assert not verify_with_key(Signature(9, 13, field), key)
 
 
 def test_confirm_accepts_genuine_signature(field, key, pub):
     rng = random.Random(11)
     responder = honest_responder(key)
     for _ in range(100):
-        m = field.element(rng.choice(SUBGROUP_23))
+        m = rng.choice(SUBGROUP_23)
         transcript = confirm(sign(m, key), pub, responder, rng)
         assert transcript.accepted
 
@@ -125,7 +125,7 @@ def test_confirm_accepts_genuine_signature(field, key, pub):
 def test_confirm_rejects_forgery_on_all_live_challenges(field, key, pub):
     # frozen example: claimed sig 17 on message 4 is rejected for every
     # challenge pair a live run can draw
-    claimed = Signature(field.element(4), field.element(17))
+    claimed = Signature(4, 17, field)
     responder = honest_responder(key)
     accepted = sum(
         confirm(claimed, pub, responder, e1=e1, e2=e2).accepted
@@ -139,7 +139,7 @@ def test_confirm_forgery_acceptance_at_most_one_in_q(field, key, pub):
     # over the full q**2 = 121 challenge pairs (e1 = 0 accepts vacuously)
     responder = honest_responder(key)
     for forged in (17, 13, 22):  # outside the subgroup, inside, and p - 1
-        claimed = Signature(field.element(4), field.element(forged))
+        claimed = Signature(4, forged, field)
         assert not verify_with_key(claimed, key)
         accepted = sum(
             confirm(claimed, pub, responder, e1=e1, e2=e2).accepted
@@ -153,22 +153,22 @@ def test_confirm_agrees_with_key_verification(field, key, pub):
     rng = random.Random(23)
     responder = honest_responder(key)
     for i in range(100):
-        m = field.element(rng.choice(SUBGROUP_23))
+        m = rng.choice(SUBGROUP_23)
         if i % 2 == 0:
             candidate = sign(m, key)
         else:
-            candidate = Signature(m, field.element(rng.randrange(1, 23)))
+            candidate = Signature(m, rng.randrange(1, 23), field)
         transcript = confirm(candidate, pub, responder, rng)
         assert transcript.accepted == verify_with_key(candidate, key)
 
 
 def test_confirm_requires_subgroup_message(field, key, pub):
     with pytest.raises(DomainError):
-        confirm(Signature(field.element(5), field.element(10)), pub, honest_responder(key), random.Random(0))
+        confirm(Signature(5, 10, field), pub, honest_responder(key), random.Random(0))
 
 
 def test_confirm_refusal_aborts(field, key, pub):
-    claimed = sign(field.element(9), key)
+    claimed = sign(9, key)
     with pytest.raises(ProtocolAbortError):
         confirm(claimed, pub, lambda challenge: None, random.Random(0))
 
@@ -183,13 +183,13 @@ def test_transcript_record_fields(field, key, pub):
     pairs = [pair.split("=", 1) for pair in line.split(" ")[5:]]
     assert [name for name, _ in pairs] == ["e1", "e2", "challenge", "response", "accepted"]
     e1, e2, challenge, response, accepted = (int(value) for _, value in pairs)
-    assert challenge == credential.message.value ** e1 * 2 ** e2 % 23
+    assert challenge == credential.message ** e1 * 2 ** e2 % 23
     assert response == challenge ** 3 % 23
     assert accepted == 1
 
 
 def test_disavow_reports_forgery(field, key, pub):
-    claimed = Signature(field.element(4), field.element(17))
+    claimed = Signature(4, 17, field)
     outcome = disavow(claimed, pub, honest_responder(key), random.Random(2))
     assert outcome.is_forgery
     assert len(outcome.rounds) == 2
@@ -197,7 +197,7 @@ def test_disavow_reports_forgery(field, key, pub):
 
 
 def test_disavow_on_genuine_signature_with_honest_signer(field, key, pub):
-    claimed = sign(field.element(9), key)
+    claimed = sign(9, key)
     outcome = disavow(claimed, pub, honest_responder(key), random.Random(3))
     assert not outcome.is_forgery
     assert outcome.rounds[0].accepted
@@ -207,16 +207,16 @@ def test_disavow_catches_a_lying_signer(field, key, pub):
     # signer tries to deny its own signature by answering with random
     # subgroup junk; the cross-check should side with the signature in all
     # but about one run in q
-    claimed = sign(field.element(4), key)
-    assert claimed.sig.value == 18
+    claimed = sign(4, key)
+    assert claimed.sig == 18
     rng = random.Random(7)
     liar_rng = random.Random(8)
 
     def liar(challenge):
         while True:
             d = liar_rng.randrange(1, 23)
-            if d in SUBGROUP_23 and d != pow(challenge.value, 3, 23):
-                return field.element(d)
+            if d in SUBGROUP_23 and d != pow(challenge, 3, 23):
+                return d
 
     runs = 10_000
     false_denials = sum(
@@ -230,9 +230,12 @@ def test_disavow_catches_a_lying_signer(field, key, pub):
 
 
 def test_disavow_rejects_out_of_subgroup_responses(field, key, pub):
-    claimed = sign(field.element(4), key)
-    outcome = disavow(claimed, pub, lambda c: field.element(5), random.Random(1))
-    assert not outcome.is_forgery
+    claimed = sign(4, key)
+    # 5 is a non-residue; 4 + 23 and -4 are out of range, though 4 is a residue
+    for response in (5, 4 + 23, -4):
+        outcome = disavow(claimed, pub, lambda c: response, random.Random(1))
+        assert not outcome.is_forgery
+        assert not any(r.accepted for r in outcome.rounds)
 
 
 def test_random_helpers_land_in_range(field):
@@ -245,8 +248,8 @@ def test_random_helpers_land_in_range(field):
 def test_signature_stays_a_plain_record(field):
     # forged claims, including values outside the subgroup, must be
     # representable so the interactive protocols can examine them
-    claimed = Signature(field.element(4), field.element(17))
-    assert not in_subgroup(claimed.sig)
+    claimed = Signature(4, 17, field)
+    assert not in_subgroup(claimed.sig, field)
 
 
 def _confirm_outcome(claim, pub, responder, e1, e2):
@@ -262,8 +265,8 @@ def test_published_signature_confirms_like_a_plain_one_exhaustively(field, key, 
     responder = honest_responder(key)
     for m in range(23):
         for s in range(23):
-            plain = Signature(field.element(m), field.element(s))
-            published = PublishedSignature(plain.message, plain.sig)
+            plain = Signature(m, s, field)
+            published = PublishedSignature(m, s, field)
             assert verify_with_key(published, key) == verify_with_key(plain, key)
             for e1 in range(11):
                 for e2 in range(11):
@@ -276,8 +279,8 @@ def test_published_signature_disavows_like_a_plain_one(field, key, pub):
     responder = honest_responder(key)
     for m in SUBGROUP_23:
         for s in range(23):
-            plain = Signature(field.element(m), field.element(s))
-            published = PublishedSignature(plain.message, plain.sig)
+            plain = Signature(m, s, field)
+            published = PublishedSignature(m, s, field)
             assert disavow(published, pub, responder, random.Random(s)) == disavow(
                 plain, pub, responder, random.Random(s)
             )
@@ -285,8 +288,8 @@ def test_published_signature_disavows_like_a_plain_one(field, key, pub):
 
 def test_subgroup_verdicts_are_computed_once_per_signature(field, monkeypatch):
     calls = []
-    monkeypatch.setattr(blindsig, "in_subgroup", lambda a: calls.append(a.value) or True)
-    claim = Signature(field.element(4), field.element(17))
+    monkeypatch.setattr(blindsig, "in_subgroup", lambda a, params: calls.append(a) or True)
+    claim = Signature(4, 17, field)
     assert claim.message_in_subgroup and claim.message_in_subgroup
     assert claim.sig_in_subgroup and claim.sig_in_subgroup
     assert calls == [4, 17]

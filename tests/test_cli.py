@@ -189,13 +189,15 @@ class TestSnapshotResume:
         assert "--snapshot and --snapshot-at go together" in capsys.readouterr().err
         assert [path.name for path in tmp_path.iterdir()] == ["election.cfg"]
 
-    @pytest.mark.parametrize("flag", ["--out", "--events"])
+    @pytest.mark.parametrize("flag", ["--out", "--events", "--format"])
     def test_snapshot_at_refuses_report_files(self, election_cfg, tmp_path, capsys, flag):
-        # the run stops before any report or event log exists
+        # the run stops before any report or event log exists, so a format
+        # would print nothing either
+        value = "table" if flag == "--format" else str(tmp_path / "written.txt")
         with pytest.raises(SystemExit) as exc:
             main([
                 "run", "--config", str(election_cfg), "--snapshot", str(tmp_path / "state.json"),
-                "--snapshot-at", "9", flag, str(tmp_path / "written.txt"),
+                "--snapshot-at", "9", flag, value,
             ])
         assert exc.value.code == 2
         assert "--out and --events go with resume" in capsys.readouterr().err

@@ -190,7 +190,7 @@ class TestLedger:
         import random
 
         sheet = make_ballot_sheet(("a", "b"), SigningKey(3, field), random.Random(7))
-        target = sheet.signed_ballots[0].value
+        target = sheet.signed_ballots[0]
         ledger = IntentLedger(2)
         # complete and unanimous: counted
         ledger.apply(2, 1, [1, target], 2)
@@ -200,7 +200,7 @@ class TestLedger:
         # missing on one server: inconsistent
         ledger.apply(4, 1, [6, 6], 1)
         # unanimous but matching nothing: invalid
-        junk = 1 if 1 not in {s.value for s in sheet.signed_ballots} else 12
+        junk = 1 if 1 not in sheet.signed_ballots else 12
         ledger.apply(6, 1, [1, junk], 2)
         predicted = ledger.predict(sheet)
         assert predicted == TallyResult({"a": 1, "b": 0}, 1, 2, 4)
@@ -210,7 +210,7 @@ class TestLedger:
         # the ledger has no share-range rule: a zero share, which split never
         # deals, is kept by the ledger and refused by the server
         dealt = protocol.split
-        monkeypatch.setattr(protocol, "split", lambda value, k, rng: (0, *dealt(value, k, rng)[1:]))
+        monkeypatch.setattr(protocol, "split", lambda value, k, params, rng: (0, *dealt(value, k, params, rng)[1:]))
         run = ElectionRun(base_config(booth_mode=booth))
         with pytest.raises(VotingError, match="ledger diverged"):
             run.step()

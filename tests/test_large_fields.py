@@ -2,9 +2,10 @@
 
 The exhaustive checks run at p = 23.  Here Hypothesis draws a size and a
 seed, builds the field that seed yields, and checks the same identities on
-it: split/reconstruct, blind/sign/unblind, confirmation completeness, the
-disavowal verdicts, table-backed signatures confirming like plain ones, and
-the harness ledger agreeing with the tally.
+it: the int arithmetic against ``pow``, split/reconstruct,
+blind/sign/unblind, confirmation completeness, the disavowal verdicts,
+table-backed signatures confirming like plain ones, and the harness ledger
+agreeing with the tally.
 """
 
 import random
@@ -28,7 +29,14 @@ from splitvote.blindsig import (
 )
 from splitvote.errors import DomainError
 from splitvote.harness import ElectionConfig, run_election
-from splitvote.modmath import generate_params, sample_subgroup_element
+from splitvote.modmath import (
+    FixedBase,
+    generate_params,
+    in_subgroup,
+    mod_exp,
+    mod_inv,
+    sample_subgroup_element,
+)
 from splitvote.protocol import BOOTH_MODES
 from splitvote.sharing import reconstruct, split
 
@@ -42,17 +50,35 @@ seeds = st.integers(0, 2**32 - 1)
 
 @settings(max_examples=20, deadline=None)
 @given(fields, seeds)
+def test_int_paths_agree_with_pow(params, seed):
+    rng = random.Random(seed)
+    p, q = params.p, params.q
+    a = rng.randrange(1, p)
+    exponent = rng.randrange(4 * q)
+    assert mod_exp(a, exponent, params) == pow(a, exponent, p)
+    assert mod_inv(a, params) == pow(a, -1, p)
+    assert in_subgroup(a, params) == (pow(a, q, p) == 1)
+    member = sample_subgroup_element(params, rng)
+    assert FixedBase(member, params).power(exponent) == pow(member, exponent, p)
+    # only [1, p-1] is in range: 0, p, a + p and -a have a residue's powers
+    assert in_subgroup(member, params)
+    for outside in (0, p, member + p, -member):
+        assert not in_subgroup(outside, params)
+
+
+@settings(max_examples=20, deadline=None)
+@given(fields, seeds)
 def test_split_blind_and_confirm_round_trip(params, seed):
     rng = random.Random(seed)
     key = random_signing_key(params, rng)
     pub = key.public_key()
-    value = params.element(rng.randrange(1, params.p))
-    assert reconstruct(split(value, rng.randint(2, 5), rng), params) == value
+    value = rng.randrange(1, params.p)
+    assert reconstruct(split(value, rng.randint(2, 5), params, rng), params) == value
     message = sample_subgroup_element(params, rng)
     factor = random_blinding_factor(params, rng)
     unblinded = unblind(sign(blind(message, factor, pub), key).sig, factor, pub)
     assert unblinded == sign(message, key).sig
-    genuine = Signature(message, unblinded)
+    genuine = Signature(message, unblinded, params)
     assert confirm(genuine, pub, honest_responder(key), rng).accepted
 
 
@@ -65,7 +91,7 @@ def test_disavow_verdicts(params, seed):
     message = sample_subgroup_element(params, rng)
     genuine = sign(message, key)
     # g != 1 lies in the subgroup, so this is a well-formed wrong signature
-    forged = Signature(message, genuine.sig * params.generator())
+    forged = Signature(message, genuine.sig * params.g % params.p, params)
     outcome = disavow(forged, pub, honest_responder(key), rng)
     assert outcome.is_forgery
     assert not any(r.accepted for r in outcome.rounds)
@@ -89,19 +115,19 @@ def test_published_signature_confirms_like_a_plain_one(params, seed):
     for signed in (
         sign(message, key).sig,
         sample_subgroup_element(params, rng),
-        params.element(rng.randrange(params.p)),
-        params.element(params.p - 1),
+        rng.randrange(params.p),
+        params.p - 1,
     ):
-        plain = Signature(message, signed)
-        published = PublishedSignature(message, signed)
+        plain = Signature(message, signed, params)
+        published = PublishedSignature(message, signed, params)
         assert verify_with_key(published, key) == verify_with_key(plain, key)
         for _ in range(3):
             e1, e2 = rng.randrange(params.q), rng.randrange(params.q)
             assert confirm(published, pub, responder, e1=e1, e2=e2) == confirm(
                 plain, pub, responder, e1=e1, e2=e2
             )
-    outside = params.element(params.p - 1)
-    for claim in (Signature(outside, outside), PublishedSignature(outside, outside)):
+    outside = params.p - 1
+    for claim in (Signature(outside, outside, params), PublishedSignature(outside, outside, params)):
         with pytest.raises(DomainError):
             confirm(claim, pub, responder, e1=1, e2=1)
 

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitvote.blindsig import SigningKey
+from splitvote.blindsig import (
+    Signature,
+    SigningKey,
+    confirm,
+    honest_responder,
+    sign,
+    verify_with_key,
+)
 from splitvote.errors import (
     FieldMismatchError,
     NoInverseError,
@@ -16,7 +23,6 @@ from splitvote.harness import emit_params
 from splitvote.modmath import (
     FIXTURE_FIELD,
     MIN_PRIME,
-    FieldElement,
     FieldParams,
     FixedBase,
     generate_params,
@@ -46,42 +52,44 @@ def test_fixture_field_constants():
 
 
 def test_mod_exp_frozen_values(field):
-    assert mod_exp(field.element(2), 11).value == 1
-    assert mod_exp(field.element(4), 3).value == 18
+    assert mod_exp(2, 11, field) == 1
+    assert mod_exp(4, 3, field) == 18
 
 
 def test_mod_exp_matches_naive_oracle(field):
     for base in range(23):
         for exponent in range(30):
-            got = mod_exp(field.element(base), exponent).value
+            got = mod_exp(base, exponent, field)
             assert got == naive_power(base, exponent, 23)
 
 
 def test_mod_exp_rejects_negative_exponent(field):
     with pytest.raises(ParameterError):
-        mod_exp(field.element(2), -1)
+        mod_exp(2, -1, field)
 
 
 def test_mod_inv_frozen_value(field):
-    assert mod_inv(field.element(8)).value == 3
+    assert mod_inv(8, field) == 3
 
 
 def test_mod_inv_exhaustive(field):
     for a in range(1, 23):
-        inv = mod_inv(field.element(a)).value
+        inv = mod_inv(a, field)
         assert a * inv % 23 == 1
 
 
 def test_mod_inv_of_zero(field):
     with pytest.raises(NoInverseError):
-        mod_inv(field.element(0))
+        mod_inv(0, field)
+    with pytest.raises(NoInverseError):
+        mod_inv(23, field)
 
 
 def test_subgroup_membership(field):
-    members = {a for a in range(23) if in_subgroup(field.element(a))}
+    members = {a for a in range(23) if in_subgroup(a, field)}
     assert members == QUADRATIC_RESIDUES_23
-    assert not in_subgroup(field.element(5))
-    assert not in_subgroup(field.element(0))
+    assert not in_subgroup(5, field)
+    assert not in_subgroup(0, field)
 
 
 def test_subgroup_closed_under_multiplication(field):
@@ -92,7 +100,7 @@ def test_subgroup_closed_under_multiplication(field):
 
 def test_subgroup_test_is_eulers_criterion_exhaustively(field):
     for a in range(23):
-        assert in_subgroup(field.element(a)) == (a != 0 and pow(a, 11, 23) == 1)
+        assert in_subgroup(a, field) == (a != 0 and pow(a, 11, 23) == 1)
 
 
 def test_fixed_base_powers_match_pow_exhaustively(field):
@@ -103,16 +111,18 @@ def test_fixed_base_powers_match_pow_exhaustively(field):
     ]
     for table, base in tables:
         for exponent in [*range(22), *range(60, 140)]:
-            assert table.power(exponent).value == pow(base, exponent, 23)
+            assert table.power(exponent) == pow(base, exponent, 23)
 
 
 def test_fixed_base_rejects_negative_exponents_and_non_members(field):
     with pytest.raises(ParameterError):
         field.g_table.power(-1)
     with pytest.raises(ParameterError):
-        FixedBase(field.element(5))
+        FixedBase(5, field)
     with pytest.raises(ParameterError):
-        FixedBase(field.element(0))
+        FixedBase(0, field)
+    with pytest.raises(ParameterError):
+        FixedBase(2 + 23, field)
 
 
 # (bits, seed) pairs whose safe-prime search is short; cached so that
@@ -132,9 +142,9 @@ fields = st.sampled_from(PROPERTY_FIELDS).map(lambda spec: property_field(*spec)
 @given(fields, st.data())
 def test_subgroup_test_is_eulers_criterion(params, data):
     a = data.draw(st.integers(0, params.p - 1))
-    assert in_subgroup(params.element(a)) == (a != 0 and pow(a, params.q, params.p) == 1)
+    assert in_subgroup(a, params) == (a != 0 and pow(a, params.q, params.p) == 1)
     square = a * a % params.p
-    assert in_subgroup(params.element(square)) == (square != 0)
+    assert in_subgroup(square, params) == (square != 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -142,11 +152,11 @@ def test_subgroup_test_is_eulers_criterion(params, data):
 def test_fixed_base_powers_match_pow(params, data):
     x = data.draw(st.integers(1, params.q - 1))
     y = SigningKey(x, params).public_key()
-    assert y.value.value == pow(params.g, x, params.p)
+    assert y.value == pow(params.g, x, params.p)
     exponent = data.draw(st.integers(0, 4 * params.q) | st.integers(0, params.q**2))
-    assert params.g_table.power(exponent).value == pow(params.g, exponent, params.p)
-    assert y.table.power(exponent).value == pow(y.value.value, exponent, params.p)
-    assert y.table.power(exponent) == mod_exp(y.value, exponent)
+    assert params.g_table.power(exponent) == pow(params.g, exponent, params.p)
+    assert y.table.power(exponent) == pow(y.value, exponent, params.p)
+    assert y.table.power(exponent) == mod_exp(y.value, exponent, params)
 
 
 @settings(max_examples=20, deadline=None)
@@ -156,7 +166,7 @@ def test_negative_exponents_raise_parameter_error(params, exponent):
         with pytest.raises(ParameterError):
             table.power(exponent)
     with pytest.raises(ParameterError):
-        mod_exp(params.generator(), exponent)
+        mod_exp(params.g, exponent, params)
 
 
 def test_sample_subgroup_element_frozen(field):
@@ -165,7 +175,7 @@ def test_sample_subgroup_element_frozen(field):
         def randrange(self, start, stop):
             return 5
 
-    assert sample_subgroup_element(field, Fixed()).value == 2
+    assert sample_subgroup_element(field, Fixed()) == 2
 
 
 def test_sample_subgroup_image_is_exactly_the_residues(field):
@@ -176,7 +186,7 @@ def test_sample_subgroup_image_is_exactly_the_residues(field):
         def randrange(self, start, stop):
             return self.u
 
-    image = {sample_subgroup_element(field, Each(u)).value for u in range(1, 23)}
+    image = {sample_subgroup_element(field, Each(u)) for u in range(1, 23)}
     assert image == QUADRATIC_RESIDUES_23
     assert 0 not in image and 22 not in image
 
@@ -190,17 +200,42 @@ def test_sampling_is_uniform_on_the_subgroup(field):
     assert all(n == 2 for n in hits.values())
 
 
-def test_field_element_range_check(field):
-    with pytest.raises(ParameterError):
-        FieldElement(23, field)
-    with pytest.raises(ParameterError):
-        FieldElement(-1, field)
+def test_int_paths_agree_with_pow_exhaustively(field):
+    # every residue, exponents past 2q, and every table base in the subgroup
+    for a in range(23):
+        for exponent in range(3 * 11):
+            assert mod_exp(a, exponent, field) == pow(a, exponent, 23)
+        if a:
+            assert mod_inv(a, field) == pow(a, -1, 23)
+        if pow(a, 11, 23) == 1:
+            table = FixedBase(a, field)
+            for exponent in range(3 * 11):
+                assert table.power(exponent) == pow(a, exponent, 23)
+
+
+def test_subgroup_test_refuses_out_of_range_ints(field):
+    # a + p and -a have the powers of a residue, so only the range check
+    # keeps them from passing as a second name for it
+    for a in range(-3 * 23, 3 * 23):
+        assert in_subgroup(a, field) == (0 < a < 23 and pow(a, 11, 23) == 1), a
+    for a in QUADRATIC_RESIDUES_23:
+        assert not in_subgroup(a + 23, field)
+        assert not in_subgroup(-a, field)
+    assert not in_subgroup(0, field) and not in_subgroup(23, field)
 
 
 def test_cross_field_operations_rejected(field):
+    # a signature meets a key only in confirm and verify_with_key
     other = FieldParams(p=47, q=23, g=4)
+    key, foreign = SigningKey(3, field), SigningKey(3, other)
+    claim = sign(2, key)
     with pytest.raises(FieldMismatchError):
-        field.element(2) * other.element(2)
+        confirm(claim, foreign.public_key(), honest_responder(foreign), e1=1, e2=1)
+    with pytest.raises(FieldMismatchError):
+        confirm(Signature(2, claim.sig, other), key.public_key(), honest_responder(key), e1=1, e2=1)
+    with pytest.raises(FieldMismatchError):
+        verify_with_key(claim, foreign)
+    assert confirm(claim, key.public_key(), honest_responder(key), e1=1, e2=1).accepted
 
 
 def test_field_params_validation():
@@ -223,7 +258,7 @@ def test_generate_params_is_deterministic():
 def test_generate_params_five_bits_gives_the_fixture_primes():
     params = generate_params(5, random.Random(1))
     assert (params.p, params.q) == (23, 11)
-    assert in_subgroup(params.element(params.g))
+    assert in_subgroup(params.g, params)
 
 
 def test_generate_params_hundred_bits():

@@ -16,7 +16,7 @@ from splitvote.blindsig import (
     verify_with_key,
 )
 from splitvote.errors import DomainError, ParameterError, VotingError
-from splitvote.modmath import FieldElement, in_subgroup
+from splitvote.modmath import in_subgroup
 from splitvote.protocol import (
     BOOTH_MODES,
     KEY_COPY,
@@ -73,7 +73,7 @@ class TamperingAuthority(RegistrationAuthority):
         signed, sheet = super().register(v_id, blinded, bus)
         # doubling stays inside the subgroup (2 is a residue), so only the
         # response equation can catch it
-        return FieldElement(signed.value * 2 % 23, signed.params), sheet
+        return signed * 2 % 23, sheet
 
 
 def register_all(voters, authority, bus):
@@ -102,10 +102,10 @@ def field_64():
 class TestBallotSheet:
     def test_make_sheet_values_verify(self, field, key, sheet):
         assert len(sheet.ballots) == 3
-        assert len({b.value for b in sheet.ballots}) == 3
+        assert len(set(sheet.ballots)) == 3
         for ballot, signed in zip(sheet.ballots, sheet.signed_ballots):
-            assert in_subgroup(ballot)
-            assert verify_with_key(Signature(ballot, signed), key)
+            assert in_subgroup(ballot, field)
+            assert verify_with_key(Signature(ballot, signed, field), key)
 
     def test_make_sheet_deterministic(self, field, key):
         a = make_ballot_sheet(CANDIDATES, key, random.Random(7))
@@ -118,31 +118,20 @@ class TestBallotSheet:
             make_ballot_sheet(names, key, random.Random(0))
 
     def test_needs_two_candidates(self, field):
-        one = FieldElement(2, field)
         with pytest.raises(ParameterError):
-            BallotSheet(("solo",), (one,), (one,))
+            BallotSheet(("solo",), (2,), (2,), field)
 
     def test_rejects_duplicate_ballots(self, field):
-        b = FieldElement(2, field)
-        s = FieldElement(8, field)
         with pytest.raises(ParameterError):
-            BallotSheet(("a", "b"), (b, b), (s, s))
+            BallotSheet(("a", "b"), (2, 2), (8, 8), field)
 
     def test_rejects_nonresidue_ballot(self, field):
         with pytest.raises(DomainError):
-            BallotSheet(
-                ("a", "b"),
-                (FieldElement(2, field), FieldElement(5, field)),
-                (FieldElement(8, field), FieldElement(3, field)),
-            )
+            BallotSheet(("a", "b"), (2, 5), (8, 3), field)
 
     def test_rejects_length_mismatch(self, field):
         with pytest.raises(ParameterError):
-            BallotSheet(
-                ("a", "b"),
-                (FieldElement(2, field), FieldElement(3, field)),
-                (FieldElement(8, field),),
-            )
+            BallotSheet(("a", "b"), (2, 3), (8,), field)
 
     def test_signed_index_maps_back_to_labels(self, sheet):
         index = sheet.signed_index()
@@ -218,33 +207,41 @@ class TestRenderedLines:
     @staticmethod
     def malformed_id(field, key, sheet, mode):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet, mode=mode)
-        five = FieldElement(5, field)
         with pytest.raises(AuthenticationError):
-            booth.authenticate(Signature(five, five), bus)
+            booth.authenticate(Signature(5, 5, field), bus)
         return bus, 0
+
+    @classmethod
+    def wrapped_id(cls, field, key, sheet, mode):
+        # a registered credential with p added to its id: a + p has the
+        # powers of a, so only the range check tells them apart
+        bus, booth, servers, voter, cred = cls.registered(field, key, sheet, mode)
+        start = len(bus)
+        with pytest.raises(AuthenticationError):
+            booth.authenticate(Signature(cred.message + 23, cred.sig, field), bus)
+        return bus, start
 
     @staticmethod
     def degenerate_id(field, key, sheet, mode):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet, mode=mode)
-        one = FieldElement(1, field)
         with pytest.raises(AuthenticationError):
-            booth.authenticate(Signature(one, one), bus)
+            booth.authenticate(Signature(1, 1, field), bus)
         return bus, 0
 
     @classmethod
     def invalid_signature(cls, field, key, sheet, mode):
         bus, booth, servers, voter, cred = cls.registered(field, key, sheet, mode)
         start = len(bus)
-        wrong = FieldElement(cred.sig.value * 2 % 23, field)
+        wrong = cred.sig * 2 % 23
         with pytest.raises(AuthenticationError):
-            booth.authenticate(Signature(cred.message, wrong), bus)
+            booth.authenticate(Signature(cred.message, wrong, field), bus)
         return bus, start
 
     @classmethod
     def collision(cls, field, key, sheet, mode):
         bus, booth, servers, voter, cred = cls.registered(field, key, sheet, mode)
         start = len(bus)
-        booth.seen[cred.message.value] = cred.sig.value * 2 % 23
+        booth.seen[cred.message] = cred.sig * 2 % 23
         with pytest.raises(CollisionError):
             booth.authenticate(cred, bus)
         return bus, start
@@ -263,7 +260,7 @@ class TestRenderedLines:
         bus, booth, servers, voter, cred = cls.registered(field, key, sheet, mode)
         token = booth.authenticate(cred, bus)
         start = len(bus)
-        servers[0].store_share(cred.message.value, 1, 0, token, bus)
+        servers[0].store_share(cred.message, 1, 0, token, bus)
         return bus, start
 
     @classmethod
@@ -272,7 +269,7 @@ class TestRenderedLines:
         token = booth.authenticate(cred, bus)
         voter.cast(token, servers, 0, bus, deliver_count=1)
         start = len(bus)
-        servers[0].store_share(cred.message.value, 1, 5, token, bus)
+        servers[0].store_share(cred.message, 1, 5, token, bus)
         return bus, start
 
     EXPECTED = {
@@ -296,6 +293,14 @@ class TestRenderedLines:
         "malformed_id": [
             "000001 holder/5 -> booth auth-request anon_id=5 signature=5",
             "000002 booth -> holder/5 auth-reject reason=malformed-id",
+        ],
+        "wrapped_id/key-copy": [
+            "000007 holder/25 -> booth auth-request anon_id=25 signature=8",
+            "000008 booth -> holder/25 auth-reject reason=malformed-id",
+        ],
+        "wrapped_id/zk-relay": [
+            "000007 holder/25 -> booth auth-request anon_id=25 signature=8",
+            "000008 booth -> holder/25 auth-reject reason=malformed-id",
         ],
         "degenerate_id": [
             "000001 holder/1 -> booth auth-request anon_id=1 signature=1",
@@ -348,11 +353,11 @@ class TestRegistration:
     def test_credential_verifies_and_differs_from_blinded(self, field, key, sheet):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet)
         cred = voters[0].register(authority, bus)
-        assert in_subgroup(cred.message)
+        assert in_subgroup(cred.message, field)
         assert verify_with_key(cred, key)
         request = next(m for m in logged(bus) if m.kind == "register-request")
         blinded = request.fields["blinded"]
-        assert int(blinded) != cred.message.value
+        assert int(blinded) != cred.message
 
     def test_double_registration_rejected(self, field, key, sheet):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet)
@@ -388,7 +393,7 @@ class TestRegistration:
         bus, authority, booth, servers, voters = make_setup(field, key, sheet, n_voters=1)
         voter = Voter(voters[0].v_id, key.public_key(), random.Random(31))
         cred = voter.register(authority, bus)
-        assert cred.message.value == 16 * 16 % 23
+        assert cred.message == 16 * 16 % 23
         assert verify_with_key(cred, key)
 
     def test_tampered_signature_triggers_disavowal(self, field, key, sheet):
@@ -410,16 +415,14 @@ class TestRegistration:
         # subgroup) and one replaced by the non-residue 5; every voter fails
         # at the first bad one, the second on the sheet's cached verdicts
         # and tables, with the verdict and log the plain path gives
-        wrong = sheet.signed_ballots[1].value * 2 % 23
-        assert wrong not in {s.value for s in sheet.signed_ballots}
+        wrong = sheet.signed_ballots[1] * 2 % 23
+        assert wrong not in sheet.signed_ballots
         bad = {"wrong": wrong, "non-residue": 5}
         second_bad = "non-residue" if first_bad == "wrong" else "wrong"
-        signed = (sheet.signed_ballots[0].value, bad[first_bad], bad[second_bad])
+        signed = (sheet.signed_ballots[0], bad[first_bad], bad[second_bad])
 
         def register_two():
-            bad_sheet = BallotSheet(
-                sheet.candidates, sheet.ballots, tuple(field.element(s) for s in signed)
-            )
+            bad_sheet = BallotSheet(sheet.candidates, sheet.ballots, signed, field)
             bus, authority, booth, servers, voters = make_setup(
                 field, key, bad_sheet, mode=mode, n_voters=2
             )
@@ -436,7 +439,9 @@ class TestRegistration:
         monkeypatch.setattr(
             BallotSheet,
             "signatures",
-            property(lambda s: tuple(map(Signature, s.ballots, s.signed_ballots))),
+            property(
+                lambda s: tuple(Signature(m, sig, s.params) for m, sig in zip(s.ballots, s.signed_ballots))
+            ),
         )
         assert register_two() == (verdicts, log)
 
@@ -460,22 +465,21 @@ class TestBooth:
         bus, authority, booth, servers, voters = make_setup(field, key, sheet)
         cred = voters[0].register(authority, bus)
         token = booth.authenticate(cred, bus)
-        assert booth.token_valid(token.token, cred.message.value)
-        assert not booth.token_valid(token.token, cred.message.value + 1)
+        assert booth.token_valid(token.token, cred.message)
+        assert not booth.token_valid(token.token, cred.message + 1)
         assert len(token.token) == 32
 
     def test_bad_signature_rejected(self, field, key, sheet):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet)
         cred = voters[0].register(authority, bus)
-        wrong = FieldElement(cred.sig.value * 2 % 23, field)
+        wrong = cred.sig * 2 % 23
         with pytest.raises(AuthenticationError):
-            booth.authenticate(Signature(cred.message, wrong), bus)
+            booth.authenticate(Signature(cred.message, wrong, field), bus)
 
     def test_zero_id_rejected(self, field, key, sheet):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet)
-        zero = FieldElement(0, field)
         with pytest.raises(AuthenticationError):
-            booth.authenticate(Signature(zero, zero), bus)
+            booth.authenticate(Signature(0, 0, field), bus)
 
     def test_reauthentication_kills_previous_token(self, field, key, sheet):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet)
@@ -483,8 +487,8 @@ class TestBooth:
         first = booth.authenticate(cred, bus)
         second = booth.authenticate(cred, bus)
         assert first.token != second.token
-        assert not booth.token_valid(first.token, cred.message.value)
-        assert booth.token_valid(second.token, cred.message.value)
+        assert not booth.token_valid(first.token, cred.message)
+        assert booth.token_valid(second.token, cred.message)
         assert second.issued_at > first.issued_at
 
     def test_same_id_different_signature_is_collision(self, field, key, sheet):
@@ -492,7 +496,7 @@ class TestBooth:
         cred = voters[0].register(authority, bus)
         # a correct key admits one signature per id, so the conflicting
         # binding has to be planted directly
-        booth.seen[cred.message.value] = (cred.sig.value * 2) % 23
+        booth.seen[cred.message] = (cred.sig * 2) % 23
         with pytest.raises(CollisionError):
             booth.authenticate(cred, bus)
 
@@ -501,7 +505,7 @@ class TestBooth:
         cred = voters[0].register(authority, bus)
         token = booth.authenticate(cred, bus)
         booth.close(bus)
-        assert not booth.token_valid(token.token, cred.message.value)
+        assert not booth.token_valid(token.token, cred.message)
         with pytest.raises(AuthenticationError):
             booth.authenticate(cred, bus)
 
@@ -514,7 +518,7 @@ class TestBooth:
         bus, authority, booth, servers, voters = make_setup(field, key, sheet, mode=ZK_RELAY)
         cred = voters[0].register(authority, bus)
         token = booth.authenticate(cred, bus)
-        assert booth.token_valid(token.token, cred.message.value)
+        assert booth.token_valid(token.token, cred.message)
         assert booth.key is None
         relayed = [m for m in logged(bus) if m.kind == "auth-zk"]
         assert len(relayed) == 1
@@ -533,13 +537,13 @@ class TestBooth:
         counts = {"mod_exp": 0, "tables": 0}
         mod_exp, build = blindsig.mod_exp, modmath.FixedBase.__init__
 
-        def counted_mod_exp(base, exponent):
+        def counted_mod_exp(base, exponent, params):
             counts["mod_exp"] += 1
-            return mod_exp(base, exponent)
+            return mod_exp(base, exponent, params)
 
-        def counted_build(table, base):
+        def counted_build(table, base, params):
             counts["tables"] += 1
-            build(table, base)
+            build(table, base, params)
 
         monkeypatch.setattr(blindsig, "mod_exp", counted_mod_exp)
         monkeypatch.setattr(modmath.FixedBase, "__init__", counted_build)
@@ -566,7 +570,7 @@ class TestBooth:
         bus, authority, booth, servers, voters = make_setup(params, key, sheet, mode=mode)
         cred = voters[0].register(authority, bus)
         if present == "wire-copy":
-            cred = Signature(cred.message, cred.sig)
+            cred = Signature(cred.message, cred.sig, params)
         counts = count_calls(monkeypatch, "in_subgroup")
         booth.authenticate(cred, bus)
         assert counts == {"in_subgroup": tests}
@@ -574,28 +578,37 @@ class TestBooth:
     @pytest.mark.parametrize("mode", BOOTH_MODES)
     def test_non_residue_id_is_malformed(self, field, key, sheet, mode):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet, mode=mode)
-        five = FieldElement(5, field)
         with pytest.raises(AuthenticationError):
-            booth.authenticate(Signature(five, five), bus)
+            booth.authenticate(Signature(5, 5, field), bus)
         assert [(m.kind, m.fields) for m in logged(bus, 1)] == [
             ("auth-reject", {"reason": "malformed-id"})
         ]
+        # a + p and a - p have the powers of a registered id a, so without
+        # the range check they would pass as a second identity
+        cred = voters[0].register(authority, bus)
+        for anon_id in (cred.message + 23, cred.message - 23):
+            start = len(bus)
+            with pytest.raises(AuthenticationError):
+                booth.authenticate(Signature(anon_id, cred.sig, field), bus)
+            assert [(m.kind, m.fields) for m in logged(bus, start + 1)] == [
+                ("auth-reject", {"reason": "malformed-id"})
+            ]
+        assert booth.live == {} and booth.seen == {}
 
     def test_zk_relay_rejects_forged_signature(self, field, key, sheet):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet, mode=ZK_RELAY)
         cred = voters[0].register(authority, bus)
-        wrong = FieldElement(cred.sig.value * 2 % 23, field)
+        wrong = cred.sig * 2 % 23
         with pytest.raises(AuthenticationError):
-            booth.authenticate(Signature(cred.message, wrong), bus)
+            booth.authenticate(Signature(cred.message, wrong, field), bus)
 
     @pytest.mark.parametrize("mode", [KEY_COPY, ZK_RELAY])
     def test_degenerate_id_rejected_before_any_registration(self, field, key, sheet, mode):
         # 1**x = 1 under every key, so (anon_id=1, sig=1) verifies in both
         # modes without anyone registering; the booth must refuse it
         bus, authority, booth, servers, voters = make_setup(field, key, sheet, mode=mode)
-        one = FieldElement(1, field)
         with pytest.raises(AuthenticationError):
-            booth.authenticate(Signature(one, one), bus)
+            booth.authenticate(Signature(1, 1, field), bus)
         assert [(m.kind, m.fields) for m in logged(bus, 1)] == [
             ("auth-reject", {"reason": "degenerate-id"})
         ]
@@ -613,13 +626,13 @@ class TestCasting:
         token = booth.authenticate(creds[0], bus)
         ack = voters[0].cast(token, servers, 0, bus)
         assert ack.version == 1
-        assert [d.accepted for d in ack.deliveries] == [True, True, True]
+        assert ack.accepted == (True, True, True)
         product = 1
         for share in ack.shares:
             product = product * share % 23
-        assert product == sheet.signed_ballots[0].value
+        assert product == sheet.signed_ballots[0]
         for server in servers:
-            record = server.store[creds[0].message.value]
+            record = server.store[creds[0].message]
             assert record.version == 1
 
     def test_recast_overwrites(self, field, key, sheet):
@@ -629,7 +642,7 @@ class TestCasting:
         token2 = booth.authenticate(creds[0], bus)
         ack = voters[0].cast(token2, servers, 2, bus)
         assert ack.version == 2
-        assert [d.accepted for d in ack.deliveries] == [True, True, True]
+        assert ack.accepted == (True, True, True)
         result = tally(servers, sheet, partial(verify_with_key, key=key), bus)
         assert result.counts == {"alpha": 0, "beta": 0, "gamma": 1}
         assert result.distinct_ids == 1
@@ -639,7 +652,7 @@ class TestCasting:
         token = booth.authenticate(creds[0], bus)
         voters[0].cast(token, servers, 0, bus)
         voters[0].cast(token, servers, 1, bus)
-        anon_id = creds[0].message.value
+        anon_id = creds[0].message
         accepted, reason = servers[0].store_share(anon_id, 1, 5, token, bus)
         assert not accepted and reason == "stale-version"
         accepted, reason = servers[0].store_share(anon_id, 2, 5, token, bus)
@@ -650,9 +663,11 @@ class TestCasting:
         token = booth.authenticate(creds[0], bus)
         voters[0].cast(token, servers, 0, bus)
         booth.authenticate(creds[0], bus)
+        start = len(bus)
         ack = voters[0].cast(token, servers, 1, bus)
-        assert [d.accepted for d in ack.deliveries] == [False, False, False]
-        assert all(d.reason == "unknown-token" for d in ack.deliveries)
+        assert ack.accepted == (False, False, False)
+        rejects = [m.fields["reason"] for m in logged(bus, start) if m.kind == "cast-reject"]
+        assert rejects == ["unknown-token"] * 3
         result = tally(servers, sheet, partial(verify_with_key, key=key), bus)
         assert result.counts["alpha"] == 1
 
@@ -660,7 +675,7 @@ class TestCasting:
         bus, authority, booth, servers, voters, creds = self.setup_voted(field, key, sheet)
         token = booth.authenticate(creds[0], bus)
         ack = voters[0].cast(token, servers, 0, bus, deliver_count=2)
-        assert [d.accepted for d in ack.deliveries] == [True, True]
+        assert ack.accepted == (True, True)
         result = tally(servers, sheet, partial(verify_with_key, key=key), bus)
         assert result.counts == {"alpha": 0, "beta": 0, "gamma": 0}
         assert result.inconsistent == 1
@@ -678,7 +693,7 @@ class TestCasting:
     def test_zero_share_rejected(self, field, key, sheet):
         bus, authority, booth, servers, voters, creds = self.setup_voted(field, key, sheet)
         token = booth.authenticate(creds[0], bus)
-        accepted, reason = servers[0].store_share(creds[0].message.value, 1, 0, token, bus)
+        accepted, reason = servers[0].store_share(creds[0].message, 1, 0, token, bus)
         assert not accepted and reason == "zero-share"
 
     @pytest.mark.parametrize("mode", BOOTH_MODES)
@@ -689,7 +704,7 @@ class TestCasting:
             field, key, sheet, mode=mode
         )
         token = booth.authenticate(creds[0], bus)
-        accepted, reason = servers[0].store_share(creds[0].message.value, 1, share, token, bus)
+        accepted, reason = servers[0].store_share(creds[0].message, 1, share, token, bus)
         assert (accepted, reason) == (False, "share-out-of-range")
         assert servers[0].store == {}
         assert logged(bus, len(bus) - 1)[0].fields["reason"] == "share-out-of-range"
@@ -728,7 +743,7 @@ class TestTally:
 
     def test_unmatched_product_counts_invalid(self, field, key, sheet):
         bus, booth, servers, creds = self.run_votes(field, key, sheet, [0])
-        signed_values = {s.value for s in sheet.signed_ballots}
+        signed_values = set(sheet.signed_ballots)
         target = next(
             v for v in (1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18) if v not in signed_values
         )
@@ -759,7 +774,8 @@ class TestTally:
         forged = BallotSheet(
             sheet.candidates,
             sheet.ballots,
-            tuple(FieldElement(s.value * 2 % 23, field) for s in sheet.signed_ballots),
+            tuple(s * 2 % 23 for s in sheet.signed_ballots),
+            field,
         )
         with pytest.raises(DomainError):
             tally(servers, forged, partial(verify_with_key, key=key), bus)
