@@ -6,7 +6,8 @@ value from the signer by multiplying in g**b first; the signer only ever
 sees uniformly distributed subgroup elements.  Because verification by
 exponent comparison needs x itself, third parties check signatures through
 a challenge/response confirmation round instead, with a two-round disavowal
-variant that separates real forgeries from a signer falsely denying.
+variant that separates real forgeries from a signer falsely denying, and a
+batched round that confirms a whole set of signatures at once.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from random import Random
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .errors import DomainError, FieldMismatchError, ParameterError, ProtocolAbortError
 from .modmath import FieldParams, FixedBase, in_subgroup, mod_exp, mod_inv
@@ -140,9 +141,14 @@ def _same_field(sig: Signature, params: FieldParams) -> None:
 
 def blind(message: int, factor: BlindingFactor, signer_key: PublicKey) -> int:
     """message * g**b; over uniform b this is uniform on the subgroup."""
-    params = signer_key.params
-    if not in_subgroup(message, params):
+    if not in_subgroup(message, signer_key.params):
         raise DomainError("only subgroup members can be blinded")
+    return _blind_member(message, factor, signer_key)
+
+
+def _blind_member(message: int, factor: BlindingFactor, signer_key: PublicKey) -> int:
+    """``blind`` for a message that is a subgroup member by construction."""
+    params = signer_key.params
     return message * params.g_table.power(factor.exponent) % params.p
 
 
@@ -179,11 +185,14 @@ def honest_responder(key: SigningKey) -> Responder:
 
 @dataclass(frozen=True)
 class ConfirmationTranscript:
+    """One round as its verifier saw it; a single signature has weight 1."""
+
     e1: int
     e2: int
     challenge: int
     response: int
     accepted: bool
+    weights: tuple[int, ...]
 
 
 def confirm(
@@ -201,30 +210,65 @@ def confirm(
     c = message**e1 * g**e2 and accepts iff the signer's response c**x
     equals sig**e1 * y**e2 -- which holds for every challenge exactly when
     sig really is message**x.  Claims outside the subgroup are never
-    accepted.
+    accepted.  This is ``confirm_batch`` on the one signature with weight 1.
 
     Explicit e1/e2 pin the challenge for exhaustive soundness sweeps; live
     runs draw them uniformly from [1, q-1].
     """
-    params = sig.params
-    _same_field(sig, signer_key.params)
-    if not sig.message_in_subgroup:
-        raise DomainError("confirmation needs a subgroup message")
+    return confirm_batch((sig,), signer_key, responder, rng, weights=(1,), e1=e1, e2=e2)
+
+
+def confirm_batch(
+    sigs: Sequence[Signature],
+    signer_key: PublicKey,
+    responder: Responder,
+    rng: Random | None = None,
+    *,
+    weights: Sequence[int] | None = None,
+    e1: int | None = None,
+    e2: int | None = None,
+) -> ConfirmationTranscript:
+    """One confirmation round for a whole set of claimed signatures.
+
+    ``confirm`` on (prod m_i**r_i, prod s_i**r_i) for secret weights r_i in
+    [1, q-1] (Bellare, Garay and Rabin, EUROCRYPT '98), accepted only if
+    every sig lies in the subgroup.  No weight cancels one bad signature in
+    the prime-order subgroup, so it passes with probability at most 1/q;
+    two cancel for 1/(q-1) of the weights.  Each power m_i**(r_i*e1 mod q)
+    and s_i**(r_i*e1 mod q) is the signature's own ``message_power`` or
+    ``sig_power``, a table lookup for a ``PublishedSignature``.  Live runs
+    draw the weights, then e1 and e2, from ``rng``.
+    """
+    params = signer_key.params
+    q, p = params.q, params.p
+    for sig in sigs:
+        _same_field(sig, params)
+        if not sig.message_in_subgroup:
+            raise DomainError("confirmation needs a subgroup message")
+    if weights is None:
+        weights = [rng.randrange(1, q) for _ in sigs]
+    if len(weights) != len(sigs) or not all(1 <= r < q for r in weights):
+        raise ParameterError("batch weights must lie in [1, q-1], one per signature")
     if e1 is None:
-        e1 = rng.randrange(1, params.q)
+        e1 = rng.randrange(1, q)
     if e2 is None:
-        e2 = rng.randrange(1, params.q)
-    if not (0 <= e1 < params.q and 0 <= e2 < params.q):
+        e2 = rng.randrange(1, q)
+    if not (0 <= e1 < q and 0 <= e2 < q):
         raise ParameterError("challenge exponents must lie in [0, q)")
-    p = params.p
-    challenge = sig.message_power(e1) * params.g_table.power(e2) % p
+    exponents = [r * e1 % q for r in weights]
+    challenge = params.g_table.power(e2)
+    for sig, t in zip(sigs, exponents):
+        challenge = challenge * sig.message_power(t) % p
     response = responder(challenge)
     if response is None:
         raise ProtocolAbortError("signer refused the confirmation challenge")
-    accepted = sig.sig_in_subgroup and (
-        response == sig.sig_power(e1) * signer_key.table.power(e2) % p
-    )
-    return ConfirmationTranscript(e1, e2, challenge, response, accepted)
+    accepted = all(sig.sig_in_subgroup for sig in sigs)
+    if accepted:
+        expected = signer_key.table.power(e2)
+        for sig, t in zip(sigs, exponents):
+            expected = expected * sig.sig_power(t) % p
+        accepted = response == expected
+    return ConfirmationTranscript(e1, e2, challenge, response, accepted, tuple(weights))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .adversary import (
     attack_targeted,
     check_enumerable,
 )
-from .blindsig import confirm, random_signing_key, verify_with_key
+from .blindsig import confirm_batch, random_signing_key, verify_with_key
 from .errors import ConfigError, VotingError
 from .modmath import FieldParams, generate_params, params_to_text
 from .protocol import (
@@ -53,7 +53,7 @@ from .protocol import (
 )
 
 SNAPSHOT_KIND = "splitvote-snapshot"
-SNAPSHOT_FORMAT = 3
+SNAPSHOT_FORMAT = 4
 
 
 def stream(seed: int, label: str) -> Random:
@@ -468,10 +468,10 @@ class ElectionRun:
         self.booth.close(self.bus)
         responder, rng = self.authority.responder, stream(self.config.seed, "tally")
 
-        def verify(signature):
+        def verify(signatures):
             if self.config.booth_mode == KEY_COPY:
-                return verify_with_key(signature, self.key)
-            return confirm(signature, self.key.public_key(), responder, rng).accepted
+                return all(verify_with_key(signature, self.key) for signature in signatures)
+            return confirm_batch(signatures, self.key.public_key(), responder, rng).accepted
 
         self.result = tally(self.servers, self.sheet, verify, self.bus)
         self.predicted = self.ledger.predict(self.sheet)

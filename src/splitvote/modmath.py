@@ -109,6 +109,13 @@ class FieldParams:
         if not 1 < self.g < self.p or _jacobi(self.g, self.p) != 1:
             raise ParameterError(f"g = {self.g} does not generate the order-q subgroup")
 
+    @classmethod
+    def _proved(cls, p: int, q: int, g: int) -> FieldParams:
+        """A field its caller has just checked in full: no check runs again."""
+        params = object.__new__(cls)
+        params.__dict__.update(p=p, q=q, g=g)
+        return params
+
     @cached_property
     def g_table(self) -> FixedBase:
         """Fixed-base table for powers of g, built on first use."""
@@ -224,7 +231,8 @@ def generate_params(bit_length: int, rng: Random) -> FieldParams:
     a composite that fails base-2 Fermat also fails Miller-Rabin with
     witness 2, and the proof agrees with Miller-Rabin on every p once q is
     prime.  The sequence of draws, and so the (p, q, g) of every seed, is
-    that of testing both q and p with 64 rounds.
+    that of testing both q and p with 64 rounds.  g is a square other than
+    1, so the field passes every check of ``FieldParams`` without a rerun.
     """
     if bit_length < 5:
         raise ParameterError("bit_length must be at least 5 (p >= 23)")
@@ -243,7 +251,7 @@ def generate_params(bit_length: int, rng: Random) -> FieldParams:
             g = u * u % p
             if g != 1:
                 break
-        return FieldParams(p=p, q=q, g=g)
+        return FieldParams._proved(p, q, g)
 
 
 def params_to_text(params: FieldParams) -> str:

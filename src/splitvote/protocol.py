@@ -27,8 +27,9 @@ from .blindsig import (
     Responder,
     Signature,
     SigningKey,
-    blind,
+    _blind_member,
     confirm,
+    confirm_batch,
     disavow,
     honest_responder,
     random_blinding_factor,
@@ -104,8 +105,8 @@ class BallotSheet:
     """Public ballot values, one per candidate, plus their signatures.
 
     ``signatures`` pairs them up once per sheet, so the subgroup verdicts
-    and fixed-base tables of its elements serve every voter's confirmation
-    rounds and the tally's.
+    and fixed-base tables of its elements serve every voter's batched
+    confirmation round and the tally's.
     """
 
     candidates: tuple[str, ...]
@@ -210,7 +211,8 @@ class RegistrationAuthority:
     def register(self, v_id: str, blinded: int, bus: MessageBus):
         """Sign a blinded anonymous id for an eligible, fresh registrant.
 
-        The authority never sees the id itself, only message * g**b.
+        The authority never sees the id itself, only message * g**b.  A
+        value ``sign`` refuses leaves the registrant unregistered.
         """
         if v_id not in self.roster:
             bus.post(self.name, f"voter/{v_id}", "register-reject", "reason=ineligible")
@@ -218,8 +220,12 @@ class RegistrationAuthority:
         if v_id in self.registered:
             bus.post(self.name, f"voter/{v_id}", "register-reject", "reason=already-registered")
             raise AlreadyRegisteredError(f"{v_id} already registered")
+        try:
+            signed_blinded = sign(blinded, self.key).sig
+        except DomainError:
+            bus.post(self.name, f"voter/{v_id}", "register-reject", "reason=malformed-blinded")
+            raise
         self.registered.add(v_id)
-        signed_blinded = sign(blinded, self.key).sig
         bus.post(
             self.name,
             f"voter/{v_id}",
@@ -247,14 +253,18 @@ class Voter:
 
     def register(self, authority: RegistrationAuthority, bus: MessageBus) -> Signature:
         """Blind a fresh anonymous id, have it signed, unblind, and confirm
-        every signature received before trusting it.  Id 1 is redrawn: the
-        booth refuses it, since it is its own signature under every key."""
+        the credential in a round of its own and the ballot sheet in one
+        batched round; a refused batch falls back to a round per ballot,
+        which disavows the first bad one.  Id 1 is redrawn: the booth
+        refuses it, since it is its own signature under every key.  The id
+        is a square, so blinding skips its subgroup test; the credential's
+        confirmation makes it, and the booth reuses that verdict."""
         params = self.authority_key.params
         anon_id = sample_subgroup_element(params, self.rng)
         while anon_id == 1:
             anon_id = sample_subgroup_element(params, self.rng)
         factor = random_blinding_factor(params, self.rng)
-        blinded = blind(anon_id, factor, self.authority_key)
+        blinded = _blind_member(anon_id, factor, self.authority_key)
         bus.post(
             self.reg_name,
             authority.name,
@@ -264,10 +274,14 @@ class Voter:
         signed_blinded, sheet = authority.register(self.v_id, blinded, bus)
         credential = Signature(anon_id, unblind(signed_blinded, factor, self.authority_key), params)
         self._confirm_or_disavow(credential, "confirm-credential", authority, bus)
-        for label, signature in zip(sheet.candidates, sheet.signatures):
-            self._confirm_or_disavow(
-                signature, "confirm-ballot", authority, bus, lead=f"candidate={label} "
-            )
+        batch = confirm_batch(sheet.signatures, self.authority_key, authority.responder, self.rng)
+        body = f"weights={','.join(map(str, batch.weights))} {_transcript_body(batch)}"
+        bus.post(self.reg_name, authority.name, "confirm-batch", body)
+        if not batch.accepted:
+            for label, signature in zip(sheet.candidates, sheet.signatures):
+                self._confirm_or_disavow(
+                    signature, "confirm-ballot", authority, bus, lead=f"candidate={label} "
+                )
         self.credential = credential
         self.sheet = sheet
         return self.credential
@@ -451,20 +465,19 @@ class VoteServer:
 def tally(
     servers: Sequence[VoteServer],
     sheet: BallotSheet,
-    verify: Callable[[Signature], bool],
+    verify: Callable[[Sequence[Signature]], bool],
     bus: MessageBus,
 ) -> TallyResult:
-    """Check the sheet's signatures with ``verify``, pool every server's
-    stored shares, reconstruct per anonymous id, and match products against
-    the signed ballot sheet.
+    """Check the sheet's signatures with one call of ``verify``, pool
+    every server's stored shares, reconstruct per anonymous id, and match
+    products against the signed ballot sheet.
 
     An id missing a share on any server, or stored under mixed versions,
     counts as inconsistent; a unanimous product matching no signed ballot
     counts as invalid.
     """
-    for signature in sheet.signatures:
-        if not verify(signature):
-            raise DomainError("ballot sheet signature failed verification")
+    if not verify(sheet.signatures):
+        raise DomainError("ballot sheet signature failed verification")
     for server in servers:
         bus.post(TALLY, server.name, "collect")
         bus.post(server.name, TALLY, "records", f"count={len(server.store)}")

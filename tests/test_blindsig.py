@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +12,7 @@ from splitvote.blindsig import (
     SigningKey,
     blind,
     confirm,
+    confirm_batch,
     disavow,
     honest_responder,
     random_blinding_factor,
@@ -18,8 +21,8 @@ from splitvote.blindsig import (
     unblind,
     verify_with_key,
 )
-from splitvote.errors import DomainError, ParameterError, ProtocolAbortError
-from splitvote.modmath import FIXTURE_FIELD, in_subgroup, mod_exp
+from splitvote.errors import DomainError, FieldMismatchError, ParameterError, ProtocolAbortError
+from splitvote.modmath import FIXTURE_FIELD, generate_params, in_subgroup, mod_exp
 from splitvote.protocol import MessageBus, RegistrationAuthority, Voter, make_ballot_sheet
 
 SUBGROUP_23 = [1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18]
@@ -293,3 +296,107 @@ def test_subgroup_verdicts_are_computed_once_per_signature(field, monkeypatch):
     assert claim.message_in_subgroup and claim.message_in_subgroup
     assert claim.sig_in_subgroup and claim.sig_in_subgroup
     assert calls == [4, 17]
+
+
+def test_confirm_batch_worked_example(field, key, pub):
+    # 4**3 = 18 and 9**3 = 16; weights 2 and 5 with e1 = 3 give the powers
+    # 6 and 15 = 4 (mod 11)
+    sigs = (sign(4, key), sign(9, key))
+    transcript = confirm_batch(sigs, pub, honest_responder(key), weights=(2, 5), e1=3, e2=7)
+    assert transcript.weights == (2, 5)
+    assert transcript.challenge == 2**7 * 4**6 * 9**4 % 23
+    assert transcript.response == transcript.challenge**3 % 23
+    assert transcript.response == 8**7 * 18**6 * 16**4 % 23
+    assert transcript.accepted
+
+
+def _batch_acceptances(sigs, pub, responder):
+    """Accepted rounds over every weight vector in [1, q-1]^m and every
+    challenge pair in [0, q)^2, and the number of rounds."""
+    accepted = rounds = 0
+    for weights in itertools.product(range(1, 11), repeat=len(sigs)):
+        for e1 in range(11):
+            for e2 in range(11):
+                rounds += 1
+                accepted += confirm_batch(
+                    sigs, pub, responder, weights=weights, e1=e1, e2=e2
+                ).accepted
+    return Fraction(accepted, rounds)
+
+
+def test_confirm_batch_soundness_exhaustive(field, key, pub):
+    # the count of criterion 7 for the batched round: 4**3 = 18, 9**3 = 16
+    # and 12**3 = 3, so 13 and 6 are forgeries inside the subgroup and 5
+    # one outside it
+    responder = honest_responder(key)
+    q = Fraction(11)
+    genuine = (sign(4, key), sign(9, key))
+    assert _batch_acceptances(genuine, pub, responder) == 1
+    one_bad = (sign(4, key), Signature(9, 13, field), sign(12, key))
+    assert 0 < _batch_acceptances(one_bad, pub, responder) <= 1 / q
+    non_residue = (sign(4, key), Signature(9, 5, field))
+    assert _batch_acceptances(non_residue, pub, responder) <= 1 / q
+    # two bad signatures cancel for one r_1 per r_2, so 1/(q-1) of the
+    # weight vectors accept every challenge
+    two_bad = (Signature(4, 13, field), Signature(9, 6, field))
+    assert 0 < _batch_acceptances(two_bad, pub, responder) <= 1 / (q - 1) + 1 / q
+
+
+def test_confirm_batch_is_confirm_on_the_weighted_products(field, key, pub):
+    # one round of confirm on (prod m_i**r_i, prod s_i**r_i) with the same
+    # challenge pair: the same challenge, response and verdict
+    responder = honest_responder(key)
+    rng = random.Random(4)
+    for _ in range(200):
+        sigs = [Signature(m, rng.choice(SUBGROUP_23), field) for m in rng.sample(SUBGROUP_23, 3)]
+        weights = [rng.randrange(1, 11) for _ in sigs]
+        e1, e2 = rng.randrange(11), rng.randrange(11)
+        product = Signature(1, 1, field)
+        for sig, r in zip(sigs, weights):
+            product = Signature(
+                product.message * sig.message**r % 23, product.sig * sig.sig**r % 23, field
+            )
+        single = confirm(product, pub, responder, e1=e1, e2=e2)
+        batch = confirm_batch(sigs, pub, responder, weights=weights, e1=e1, e2=e2)
+        assert (batch.challenge, batch.response, batch.accepted) == (
+            single.challenge, single.response, single.accepted
+        )
+
+
+def test_published_signatures_batch_like_plain_ones(field, key, pub):
+    responder = honest_responder(key)
+    rng = random.Random(6)
+    for _ in range(200):
+        pairs = [(m, rng.randrange(1, 23)) for m in rng.sample(SUBGROUP_23, 2)]
+        weights = [rng.randrange(1, 11) for _ in pairs]
+        e1, e2 = rng.randrange(11), rng.randrange(11)
+        plain = [Signature(m, s, field) for m, s in pairs]
+        published = [PublishedSignature(m, s, field) for m, s in pairs]
+        assert confirm_batch(
+            published, pub, responder, weights=weights, e1=e1, e2=e2
+        ) == confirm_batch(plain, pub, responder, weights=weights, e1=e1, e2=e2)
+
+
+def test_confirm_batch_draws_weights_then_the_challenge_pair(field, key, pub):
+    sigs = (sign(4, key), sign(9, key), sign(12, key))
+    transcript = confirm_batch(sigs, pub, honest_responder(key), random.Random(3))
+    rng = random.Random(3)
+    drawn = [rng.randrange(1, 11) for _ in range(5)]
+    assert (*transcript.weights, transcript.e1, transcript.e2) == tuple(drawn)
+
+
+def test_confirm_batch_argument_checks(field, key, pub):
+    responder = honest_responder(key)
+    sigs = (sign(4, key), sign(9, key))
+    for weights in ((1,), (1, 2, 3), (0, 1), (1, 11), (-1, 2)):
+        with pytest.raises(ParameterError):
+            confirm_batch(sigs, pub, responder, weights=weights, e1=1, e2=1)
+    with pytest.raises(ParameterError):
+        confirm_batch(sigs, pub, responder, weights=(1, 1), e1=11, e2=1)
+    with pytest.raises(DomainError):
+        confirm_batch((sign(4, key), Signature(5, 10, field)), pub, responder, random.Random(0))
+    with pytest.raises(ProtocolAbortError):
+        confirm_batch(sigs, pub, lambda challenge: None, random.Random(0))
+    other = generate_params(8, random.Random(1))
+    with pytest.raises(FieldMismatchError):
+        confirm_batch((Signature(4, 18, other),), pub, responder, random.Random(0))

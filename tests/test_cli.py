@@ -135,6 +135,15 @@ class TestRun:
         assert main(["run", "--config", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_config_field_with_composite_q_exits_2(self, tmp_path, capsys):
+        # 3215031751 = 151 * 751 * 28351 is a strong pseudoprime to the
+        # bases 2, 3, 5 and 7, so only the full 64 rounds refuse it
+        path = tmp_path / "bad.cfg"
+        field = "p = 6430063503\nq = 3215031751\ng = 4\n"
+        path.write_text(field + ELECTION_CFG.split("g = 2\n", 1)[1], encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 2
+        assert "q = 3215031751 is not prime" in _one_error_line(capsys)
+
     def test_missing_config_exits_4(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 4
         assert "error:" in capsys.readouterr().err
@@ -285,6 +294,7 @@ class TestHostileSnapshots:
             ("sha256", 0, "sha256 must be a hex digest"),
             ("format", 1, "format 1 is not supported"),
             ("format", 2, "format 2 is not supported"),
+            ("format", 3, "format 3 is not supported"),
             ("cursor", 10_000, "beyond the schedule"),
             ("sha256", "0" * 64, "digest mismatch"),
             # format 2 kept these; the seed now lives in the config alone
@@ -297,6 +307,25 @@ class TestHostileSnapshots:
         state[key] = value
         snap.write_text(json.dumps(state), encoding="utf-8")
         assert complaint in _resume_fails_with_one_line(snap, capsys)
+
+    # written by format-3 code for the README's demo election at cast 6,
+    # before registration confirmed the ballot sheet in one batched round
+    FORMAT_3_SNAPSHOT = (
+        '{"config":["p = 23","q = 11","g = 2","voters = 12","servers = 3",'
+        '"candidates = alpha,beta","recast_fraction = 0.25","incomplete_fraction = 0.0",'
+        '"booth = key-copy","seed = 9"],"cursor":6,"format":3,"kind":"splitvote-snapshot",'
+        '"sha256":"be191f11a14426214f8bdea135004f8a99ced9b7a0854f15157c3cc7ee86695e"}'
+    )
+
+    def test_format_3_snapshot_is_refused_by_its_format(self, tmp_path, capsys):
+        snap = tmp_path / "state.json"
+        snap.write_text(self.FORMAT_3_SNAPSHOT, encoding="utf-8")
+        err = _resume_fails_with_one_line(snap, capsys)
+        assert "format 3 is not supported" in err and "rerun with --snapshot-at" in err
+        # replaying its config today cannot reach the digest it recorded
+        relabelled = json.loads(self.FORMAT_3_SNAPSHOT) | {"format": harness.SNAPSHOT_FORMAT}
+        snap.write_text(json.dumps(relabelled), encoding="utf-8")
+        assert "digest mismatch" in _resume_fails_with_one_line(snap, capsys)
 
     def test_missing_and_unknown_keys(self, election_cfg, tmp_path, capsys):
         snap, state = _snapshot_at_9(election_cfg, tmp_path, capsys)

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitvote import protocol
-from splitvote.errors import ConfigError, RegimeError, VotingError
+from splitvote import blindsig, modmath, protocol
+from splitvote.errors import ConfigError, ParameterError, RegimeError, VotingError
 from splitvote.harness import (
     AttackConfig,
     ElectionConfig,
@@ -263,20 +263,52 @@ class TestElectionRun:
         assert first.render_records() == second.render_records()
         assert run.bus.kind_counts()["auth-zk"] >= 8
 
-    @pytest.mark.parametrize(
-        "booth, digest",
-        [
-            ("zk-relay", "d2ba746bf2fc7b926303ad28aee3d8d9b54eb52bd412d0dc70b412d5410e85af"),
-            ("key-copy", "364e41504612111cd4f3acc4906079f43acb8a2debc991c699a423cdd9998654"),
-        ],
-    )
-    def test_generated_field_run_is_pinned_byte_for_byte(self, booth, digest):
-        # digests of the records and event log as computed with plain pow
-        # for every exponentiation; faster arithmetic must reproduce them
+    PINNED_DIGESTS = [
+        ("zk-relay", "a3cf7a374b6fd8556aeacddb83ca29027fee9042d2469a47152e797a2d843140"),
+        ("key-copy", "e09d6d1fb1cc3e7c80bbaab98e9cb08e4e3919ccccf8e5d209104208fa858bcb"),
+    ]
+
+    @staticmethod
+    def pinned_run_digest(booth):
         config = ElectionConfig(None, 64, 40, 3, ("a", "b", "c", "d"), 0.3, 0.1, booth, 3)
         run, report = run_election(config)
         text = report.render_records() + "\n".join(run.bus.render_log())
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    @pytest.mark.parametrize("booth, digest", PINNED_DIGESTS)
+    def test_generated_field_run_is_pinned_byte_for_byte(self, booth, digest):
+        # digests of the records and event log as computed with plain pow
+        # for every exponentiation; faster arithmetic must reproduce them
+        assert self.pinned_run_digest(booth) == digest
+
+    @pytest.mark.parametrize("booth, digest", PINNED_DIGESTS)
+    def test_pinned_digests_are_those_of_plain_pow(self, booth, digest, monkeypatch):
+        # the oracle the digests were computed with: plain Signatures on
+        # the sheet, pow for every table power and pow for every subgroup
+        # test, so no table, cached verdict or Jacobi symbol is involved
+        def plain_subgroup_test(a, params):
+            return 0 < a < params.p and pow(a, params.q, params.p) == 1
+
+        def plain_table(self, base, params):
+            if not plain_subgroup_test(base, params):
+                raise ParameterError("a fixed-base table needs a subgroup element")
+            self.base, self.params = base, params
+
+        monkeypatch.setattr(modmath.FixedBase, "__init__", plain_table)
+        monkeypatch.setattr(
+            modmath.FixedBase, "power", lambda self, e: pow(self.base, e, self.params.p)
+        )
+        for module in (modmath, blindsig):
+            monkeypatch.setattr(module, "in_subgroup", plain_subgroup_test)
+        monkeypatch.setattr(
+            protocol.BallotSheet,
+            "signatures",
+            property(lambda s: tuple(
+                blindsig.Signature(m, sig, s.params)
+                for m, sig in zip(s.ballots, s.signed_ballots)
+            )),
+        )
+        assert self.pinned_run_digest(booth) == digest
 
     def test_collision_warnings_at_small_field(self):
         _, report = run_election(base_config())
@@ -388,7 +420,7 @@ class TestSnapshots:
         run.run_schedule(upto=20)
         state = json.loads(run.snapshot_json())
         assert sorted(state) == ["config", "cursor", "format", "kind", "sha256"]
-        assert state["format"] == 3 and state["cursor"] == 20
+        assert state["format"] == 4 and state["cursor"] == 20
         assert state["config"] == list(base_config().echo_lines())
         assert len(run.snapshot_json()) < 600
 

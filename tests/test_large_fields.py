@@ -4,8 +4,8 @@ The exhaustive checks run at p = 23.  Here Hypothesis draws a size and a
 seed, builds the field that seed yields, and checks the same identities on
 it: the int arithmetic against ``pow``, split/reconstruct,
 blind/sign/unblind, confirmation completeness, the disavowal verdicts,
-table-backed signatures confirming like plain ones, and the harness ledger
-agreeing with the tally.
+table-backed signatures confirming like plain ones, the batched round's
+verdict on a sheet, and the harness ledger agreeing with the tally.
 """
 
 import random
@@ -19,6 +19,7 @@ from splitvote.blindsig import (
     Signature,
     blind,
     confirm,
+    confirm_batch,
     disavow,
     honest_responder,
     random_blinding_factor,
@@ -130,6 +131,26 @@ def test_published_signature_confirms_like_a_plain_one(params, seed):
     for claim in (Signature(outside, outside, params), PublishedSignature(outside, outside, params)):
         with pytest.raises(DomainError):
             confirm(claim, pub, responder, e1=1, e2=1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(fields, seeds, st.integers(2, 5), st.integers(0, 2), st.booleans())
+def test_batch_verdict_is_that_of_every_key_check(params, seed, m, bad, non_residue):
+    # a sheet of m table-backed pairs with `bad` wrong signatures, one of
+    # them the non-residue p - 1 when asked; live draws, as in registration
+    rng = random.Random(seed)
+    key = random_signing_key(params, rng)
+    sheet = []
+    for i in range(m):
+        message = sample_subgroup_element(params, rng)
+        signed = sign(message, key).sig
+        if i < bad:
+            signed = params.p - 1 if non_residue and i == 0 else signed * params.g % params.p
+        sheet.append(PublishedSignature(message, signed, params))
+    rng.shuffle(sheet)
+    transcript = confirm_batch(sheet, key.public_key(), honest_responder(key), rng)
+    assert transcript.accepted == all(verify_with_key(sig, key) for sig in sheet)
+    assert transcript.accepted == (bad == 0)
 
 
 @settings(max_examples=12, deadline=None)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splitvote import modmath
 from splitvote.blindsig import (
     Signature,
     SigningKey,
@@ -266,6 +267,18 @@ def test_generate_params_hundred_bits():
     assert params.p >= 2**99
     assert params.p == 2 * params.q + 1
     assert pow(params.g, params.q, params.p) == 1
+
+
+def test_generated_field_tests_q_once(monkeypatch):
+    # the search proves its field, so FieldParams does not test q again
+    calls = []
+    original = modmath.is_probable_prime
+    monkeypatch.setattr(modmath, "is_probable_prime", lambda n: calls.append(n) or original(n))
+    params = generate_params(64, random.Random(2))
+    assert calls == [params.q]
+    assert params == FieldParams(params.p, params.q, params.g)
+    assert hash(params) == hash(FieldParams(params.p, params.q, params.g))
+    assert params.g_table.power(params.q - 1) == pow(params.g, params.q - 1, params.p)
 
 
 def test_generate_params_rejects_tiny_request():

@@ -2,7 +2,6 @@
 
 import random
 import sys
-from functools import partial
 
 import pytest
 
@@ -11,7 +10,7 @@ from splitvote.blindsig import (
     PublishedSignature,
     Signature,
     SigningKey,
-    confirm,
+    confirm_batch,
     random_signing_key,
     verify_with_key,
 )
@@ -74,6 +73,11 @@ class TamperingAuthority(RegistrationAuthority):
         # doubling stays inside the subgroup (2 is a residue), so only the
         # response equation can catch it
         return signed * 2 % 23, sheet
+
+
+def key_verifier(key):
+    """A ``tally`` verifier that checks the sheet with the signing key."""
+    return lambda signatures: all(verify_with_key(s, key) for s in signatures)
 
 
 def register_all(voters, authority, bus):
@@ -183,6 +187,26 @@ class TestRenderedLines:
         return bus, start
 
     @staticmethod
+    def malformed_blinded(field, key, sheet, mode):
+        bus, authority, booth, servers, voters = make_setup(field, key, sheet, mode=mode)
+        with pytest.raises(DomainError):
+            authority.register("V00000", 0, bus)
+        return bus, 0
+
+    @staticmethod
+    def bad_sheet(field, key, sheet, mode):
+        # the batch is refused, so every ballot gets a round of its own in
+        # sheet order, up to the doubled one, which is disavowed
+        signed = list(sheet.signed_ballots)
+        signed[1] = signed[1] * 2 % 23
+        bad_sheet = BallotSheet(sheet.candidates, sheet.ballots, tuple(signed), field)
+        bus = MessageBus()
+        authority = RegistrationAuthority(key, ["V00000"], bad_sheet)
+        with pytest.raises(CredentialInvalidError):
+            Voter("V00000", key.public_key(), random.Random(100)).register(authority, bus)
+        return bus, 3  # after the request, the grant and the credential's round
+
+    @staticmethod
     def disavow(field, key, sheet, mode):
         bus = MessageBus()
         authority = TamperingAuthority(key, ["V00000"], sheet)
@@ -278,67 +302,76 @@ class TestRenderedLines:
             "000002 ra -> voter/V99999 register-reject reason=ineligible",
         ],
         "already_registered": [
-            "000007 voter/V00000 -> ra register-request v_id=V00000 blinded=1",
-            "000008 ra -> voter/V00000 register-reject reason=already-registered",
+            "000005 voter/V00000 -> ra register-request v_id=V00000 blinded=1",
+            "000006 ra -> voter/V00000 register-reject reason=already-registered",
+        ],
+        "malformed_blinded": [
+            "000001 ra -> voter/V00000 register-reject reason=malformed-blinded",
+        ],
+        "bad_sheet": [
+            "000004 voter/V00000 -> ra confirm-batch weights=7,6,7 e1=9 e2=2 challenge=6 response=9 accepted=0",
+            "000005 voter/V00000 -> ra confirm-ballot candidate=alpha e1=9 e2=2 challenge=18 response=13 accepted=1",
+            "000006 voter/V00000 -> ra confirm-ballot candidate=beta e1=2 e2=8 challenge=12 response=3 accepted=0",
+            "000007 voter/V00000 -> ra disavow forgery=1",
         ],
         "disavow": [
             "000003 voter/V00000 -> ra confirm-credential e1=8 e2=3 challenge=1 response=1 accepted=0",
             "000004 voter/V00000 -> ra disavow forgery=1",
         ],
         "closed": [
-            "000007 booth -> * close",
-            "000008 holder/2 -> booth auth-request anon_id=2 signature=8",
-            "000009 booth -> holder/2 auth-reject reason=closed",
+            "000005 booth -> * close",
+            "000006 holder/2 -> booth auth-request anon_id=2 signature=8",
+            "000007 booth -> holder/2 auth-reject reason=closed",
         ],
         "malformed_id": [
             "000001 holder/5 -> booth auth-request anon_id=5 signature=5",
             "000002 booth -> holder/5 auth-reject reason=malformed-id",
         ],
         "wrapped_id/key-copy": [
-            "000007 holder/25 -> booth auth-request anon_id=25 signature=8",
-            "000008 booth -> holder/25 auth-reject reason=malformed-id",
+            "000005 holder/25 -> booth auth-request anon_id=25 signature=8",
+            "000006 booth -> holder/25 auth-reject reason=malformed-id",
         ],
         "wrapped_id/zk-relay": [
-            "000007 holder/25 -> booth auth-request anon_id=25 signature=8",
-            "000008 booth -> holder/25 auth-reject reason=malformed-id",
+            "000005 holder/25 -> booth auth-request anon_id=25 signature=8",
+            "000006 booth -> holder/25 auth-reject reason=malformed-id",
         ],
         "degenerate_id": [
             "000001 holder/1 -> booth auth-request anon_id=1 signature=1",
             "000002 booth -> holder/1 auth-reject reason=degenerate-id",
         ],
         "invalid_signature/key-copy": [
-            "000007 holder/2 -> booth auth-request anon_id=2 signature=16",
-            "000008 booth -> holder/2 auth-reject reason=invalid-signature",
+            "000005 holder/2 -> booth auth-request anon_id=2 signature=16",
+            "000006 booth -> holder/2 auth-reject reason=invalid-signature",
         ],
         "invalid_signature/zk-relay": [
-            "000007 holder/2 -> booth auth-request anon_id=2 signature=16",
-            "000008 booth -> ra auth-zk e1=8 e2=9 challenge=18 response=13 accepted=0",
-            "000009 booth -> holder/2 auth-reject reason=invalid-signature",
+            "000005 holder/2 -> booth auth-request anon_id=2 signature=16",
+            "000006 booth -> ra auth-zk e1=8 e2=9 challenge=18 response=13 accepted=0",
+            "000007 booth -> holder/2 auth-reject reason=invalid-signature",
         ],
         "collision/key-copy": [
-            "000007 holder/2 -> booth auth-request anon_id=2 signature=8",
-            "000008 booth -> holder/2 auth-reject reason=collision",
+            "000005 holder/2 -> booth auth-request anon_id=2 signature=8",
+            "000006 booth -> holder/2 auth-reject reason=collision",
         ],
         "collision/zk-relay": [
-            "000007 holder/2 -> booth auth-request anon_id=2 signature=8",
-            "000008 booth -> ra auth-zk e1=8 e2=9 challenge=18 response=13 accepted=1",
-            "000009 booth -> holder/2 auth-reject reason=collision",
+            "000005 holder/2 -> booth auth-request anon_id=2 signature=8",
+            "000006 booth -> ra auth-zk e1=8 e2=9 challenge=18 response=13 accepted=1",
+            "000007 booth -> holder/2 auth-reject reason=collision",
         ],
         "unknown_token": [
-            "000011 holder/2 -> server/0 cast-share anon_id=2 version=1 share=4 token=db5b5fab8f4d3e27dda1494c73cf256d",
-            "000012 server/0 -> booth token-check token=db5b5fab8f4d3e27dda1494c73cf256d anon_id=2",
-            "000013 booth -> server/0 token-bad token=db5b5fab8f4d3e27dda1494c73cf256d",
-            "000014 server/0 -> holder/2 cast-reject anon_id=2 version=1 reason=unknown-token",
+            "000009 holder/2 -> server/0 cast-share anon_id=2 version=1 share=18 token=db5b5fab8f4d3e27dda1494c73cf256d",
+            "000010 server/0 -> booth token-check token=db5b5fab8f4d3e27dda1494c73cf256d anon_id=2",
+            "000011 booth -> server/0 token-bad token=db5b5fab8f4d3e27dda1494c73cf256d",
+            "000012 server/0 -> holder/2 cast-reject anon_id=2 version=1 reason=unknown-token",
         ],
         "zero_share": [
-            "000009 server/0 -> booth token-check token=db5b5fab8f4d3e27dda1494c73cf256d anon_id=2",
-            "000010 booth -> server/0 token-ok token=db5b5fab8f4d3e27dda1494c73cf256d",
-            "000011 server/0 -> holder/2 cast-reject anon_id=2 version=1 reason=zero-share",
+            "000007 server/0 -> booth token-check token=db5b5fab8f4d3e27dda1494c73cf256d anon_id=2",
+            "000008 booth -> server/0 token-ok token=db5b5fab8f4d3e27dda1494c73cf256d",
+            "000009 server/0 -> holder/2 cast-reject anon_id=2 version=1 reason=zero-share",
         ],
         "stale_version": [
-            "000013 server/0 -> booth token-check token=db5b5fab8f4d3e27dda1494c73cf256d anon_id=2",
-            "000014 booth -> server/0 token-ok token=db5b5fab8f4d3e27dda1494c73cf256d",
-            "000015 server/0 -> holder/2 cast-reject anon_id=2 version=1 reason=stale-version",
+            "000011 server/0 -> booth token-check token=db5b5fab8f4d3e27dda1494c73cf256d anon_id=2",
+            "000012 booth -> server/0 token-ok token=db5b5fab8f4d3e27dda1494c73cf256d",
+            "000013 server/0 -> holder/2 cast-reject anon_id=2 version=1 reason=stale-version",
         ],
     }
 
@@ -381,10 +414,30 @@ class TestRegistration:
         voters[0].register(authority, bus)
         counts = bus.kind_counts()
         assert counts["confirm-credential"] == 1
-        assert counts["confirm-ballot"] == len(CANDIDATES)
+        assert counts["confirm-batch"] == 1
+        assert "confirm-ballot" not in counts
         for m in logged(bus):
             if m.kind.startswith("confirm-"):
                 assert m.fields["accepted"] == "1"
+        batch = next(m for m in logged(bus) if m.kind == "confirm-batch")
+        weights = [int(r) for r in batch.fields["weights"].split(",")]
+        assert len(weights) == len(CANDIDATES)
+        assert all(1 <= r <= field.q - 1 for r in weights)
+
+    @pytest.mark.parametrize("blinded", [0, 23, -1])
+    def test_refused_blinded_value_leaves_the_voter_unregistered(
+        self, field, key, sheet, blinded
+    ):
+        bus, authority, booth, servers, voters = make_setup(field, key, sheet)
+        with pytest.raises(DomainError):
+            authority.register(voters[0].v_id, blinded, bus)
+        assert bus.render_log() == [
+            "000001 ra -> voter/V00000 register-reject reason=malformed-blinded"
+        ]
+        assert authority.registered == set()
+        cred = voters[0].register(authority, bus)
+        assert verify_with_key(cred, key)
+        assert authority.registered == {voters[0].v_id}
 
     def test_anonymous_id_one_is_redrawn(self, field, key, sheet):
         # seed 31 draws u = 1 first (id 1), then u = 16 (id 256 mod 23 = 3)
@@ -445,10 +498,11 @@ class TestRegistration:
         )
         assert register_two() == (verdicts, log)
 
-    def test_second_registration_costs_eight_exponentiations(self, monkeypatch):
-        # credential: blinded**x, m**e1, c**x, sig**e1; each of the four
-        # ballots: c**x only, since m**e1 and sig**e1 come from the sheet's
-        # tables; subgroup tests: the id in blind and both credential halves
+    def test_second_registration_costs_five_exponentiations(self, monkeypatch):
+        # credential: blinded**x, m**e1, c**x, sig**e1; the four ballots'
+        # batched round: c**x only, since every m_i and s_i power comes
+        # from the sheet's tables; subgroup tests: both credential halves,
+        # the id's being the one its confirmation makes
         params = field_64()
         key = random_signing_key(params, random.Random(1))
         four = make_ballot_sheet(("a", "b", "c", "d"), key, random.Random(7))
@@ -457,7 +511,7 @@ class TestRegistration:
         mod_exp = count_calls(monkeypatch, "mod_exp")
         in_subgroup = count_calls(monkeypatch, "in_subgroup")
         voters[1].register(authority, bus)
-        assert (mod_exp, in_subgroup) == ({"mod_exp": 8}, {"in_subgroup": 3})
+        assert (mod_exp, in_subgroup) == ({"mod_exp": 5}, {"in_subgroup": 2})
 
 
 class TestBooth:
@@ -643,7 +697,7 @@ class TestCasting:
         ack = voters[0].cast(token2, servers, 2, bus)
         assert ack.version == 2
         assert ack.accepted == (True, True, True)
-        result = tally(servers, sheet, partial(verify_with_key, key=key), bus)
+        result = tally(servers, sheet, key_verifier(key), bus)
         assert result.counts == {"alpha": 0, "beta": 0, "gamma": 1}
         assert result.distinct_ids == 1
 
@@ -668,7 +722,7 @@ class TestCasting:
         assert ack.accepted == (False, False, False)
         rejects = [m.fields["reason"] for m in logged(bus, start) if m.kind == "cast-reject"]
         assert rejects == ["unknown-token"] * 3
-        result = tally(servers, sheet, partial(verify_with_key, key=key), bus)
+        result = tally(servers, sheet, key_verifier(key), bus)
         assert result.counts["alpha"] == 1
 
     def test_partial_cast_counts_as_inconsistent(self, field, key, sheet):
@@ -676,7 +730,7 @@ class TestCasting:
         token = booth.authenticate(creds[0], bus)
         ack = voters[0].cast(token, servers, 0, bus, deliver_count=2)
         assert ack.accepted == (True, True)
-        result = tally(servers, sheet, partial(verify_with_key, key=key), bus)
+        result = tally(servers, sheet, key_verifier(key), bus)
         assert result.counts == {"alpha": 0, "beta": 0, "gamma": 0}
         assert result.inconsistent == 1
         assert result.distinct_ids == 1
@@ -686,7 +740,7 @@ class TestCasting:
         token = booth.authenticate(creds[0], bus)
         voters[0].cast(token, servers, 0, bus)
         voters[0].cast(token, servers, 1, bus, deliver_count=1)
-        result = tally(servers, sheet, partial(verify_with_key, key=key), bus)
+        result = tally(servers, sheet, key_verifier(key), bus)
         assert result.inconsistent == 1
         assert result.counts == {"alpha": 0, "beta": 0, "gamma": 0}
 
@@ -735,7 +789,7 @@ class TestTally:
 
     def test_three_voter_example(self, field, key, sheet):
         bus, booth, servers, creds = self.run_votes(field, key, sheet, [0, 0, 1])
-        result = tally(servers, sheet, partial(verify_with_key, key=key), bus)
+        result = tally(servers, sheet, key_verifier(key), bus)
         assert result.counts == {"alpha": 2, "beta": 1, "gamma": 0}
         assert result.invalid == 0
         assert result.inconsistent == 0
@@ -752,19 +806,19 @@ class TestTally:
         shares = [1] * (len(servers) - 1) + [target]
         for server, share in zip(servers, shares):
             server.store[9] = CastRecord(1, share)
-        result = tally(servers, sheet, partial(verify_with_key, key=key), bus)
+        result = tally(servers, sheet, key_verifier(key), bus)
         assert result.invalid == 1
         assert result.counts["alpha"] == 1
         assert result.distinct_ids == 2
 
     def test_relay_verifier_matches_key_verifier(self, field, key, sheet):
         bus, booth, servers, creds = self.run_votes(field, key, sheet, [2, 1])
-        by_key = tally(servers, sheet, partial(verify_with_key, key=key), bus)
+        by_key = tally(servers, sheet, key_verifier(key), bus)
         responder, rng = RegistrationAuthority(key, [], sheet).responder, random.Random(5)
         by_relay = tally(
             servers,
             sheet,
-            lambda signature: confirm(signature, key.public_key(), responder, rng).accepted,
+            lambda signatures: confirm_batch(signatures, key.public_key(), responder, rng).accepted,
             bus,
         )
         assert by_key.counts == by_relay.counts
@@ -778,11 +832,11 @@ class TestTally:
             field,
         )
         with pytest.raises(DomainError):
-            tally(servers, forged, partial(verify_with_key, key=key), bus)
+            tally(servers, forged, key_verifier(key), bus)
 
     def test_render_lines(self, field, key, sheet):
         bus, booth, servers, creds = self.run_votes(field, key, sheet, [1])
-        result = tally(servers, sheet, partial(verify_with_key, key=key), bus)
+        result = tally(servers, sheet, key_verifier(key), bus)
         lines = result.render_lines(CANDIDATES)
         assert lines[0] == "count alpha = 0"
         assert lines[1] == "count beta = 1"
@@ -799,7 +853,7 @@ class TestTraceProperties:
         token = booth.authenticate(creds[0], bus)
         voters[0].cast(token, servers, 2, bus)
         booth.close(bus)
-        tally(servers, sheet, partial(verify_with_key, key=key), bus)
+        tally(servers, sheet, key_verifier(key), bus)
         return bus, creds
 
     REGISTRATION_KINDS = {
@@ -807,6 +861,7 @@ class TestTraceProperties:
         "register-grant",
         "register-reject",
         "confirm-credential",
+        "confirm-batch",
         "confirm-ballot",
         "disavow",
     }
