@@ -35,6 +35,21 @@ EXHAUSTIVE = "exhaustive"
 MONTE_CARLO = "monte-carlo"
 
 
+def colluder_problems(k: int, colluders: Sequence[int]) -> list[str]:
+    """What keeps ``colluders`` from being a coalition of the k servers;
+    empty when nothing does."""
+    problems = []
+    if not colluders:
+        problems.append("need at least one colluding server")
+    if not all(0 <= i < k for i in colluders):
+        problems.append(f"indices must lie in [0, {k})")
+    if len(set(colluders)) != len(colluders):
+        problems.append("duplicate index")
+    if len(colluders) >= k:
+        problems.append("must be a proper subset of the servers")
+    return problems
+
+
 @dataclass(frozen=True)
 class CollusionScenario:
     """Which servers collude, over which field, with which dealt constants.
@@ -52,14 +67,9 @@ class CollusionScenario:
     def __post_init__(self):
         if self.k < 2:
             raise ScenarioError("need at least two shares to attack")
-        if not self.colluders:
-            raise ScenarioError("need at least one colluding server")
-        if len(set(self.colluders)) != len(self.colluders):
-            raise ScenarioError("colluder indices must be distinct")
-        if any(not 0 <= i < self.k for i in self.colluders):
-            raise ScenarioError(f"colluder indices must lie in [0, {self.k})")
-        if len(self.colluders) == self.k:
-            raise ScenarioError("with every server colluding there is no secret left")
+        problems = colluder_problems(self.k, self.colluders)
+        if problems:
+            raise ScenarioError("colluders: " + "; ".join(problems))
 
     @property
     def rewritten(self) -> int:

@@ -34,6 +34,7 @@ from .adversary import (
     attack_any_valid,
     attack_targeted,
     check_enumerable,
+    colluder_problems,
 )
 from .blindsig import confirm_batch, random_signing_key, verify_with_key
 from .errors import ConfigError, VotingError
@@ -189,6 +190,11 @@ def _take_candidates(pairs, problems) -> tuple[str, ...]:
     labels = tuple(part.strip() for part in raw.split(","))
     if any(not label for label in labels):
         problems.append("candidates: empty label")
+        return ()
+    # reports print "count <label> = n" and "counts=<label>:n,..."
+    unfit = [label for label in labels if ":" in label or "=" in label or len(label.split()) > 1]
+    if unfit:
+        problems.append(f"candidates: label {unfit[0]!r} holds whitespace, ':' or '='")
         return ()
     if len(labels) < 2:
         problems.append("candidates: need at least two")
@@ -505,12 +511,10 @@ class ElectionRun:
         # of the whole log as one string
         for start in range(0, len(log), 4096):
             digest.update("\n".join([*log[start : start + 4096], ""]).encode("utf-8"))
-        for server in self.servers:
-            digest.update(f"[server {server.index}]\n".encode("ascii"))
-            for anon, record in sorted(server.store.items()):
-                digest.update(f"{anon} {record.version} {record.share}\n".encode("ascii"))
-        for index, store in enumerate(self.ledger.stores):
-            digest.update(f"[ledger {index}]\n".encode("ascii"))
+        stores = [(f"server {server.index}", server.store) for server in self.servers]
+        stores += [(f"ledger {index}", store) for index, store in enumerate(self.ledger.stores)]
+        for head, store in stores:
+            digest.update(f"[{head}]\n".encode("ascii"))
             for anon, (version, share) in sorted(store.items()):
                 digest.update(f"{anon} {version} {share}\n".encode("ascii"))
         return digest.hexdigest()
@@ -631,12 +635,9 @@ def parse_attack_config(text: str) -> AttackConfig:
             colluders = tuple(int(part) for part in raw_colluders.split(","))
         except ValueError:
             problems.append(f"colluders: not a list of integers: {raw_colluders!r}")
-        if colluders and not all(0 <= i < servers for i in colluders):
-            problems.append(f"colluders: indices must lie in [0, {servers})")
-        if colluders and len(set(colluders)) != len(colluders):
-            problems.append("colluders: duplicate index")
-        if len(colluders) >= servers:
-            problems.append("colluders: must be a proper subset of the servers")
+        else:
+            for problem in colluder_problems(servers, colluders):
+                problems.append(f"colluders: {problem}")
     goal = pairs.pop("goal", TARGETED)
     if goal not in (TARGETED, ANY_VALID):
         problems.append(f"goal: unknown goal {goal!r}")
@@ -650,10 +651,14 @@ def parse_attack_config(text: str) -> AttackConfig:
         if trials is not None and trials < 1:
             problems.append("trials: must be positive")
     candidates: tuple[str, ...] = ()
-    if "candidates" in pairs:
+    if "candidates" not in pairs:
+        if goal == ANY_VALID:
+            problems.append("goal any-valid needs candidates")
+    elif goal == TARGETED:
+        pairs.pop("candidates")
+        problems.append("candidates: only goal any-valid reads them")
+    else:
         candidates = _take_candidates(pairs, problems)
-    elif goal == ANY_VALID:
-        problems.append("goal any-valid needs candidates")
     seed = _take_int(pairs, "seed", problems)
     for key in pairs:
         problems.append(f"unknown key: {key}")

@@ -126,10 +126,6 @@ class BallotSheet:
         if len(set(self.signed_ballots)) != len(self.signed_ballots):
             raise ParameterError("signed ballot values must be distinct")
 
-    @property
-    def m(self) -> int:
-        return len(self.candidates)
-
     @cached_property
     def signatures(self) -> tuple[PublishedSignature, ...]:
         pairs = zip(self.ballots, self.signed_ballots)
@@ -144,20 +140,6 @@ class BallotSheet:
 
     def signed_index(self) -> dict[int, str]:
         return dict(zip(self.signed_ballots, self.candidates))
-
-
-@dataclass(frozen=True)
-class SessionToken:
-    """Opaque 128-bit session identifier."""
-
-    token: str
-    issued_at: int
-
-
-@dataclass(frozen=True)
-class CastRecord:
-    version: int
-    share: int
 
 
 @dataclass(frozen=True)
@@ -297,7 +279,7 @@ class Voter:
 
     def cast(
         self,
-        token: SessionToken,
+        token: str,
         servers: Sequence["VoteServer"],
         candidate_index: int,
         bus: MessageBus,
@@ -311,7 +293,7 @@ class Voter:
         """
         if self.credential is None or self.sheet is None:
             raise VotingError("not registered")
-        if not 0 <= candidate_index < self.sheet.m:
+        if not 0 <= candidate_index < len(self.sheet.candidates):
             raise ParameterError(f"candidate index {candidate_index} out of range")
         k = len(servers)
         if deliver_count is None:
@@ -329,7 +311,7 @@ class Voter:
                 holder,
                 server.name,
                 "cast-share",
-                f"anon_id={anon_id} version={self.version} share={share} token={token.token}",
+                f"anon_id={anon_id} version={self.version} share={share} token={token}",
             )
             accepted.append(server.store_share(anon_id, self.version, share, token, bus)[0])
         return CastAck(self.version, shares, tuple(accepted))
@@ -341,8 +323,8 @@ class PollingBooth:
     ``key-copy`` booths hold a copy of the authority's signing key and verify
     directly; ``zk-relay`` booths hold no key and run a confirmation round
     against the authority, which therefore never learns which anonymous id
-    is voting.  ``live`` maps each anonymous id to its one valid session
-    token.
+    is voting.  ``sessions`` maps each anonymous id to the signature it
+    first authenticated with and its one live session token.
     """
 
     name = "booth"
@@ -354,13 +336,12 @@ class PollingBooth:
         self.rng = rng
         self.key = authority.key if mode == KEY_COPY else None
         self.authority = authority
-        self.seen: dict[int, int] = {}
-        self.live: dict[int, str] = {}
+        self.sessions: dict[int, tuple[int, str]] = {}
         self.clock = 0
         self.closed = False
 
-    def authenticate(self, credential: Signature, bus: MessageBus) -> SessionToken:
-        """Issue a session token for a valid credential, the anonymous id
+    def authenticate(self, credential: Signature, bus: MessageBus) -> str:
+        """Issue a 32-hex session token for a valid credential, the anonymous id
         and the authority's signature on it.
 
         Re-authenticating with the same credential is the re-vote path: the
@@ -397,42 +378,42 @@ class PollingBooth:
         if not valid:
             bus.post(self.name, holder, "auth-reject", "reason=invalid-signature")
             raise AuthenticationError("credential signature does not verify")
-        recorded = self.seen.get(anon_id)
-        if recorded is not None and recorded != signature:
+        session = self.sessions.get(anon_id)
+        if session is not None and session[0] != signature:
             bus.post(self.name, holder, "auth-reject", "reason=collision")
             raise CollisionError("anonymous id already bound to a different signature")
-        self.seen[anon_id] = signature
         self.clock += 1
-        token = SessionToken(f"{self.rng.getrandbits(128):032x}", self.clock)
-        self.live[anon_id] = token.token
-        bus.post(self.name, holder, "auth-grant", f"token={token.token} issued_at={self.clock}")
+        token = f"{self.rng.getrandbits(128):032x}"
+        self.sessions[anon_id] = (signature, token)
+        bus.post(self.name, holder, "auth-grant", f"token={token} issued_at={self.clock}")
         return token
 
     def token_valid(self, token: str, anon_id: int) -> bool:
-        return not self.closed and self.live.get(anon_id) == token
+        session = self.sessions.get(anon_id)
+        return not self.closed and session is not None and session[1] == token
 
     def close(self, bus: MessageBus) -> None:
         self.closed = True
-        self.live.clear()
         bus.post(self.name, "*", "close")
 
 
 class VoteServer:
-    """Stores one share per anonymous id; strictly newer versions overwrite."""
+    """Stores one ``(version, share)`` pair per anonymous id, accepted
+    under the id's live session token; strictly newer versions overwrite."""
 
     def __init__(self, index: int, booth: PollingBooth):
         self.index = index
         self.name = f"server/{index}"
         self.booth = booth
         self.p = booth.authority.key.params.p
-        self.store: dict[int, CastRecord] = {}
+        self.store: dict[int, tuple[int, int]] = {}
 
     def store_share(
         self,
         anon_id: int,
         version: int,
         share: int,
-        token: SessionToken,
+        token: str,
         bus: MessageBus,
     ) -> tuple[bool, str]:
         """Store a share under a live token, or refuse it: ``unknown-token``,
@@ -440,18 +421,18 @@ class VoteServer:
         [1, p - 1]) or ``stale-version``."""
         holder = f"holder/{anon_id}"
         booth = self.booth
-        bus.post(self.name, booth.name, "token-check", f"token={token.token} anon_id={anon_id}")
-        ok = booth.token_valid(token.token, anon_id)
-        bus.post(booth.name, self.name, "token-ok" if ok else "token-bad", f"token={token.token}")
+        bus.post(self.name, booth.name, "token-check", f"token={token} anon_id={anon_id}")
+        ok = booth.token_valid(token, anon_id)
+        bus.post(booth.name, self.name, "token-ok" if ok else "token-bad", f"token={token}")
         if not ok:
             return self._reject(holder, anon_id, version, "unknown-token", bus)
         if not 0 < share < self.p:
             reason = "zero-share" if share == 0 else "share-out-of-range"
             return self._reject(holder, anon_id, version, reason, bus)
         existing = self.store.get(anon_id)
-        if existing is not None and version <= existing.version:
+        if existing is not None and version <= existing[0]:
             return self._reject(holder, anon_id, version, "stale-version", bus)
-        self.store[anon_id] = CastRecord(version, share)
+        self.store[anon_id] = (version, share)
         bus.post(self.name, holder, "cast-accept", f"anon_id={anon_id} version={version}")
         return True, "stored"
 
@@ -489,12 +470,12 @@ def tally(
     inconsistent = 0
     for anon in ids:
         records = [server.store.get(anon) for server in servers]
-        if any(r is None for r in records) or len({r.version for r in records}) != 1:
+        if any(r is None for r in records) or len({r[0] for r in records}) != 1:
             inconsistent += 1
             continue
         product = 1
-        for record in records:
-            product = product * record.share % p
+        for _, share in records:
+            product = product * share % p
         label = index.get(product)
         if label is None:
             invalid += 1

@@ -214,7 +214,7 @@ def test_criterion_08_end_to_end_election():
             final_choice[anon] = event.candidate_index
     # replay: stored versions reached 2 via re-votes; a version-1 cast with a
     # fresh valid token must still bounce
-    anon, record = max(run.servers[0].store.items(), key=lambda kv: kv[1].version)
+    anon, record = max(run.servers[0].store.items(), key=lambda kv: kv[1][0])
     token = run.booth.authenticate(sign(anon, run.key), run.bus)
     accepted, reason = run.servers[0].store_share(anon, 1, 5, token, run.bus)
     run.finish()
@@ -231,7 +231,7 @@ def test_criterion_08_end_to_end_election():
         "final accepted choice is what counts": result.counts == expected,
         "casts accepted all-or-nothing": all_or_nothing,
         "replayed version-1 cast after version-2 rejected": (
-            record.version >= 2 and not accepted and reason == "stale-version"
+            record[0] >= 2 and not accepted and reason == "stale-version"
         ),
         "runtime under 5s": duration < 5.0,
     })

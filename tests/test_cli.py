@@ -161,6 +161,31 @@ class TestRun:
         assert main(["run", "--config", str(path)]) == 2
         assert "candidates" in _one_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "line, edited, complaint",
+        [
+            ("voters = 20", "voters =", "line 4: expected key = value"),
+            ("voters = 20", "voters = many", "voters: not an integer: 'many'"),
+            ("recast_fraction = 0.25", "recast_fraction = a quarter",
+             "recast_fraction: not a number: 'a quarter'"),
+            ("alpha,beta", "1", "candidates: need at least two"),
+            ("alpha,beta", "alpha,,beta", "candidates: empty label"),
+            ("alpha,beta", "alpha,alpha", "candidates: duplicate label"),
+            # labels are printed as "count <label> = n" and "counts=<label>:n"
+            ("alpha,beta", "a b,beta", "candidates: label 'a b' holds whitespace, ':' or '='"),
+            ("alpha,beta", "alpha,x:1", "candidates: label 'x:1' holds whitespace, ':' or '='"),
+            ("alpha,beta", "a=b,beta", "candidates: label 'a=b' holds whitespace, ':' or '='"),
+        ],
+        ids=["empty-value", "voters-not-integer", "fraction-not-number", "one-candidate",
+             "empty-label", "duplicate-label", "label-space", "label-colon", "label-equals"],
+    )
+    def test_config_problem_exits_2(self, tmp_path, capsys, line, edited, complaint):
+        path = tmp_path / "bad.cfg"
+        assert line in ELECTION_CFG
+        path.write_text(ELECTION_CFG.replace(line, edited), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 2
+        assert _one_error_line(capsys) == f"error: {complaint}\n"
+
 
 class TestSnapshotResume:
     def test_resume_matches_uninterrupted(self, election_cfg, tmp_path, capsys):
@@ -413,6 +438,31 @@ class TestAttack:
         path.write_text(ATTACK_CFG + "candidates = ²\n", encoding="utf-8")
         assert main(["attack", "--config", str(path)]) == 2
         assert "candidates" in _one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "line, edited, complaint",
+        [
+            ("colluders = 0,2\n", "", "missing key: colluders"),
+            ("colluders = 0,2", "colluders = 0,two", "colluders: not a list of integers: '0,two'"),
+            ("colluders = 0,2", "colluders = 0,3", "colluders: indices must lie in [0, 3)"),
+            ("colluders = 0,2", "colluders = 2,2", "colluders: duplicate index"),
+            ("trials = exhaustive", "trials = 0", "trials: must be positive"),
+            ("seed = 1", "seed = 1\nrounds = 3", "unknown key: rounds"),
+            # a targeted attack reads no candidates, so it refuses to echo them
+            ("seed = 1", "seed = 1\ncandidates = 5", "candidates: only goal any-valid reads them"),
+            ("goal = targeted", "goal = any-valid\ncandidates = a b,c",
+             "candidates: label 'a b' holds whitespace, ':' or '='"),
+        ],
+        ids=["missing-colluders", "colluder-not-integer", "colluder-out-of-range",
+             "duplicate-colluder", "zero-trials", "unknown-key", "targeted-candidates",
+             "label-space"],
+    )
+    def test_config_problem_exits_2(self, tmp_path, capsys, line, edited, complaint):
+        path = tmp_path / "bad.cfg"
+        assert line in ATTACK_CFG
+        path.write_text(ATTACK_CFG.replace(line, edited), encoding="utf-8")
+        assert main(["attack", "--config", str(path)]) == 2
+        assert _one_error_line(capsys) == f"error: {complaint}\n"
 
     def test_seed_override_is_the_seed_echoed(self, tmp_path, capsys):
         path = tmp_path / "mc.cfg"

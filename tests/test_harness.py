@@ -24,7 +24,7 @@ from splitvote.harness import (
     stream,
 )
 from splitvote.modmath import FIXTURE_FIELD, generate_params, params_from_text
-from splitvote.protocol import BOOTH_MODES, CastRecord, TallyResult, Voter
+from splitvote.protocol import BOOTH_MODES, TallyResult, Voter
 
 BASE_TEXT = """
 # three-way race on the small field
@@ -225,6 +225,30 @@ class TestElectionRun:
         assert report.result.invalid == 0
         assert report.result.inconsistent == 0
         assert sum(report.result.counts.values()) == report.result.distinct_ids
+
+    def test_rewritten_stored_share_shows_in_the_differences(self):
+        # a share rewritten on one server after casting closes: the tally
+        # counts that ballot invalid, while the ledger still predicts it
+        run = ElectionRun(base_config())
+        run.run_schedule()
+        index = run.sheet.signed_index()
+        p = FIXTURE_FIELD.p
+        # every cast of this config is complete, so each id has all its shares
+        anon, (version, share) = min(run.servers[0].store.items())
+        product = 1
+        for server in run.servers:
+            product = product * server.store[anon][1] % p
+        label = index[product]
+        unsigned = next(v for v in range(1, p) if v not in index)
+        run.servers[0].store[anon] = (version, share * unsigned * pow(product, -1, p) % p)
+        run.finish()
+        report = run.report()
+        counted = report.predicted.counts[label]
+        assert not report.agreement()
+        assert report.differences() == [
+            f"count {label}: tally {counted - 1} != ledger {counted}",
+            "invalid: tally 1 != ledger 0",
+        ]
 
     def test_records_are_byte_identical_across_runs(self):
         _, first = run_election(base_config())
@@ -432,8 +456,8 @@ class TestSnapshots:
         clean = run.state_digest()
         server = run.servers[0]
         anon, record = next(iter(server.store.items()))
-        other = record.share % (FIXTURE_FIELD.p - 1) + 1
-        server.store[anon] = CastRecord(record.version, other)
+        version, share = record
+        server.store[anon] = (version, share % (FIXTURE_FIELD.p - 1) + 1)
         assert run.state_digest() != clean
         server.store[anon] = record
         assert run.state_digest() == clean

@@ -23,7 +23,6 @@ from splitvote.protocol import (
     AlreadyRegisteredError,
     AuthenticationError,
     BallotSheet,
-    CastRecord,
     CollisionError,
     CredentialInvalidError,
     IneligibleVoterError,
@@ -265,7 +264,7 @@ class TestRenderedLines:
     def collision(cls, field, key, sheet, mode):
         bus, booth, servers, voter, cred = cls.registered(field, key, sheet, mode)
         start = len(bus)
-        booth.seen[cred.message] = cred.sig * 2 % 23
+        booth.sessions[cred.message] = (cred.sig * 2 % 23, "0" * 32)
         with pytest.raises(CollisionError):
             booth.authenticate(cred, bus)
         return bus, start
@@ -519,9 +518,9 @@ class TestBooth:
         bus, authority, booth, servers, voters = make_setup(field, key, sheet)
         cred = voters[0].register(authority, bus)
         token = booth.authenticate(cred, bus)
-        assert booth.token_valid(token.token, cred.message)
-        assert not booth.token_valid(token.token, cred.message + 1)
-        assert len(token.token) == 32
+        assert booth.token_valid(token, cred.message)
+        assert not booth.token_valid(token, cred.message + 1)
+        assert len(token) == 32
 
     def test_bad_signature_rejected(self, field, key, sheet):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet)
@@ -540,17 +539,19 @@ class TestBooth:
         cred = voters[0].register(authority, bus)
         first = booth.authenticate(cred, bus)
         second = booth.authenticate(cred, bus)
-        assert first.token != second.token
-        assert not booth.token_valid(first.token, cred.message)
-        assert booth.token_valid(second.token, cred.message)
-        assert second.issued_at > first.issued_at
+        assert first != second
+        assert not booth.token_valid(first, cred.message)
+        assert booth.token_valid(second, cred.message)
+        grants = [m.fields for m in logged(bus) if m.kind == "auth-grant"]
+        assert [grant["token"] for grant in grants] == [first, second]
+        assert int(grants[1]["issued_at"]) > int(grants[0]["issued_at"])
 
     def test_same_id_different_signature_is_collision(self, field, key, sheet):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet)
         cred = voters[0].register(authority, bus)
         # a correct key admits one signature per id, so the conflicting
         # binding has to be planted directly
-        booth.seen[cred.message] = (cred.sig * 2) % 23
+        booth.sessions[cred.message] = ((cred.sig * 2) % 23, "0" * 32)
         with pytest.raises(CollisionError):
             booth.authenticate(cred, bus)
 
@@ -559,7 +560,7 @@ class TestBooth:
         cred = voters[0].register(authority, bus)
         token = booth.authenticate(cred, bus)
         booth.close(bus)
-        assert not booth.token_valid(token.token, cred.message)
+        assert not booth.token_valid(token, cred.message)
         with pytest.raises(AuthenticationError):
             booth.authenticate(cred, bus)
 
@@ -572,7 +573,7 @@ class TestBooth:
         bus, authority, booth, servers, voters = make_setup(field, key, sheet, mode=ZK_RELAY)
         cred = voters[0].register(authority, bus)
         token = booth.authenticate(cred, bus)
-        assert booth.token_valid(token.token, cred.message)
+        assert booth.token_valid(token, cred.message)
         assert booth.key is None
         relayed = [m for m in logged(bus) if m.kind == "auth-zk"]
         assert len(relayed) == 1
@@ -647,7 +648,7 @@ class TestBooth:
             assert [(m.kind, m.fields) for m in logged(bus, start + 1)] == [
                 ("auth-reject", {"reason": "malformed-id"})
             ]
-        assert booth.live == {} and booth.seen == {}
+        assert booth.sessions == {}
 
     def test_zk_relay_rejects_forged_signature(self, field, key, sheet):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet, mode=ZK_RELAY)
@@ -666,7 +667,7 @@ class TestBooth:
         assert [(m.kind, m.fields) for m in logged(bus, 1)] == [
             ("auth-reject", {"reason": "degenerate-id"})
         ]
-        assert booth.live == {} and booth.seen == {}
+        assert booth.sessions == {}
 
 
 class TestCasting:
@@ -686,8 +687,8 @@ class TestCasting:
             product = product * share % 23
         assert product == sheet.signed_ballots[0]
         for server in servers:
-            record = server.store[creds[0].message]
-            assert record.version == 1
+            version, _ = server.store[creds[0].message]
+            assert version == 1
 
     def test_recast_overwrites(self, field, key, sheet):
         bus, authority, booth, servers, voters, creds = self.setup_voted(field, key, sheet)
@@ -805,7 +806,7 @@ class TestTally:
         # matches no signed ballot
         shares = [1] * (len(servers) - 1) + [target]
         for server, share in zip(servers, shares):
-            server.store[9] = CastRecord(1, share)
+            server.store[9] = (1, share)
         result = tally(servers, sheet, key_verifier(key), bus)
         assert result.invalid == 1
         assert result.counts["alpha"] == 1
