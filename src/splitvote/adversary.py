@@ -24,9 +24,9 @@ from fractions import Fraction
 from random import Random
 from typing import Sequence
 
-from .errors import DomainError, RegimeError, ScenarioError
-from .modmath import FieldParams
-from .sharing import EXHAUSTIVE_FIELD_LIMIT
+from .errors import ScenarioError
+from .modmath import FieldParams, require_unit
+from .sharing import check_enumerable
 
 TARGETED = "targeted"
 ANY_VALID = "any-valid"
@@ -65,8 +65,6 @@ class CollusionScenario:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ScenarioError("need at least two shares to attack")
         problems = colluder_problems(self.k, self.colluders)
         if problems:
             raise ScenarioError("colluders: " + "; ".join(problems))
@@ -103,22 +101,10 @@ class AttackOutcome:
         return " ".join(parts)
 
 
-def _check_value(value: int, params: FieldParams, label: str) -> int:
-    if not 1 <= value <= params.p - 1:
-        raise DomainError(f"{label} must lie in [1, p-1], got {value}")
-    return value
-
-
 def _resolve_rewrite(scenario, replacement, rng) -> int:
     if replacement is None:
         return rng.randrange(1, scenario.params.p)
-    return _check_value(replacement, scenario.params, "replacement share")
-
-
-def check_enumerable(p: int) -> None:
-    """Refuse an exact count over a field too large to sweep."""
-    if p > EXHAUSTIVE_FIELD_LIMIT:
-        raise RegimeError(f"field too large to enumerate (p > {EXHAUSTIVE_FIELD_LIMIT})")
+    return require_unit(replacement, scenario.params, "replacement share")
 
 
 def _exhaust(scenario, value, winners, rewrite, rng) -> int:
@@ -207,7 +193,7 @@ def _run(
 ) -> AttackOutcome:
     """One attack on ``value``; it succeeds when the reconstructed product
     lands in ``winners``."""
-    v = _check_value(value, scenario.params, "split value")
+    v = require_unit(value, scenario.params, "split value")
     rng = Random(scenario.seed)
     rewrite = _resolve_rewrite(scenario, replacement, rng)
     p = scenario.params.p
@@ -240,7 +226,7 @@ def attack_targeted(
     that many Monte Carlo trials instead.  ``replacement`` fixes the
     rewritten share; ``None`` deals one from the scenario seed.
     """
-    t = _check_value(target, scenario.params, "target")
+    t = require_unit(target, scenario.params, "target")
     return _run(scenario, value, TARGETED, frozenset({t}), replacement, trials)
 
 
@@ -253,9 +239,9 @@ def attack_any_valid(
 ) -> tuple[AttackOutcome, AttackOutcome]:
     """Success probabilities of landing on any signed ballot, and on any
     signed ballot other than the one actually cast."""
-    v = _check_value(value, scenario.params, "split value")
+    v = require_unit(value, scenario.params, "split value")
     valid = frozenset(
-        _check_value(ballot, scenario.params, "signed ballot")
+        require_unit(ballot, scenario.params, "signed ballot")
         for ballot in signed_ballots
     )
     if len(valid) != len(signed_ballots):
@@ -276,48 +262,6 @@ def sweep_image(params: FieldParams, fixed_shares: Sequence[int]) -> list[int]:
     """
     base = 1
     for share in fixed_shares:
-        base = base * _check_value(share, params, "fixed share") % params.p
+        base = base * require_unit(share, params, "fixed share") % params.p
     return [base * u % params.p for u in range(1, params.p)]
 
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Exact attack rates for a maximal and a smaller colluding set."""
-
-    k: int
-    sizes: tuple[int, int]
-    rate_large: Fraction
-    rate_small: Fraction
-    equivalent: bool
-    bijection_holds: bool
-
-
-def collusion_equivalence(
-    params: FieldParams, k: int, i: int, seed: int = 0
-) -> EquivalenceReport:
-    """Compare k - 1 colluding servers against k - i on the same attack.
-
-    Holding fewer shares leaves more coordinates unknown, but one unknown
-    coordinate already randomizes the product completely, so both rates come
-    out at exactly 1/(p - 1); ``i`` picks how many servers stay honest in the
-    smaller coalition and must lie in [1, k - 1].
-    """
-    if k < 2:
-        raise ScenarioError("need at least two shares")
-    if not 1 <= i <= k - 1:
-        raise ScenarioError(f"honest count must lie in [1, {k - 1}]")
-    check_enumerable(params.p)
-    rng = Random(seed)
-    value = rng.randrange(1, params.p)
-    target = rng.randrange(1, params.p)
-    large = CollusionScenario(params, k, tuple(range(k - 1)), seed)
-    small = CollusionScenario(params, k, tuple(range(k - i)), seed)
-    rate_large = attack_targeted(large, value, target).exact
-    rate_small = attack_targeted(small, value, target).exact
-    fixed = [rng.randrange(1, params.p) for _ in range(k - 1)]
-    image = sweep_image(params, fixed)
-    bijection = sorted(image) == list(range(1, params.p))
-    return EquivalenceReport(
-        k, (k - 1, k - i), rate_large, rate_small,
-        rate_large == rate_small, bijection,
-    )

@@ -18,7 +18,7 @@ from random import Random
 from typing import Callable, Optional, Sequence
 
 from .errors import DomainError, FieldMismatchError, ParameterError, ProtocolAbortError
-from .modmath import FieldParams, FixedBase, in_subgroup, mod_exp, mod_inv
+from .modmath import FieldParams, FixedBase, in_subgroup, mod_exp, mod_inv, require_unit
 
 
 @dataclass(frozen=True)
@@ -56,18 +56,6 @@ class PublicKey:
     def table(self) -> FixedBase:
         """Fixed-base table for powers of y, built on first use."""
         return FixedBase(self.value, self.params)
-
-
-@dataclass(frozen=True)
-class BlindingFactor:
-    """Blinding exponent b with 1 <= b <= q - 1 (b = 0 and b = q blind nothing)."""
-
-    exponent: int
-    params: FieldParams
-
-    def __post_init__(self):
-        if not 1 <= self.exponent <= self.params.q - 1:
-            raise ParameterError("blinding exponent must lie in [1, q-1]")
 
 
 @dataclass(frozen=True)
@@ -130,39 +118,37 @@ def random_signing_key(params: FieldParams, rng: Random) -> SigningKey:
     return SigningKey(rng.randrange(1, params.q), params)
 
 
-def random_blinding_factor(params: FieldParams, rng: Random) -> BlindingFactor:
-    return BlindingFactor(rng.randrange(1, params.q), params)
-
-
 def _same_field(sig: Signature, params: FieldParams) -> None:
     if sig.params != params:
         raise FieldMismatchError("signature and key belong to different fields")
 
 
-def blind(message: int, factor: BlindingFactor, signer_key: PublicKey) -> int:
-    """message * g**b; over uniform b this is uniform on the subgroup."""
+def blind(message: int, factor: int, signer_key: PublicKey) -> int:
+    """message * g**b for a blinding exponent b in [1, q-1] (b = 0 and b = q
+    blind nothing); over uniform b this is uniform on the subgroup."""
+    if not 1 <= factor <= signer_key.params.q - 1:
+        raise ParameterError("blinding exponent must lie in [1, q-1]")
     if not in_subgroup(message, signer_key.params):
         raise DomainError("only subgroup members can be blinded")
     return _blind_member(message, factor, signer_key)
 
 
-def _blind_member(message: int, factor: BlindingFactor, signer_key: PublicKey) -> int:
+def _blind_member(message: int, factor: int, signer_key: PublicKey) -> int:
     """``blind`` for a message that is a subgroup member by construction."""
     params = signer_key.params
-    return message * params.g_table.power(factor.exponent) % params.p
+    return message * params.g_table.power(factor) % params.p
 
 
 def sign(message: int, key: SigningKey) -> Signature:
     """message**x."""
-    if not 0 < message < key.params.p:
-        raise DomainError("can only sign a value in [1, p-1]")
+    require_unit(message, key.params, "a signed value")
     return Signature(message, mod_exp(message, key.exponent, key.params), key.params)
 
 
-def unblind(blinded_sig: int, factor: BlindingFactor, signer_key: PublicKey) -> int:
+def unblind(blinded_sig: int, factor: int, signer_key: PublicKey) -> int:
     """Strip the blinding from (m * g**b)**x by dividing out (g**x)**b."""
     params = signer_key.params
-    return blinded_sig * mod_inv(signer_key.table.power(factor.exponent), params) % params.p
+    return blinded_sig * mod_inv(signer_key.table.power(factor), params) % params.p
 
 
 def verify_with_key(sig: Signature, key: SigningKey) -> bool:

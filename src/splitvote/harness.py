@@ -33,7 +33,6 @@ from .adversary import (
     CollusionScenario,
     attack_any_valid,
     attack_targeted,
-    check_enumerable,
     colluder_problems,
 )
 from .blindsig import confirm_batch, random_signing_key, verify_with_key
@@ -49,9 +48,11 @@ from .protocol import (
     TallyResult,
     VoteServer,
     Voter,
+    label_fits,
     make_ballot_sheet,
     tally,
 )
+from .sharing import check_enumerable
 
 SNAPSHOT_KIND = "splitvote-snapshot"
 SNAPSHOT_FORMAT = 4
@@ -108,12 +109,12 @@ def _take_int(pairs, key, problems, minimum=None) -> int | None:
     return value
 
 
-def _require_int(pairs, key, problems, minimum, fallback) -> int:
+def _require_int(pairs, key, problems, minimum) -> int:
     if key not in pairs:
         problems.append(f"missing key: {key}")
-        return fallback
+        return minimum
     value = _take_int(pairs, key, problems, minimum)
-    return fallback if value is None else value
+    return minimum if value is None else value
 
 
 def _take_fraction(pairs, key, problems, default=0.0) -> float:
@@ -191,8 +192,7 @@ def _take_candidates(pairs, problems) -> tuple[str, ...]:
     if any(not label for label in labels):
         problems.append("candidates: empty label")
         return ()
-    # reports print "count <label> = n" and "counts=<label>:n,..."
-    unfit = [label for label in labels if ":" in label or "=" in label or len(label.split()) > 1]
+    unfit = [label for label in labels if not label_fits(label)]
     if unfit:
         problems.append(f"candidates: label {unfit[0]!r} holds whitespace, ':' or '='")
         return ()
@@ -235,8 +235,8 @@ def parse_election_config(text: str) -> ElectionConfig:
     pairs = _parse_pairs(text)
     problems: list[str] = []
     params, bits = _take_field(pairs, problems)
-    voters = _require_int(pairs, "voters", problems, minimum=0, fallback=0)
-    servers = _require_int(pairs, "servers", problems, minimum=2, fallback=2)
+    voters = _require_int(pairs, "voters", problems, minimum=0)
+    servers = _require_int(pairs, "servers", problems, minimum=2)
     candidates = _take_candidates(pairs, problems)
     recast = _take_fraction(pairs, "recast_fraction", problems)
     incomplete = _take_fraction(pairs, "incomplete_fraction", problems)
@@ -625,7 +625,7 @@ def parse_attack_config(text: str) -> AttackConfig:
     pairs = _parse_pairs(text)
     problems: list[str] = []
     params, bits = _take_field(pairs, problems)
-    servers = _require_int(pairs, "servers", problems, minimum=2, fallback=2)
+    servers = _require_int(pairs, "servers", problems, minimum=2)
     raw_colluders = pairs.pop("colluders", None)
     colluders: tuple[int, ...] = ()
     if raw_colluders is None:

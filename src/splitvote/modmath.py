@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from random import Random
 
-from .errors import NoInverseError, ParameterError
+from .errors import DomainError, NoInverseError, ParameterError
 
 MIN_PRIME = 23
 MILLER_RABIN_ROUNDS = 64
@@ -137,6 +137,13 @@ def mod_inv(a: int, params: FieldParams) -> int:
     if a % params.p == 0:
         raise NoInverseError("0 has no inverse mod p")
     return pow(a, -1, params.p)
+
+
+def require_unit(value: int, params: FieldParams, what: str) -> int:
+    """``value`` if it lies in [1, p-1]; a ``DomainError`` naming it if not."""
+    if not 0 < value < params.p:
+        raise DomainError(f"{what} must lie in [1, p-1], got {value}")
+    return value
 
 
 def _jacobi(a: int, n: int) -> int:

@@ -32,14 +32,13 @@ from .blindsig import (
     confirm_batch,
     disavow,
     honest_responder,
-    random_blinding_factor,
     sign,
     unblind,
     verify_with_key,
 )
 from .errors import DomainError, ParameterError, VotingError
 from .modmath import FieldParams, sample_subgroup_element
-from .sharing import split
+from .sharing import reconstruct, split
 
 KEY_COPY = "key-copy"
 ZK_RELAY = "zk-relay"
@@ -100,6 +99,12 @@ class MessageBus:
         return Counter(line.split(" ", 5)[4] for line in self._lines)
 
 
+def label_fits(label: str) -> bool:
+    """Whether a label is nonempty with no whitespace, ':' or '=', so that
+    reports printing ``count <label> = n`` and ``counts=<label>:n`` parse back."""
+    return bool(label) and not any(ch.isspace() or ch in ":=" for ch in label)
+
+
 @dataclass(frozen=True)
 class BallotSheet:
     """Public ballot values, one per candidate, plus their signatures.
@@ -117,6 +122,8 @@ class BallotSheet:
     def __post_init__(self):
         if len(self.candidates) < 2:
             raise ParameterError("a ballot sheet needs at least two candidates")
+        if not all(map(label_fits, self.candidates)):
+            raise ParameterError("a candidate label is empty or holds whitespace, ':' or '='")
         if not (len(self.candidates) == len(self.ballots) == len(self.signed_ballots)):
             raise ParameterError("candidates, ballots and signatures must line up")
         if len(set(self.ballots)) != len(self.ballots):
@@ -245,7 +252,7 @@ class Voter:
         anon_id = sample_subgroup_element(params, self.rng)
         while anon_id == 1:
             anon_id = sample_subgroup_element(params, self.rng)
-        factor = random_blinding_factor(params, self.rng)
+        factor = self.rng.randrange(1, params.q)
         blinded = _blind_member(anon_id, factor, self.authority_key)
         bus.post(
             self.reg_name,
@@ -464,7 +471,6 @@ def tally(
         bus.post(server.name, TALLY, "records", f"count={len(server.store)}")
     ids = sorted({anon for server in servers for anon in server.store})
     index = sheet.signed_index()
-    p = sheet.params.p
     counts = {label: 0 for label in sheet.candidates}
     invalid = 0
     inconsistent = 0
@@ -473,10 +479,7 @@ def tally(
         if any(r is None for r in records) or len({r[0] for r in records}) != 1:
             inconsistent += 1
             continue
-        product = 1
-        for _, share in records:
-            product = product * share % p
-        label = index.get(product)
+        label = index.get(reconstruct([share for _, share in records], sheet.params))
         if label is None:
             invalid += 1
         else:

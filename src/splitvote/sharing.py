@@ -11,8 +11,8 @@ import itertools
 from random import Random
 from typing import Sequence
 
-from .errors import DomainError, ParameterError, RegimeError
-from .modmath import FieldParams
+from .errors import ParameterError, RegimeError
+from .modmath import FieldParams, require_unit
 
 EXHAUSTIVE_FIELD_LIMIT = 1 << 16
 _ENUMERATION_BUDGET = 5_000_000
@@ -25,20 +25,19 @@ def _complete_values(value: int, leading: Sequence[int], p: int) -> tuple[int, .
     return (*leading, value * pow(prod, -1, p) % p)
 
 
-def _check_value(value: int, p: int) -> None:
-    if not 0 < value < p:
-        raise DomainError(f"can only split a value in [1, p-1], got {value}")
+def check_enumerable(p: int) -> None:
+    """Refuse an exact count over a field too large to sweep."""
+    if p > EXHAUSTIVE_FIELD_LIMIT:
+        raise RegimeError(f"field too large to enumerate (p > {EXHAUSTIVE_FIELD_LIMIT})")
 
 
 def complete_split(value: int, leading: Sequence[int], params: FieldParams) -> tuple[int, ...]:
     """Deterministic completion: append the one share that makes the product
     of all k come out to ``value``."""
-    p = params.p
-    _check_value(value, p)
+    require_unit(value, params, "split value")
     for r in leading:
-        if not 1 <= r <= p - 1:
-            raise DomainError(f"share {r} outside [1, p-1]")
-    return _complete_values(value, leading, p)
+        require_unit(r, params, "share")
+    return _complete_values(value, leading, params.p)
 
 
 def split(value: int, k: int, params: FieldParams, rng: Random) -> tuple[int, ...]:
@@ -66,16 +65,14 @@ def marginal_distribution(
     positions.  Small fields only.
     """
     p = params.p
-    _check_value(value, p)
-    if k < 2:
-        raise ParameterError("k must be at least 2")
+    require_unit(value, params, "split value")
+    # no k check: only k >= 2 has a nonempty proper subset of range(k)
     pos = tuple(positions)
     if not pos or len(pos) >= k:
         raise ParameterError("positions must be a nonempty proper subset of range(k)")
     if len(set(pos)) != len(pos) or any(not 0 <= i < k for i in pos):
         raise ParameterError("positions must be distinct indices in range(k)")
-    if p > EXHAUSTIVE_FIELD_LIMIT:
-        raise RegimeError(f"exhaustive enumeration limited to p <= {EXHAUSTIVE_FIELD_LIMIT}")
+    check_enumerable(p)
     if (p - 1) ** (k - 1) > _ENUMERATION_BUDGET:
         raise RegimeError("enumeration of (p-1)**(k-1) leading tuples is too large")
     counts: dict[tuple[int, ...], int] = {}

@@ -20,7 +20,6 @@ from splitvote.adversary import (
     _simulate,
     attack_any_valid,
     attack_targeted,
-    collusion_equivalence,
     sweep_image,
 )
 from splitvote.errors import DomainError, RegimeError, ScenarioError
@@ -59,8 +58,10 @@ class TestScenarioValidation:
             scenario(field, 3, (3,))
 
     def test_rejects_single_share(self, field):
-        with pytest.raises(ScenarioError):
-            scenario(field, 1, (0,))
+        # no coalition of fewer than two servers is a nonempty proper subset
+        for k, colluders in [(1, (0,)), (1, ()), (0, ())]:
+            with pytest.raises(ScenarioError):
+                scenario(field, k, colluders)
 
     def test_honest_and_rewritten(self, field):
         s = scenario(field, 4, (2, 0))
@@ -162,25 +163,30 @@ class TestSweepImage:
 
 
 class TestEquivalence:
+    """k - 1 colluding servers against k - i, i of them honest: one unknown
+    share already makes every reconstruction equally reachable."""
+
     @pytest.mark.parametrize("k,i", [(2, 1), (3, 1), (3, 2), (5, 2), (5, 4)])
     def test_smaller_coalitions_do_no_worse(self, field, k, i):
-        report = collusion_equivalence(field, k, i, seed=9)
-        assert report.sizes == (k - 1, k - i)
-        assert report.rate_large == Fraction(1, 22)
-        assert report.rate_small == Fraction(1, 22)
-        assert report.equivalent
-        assert report.bijection_holds
+        rng = random.Random(9)
+        value, target = rng.randrange(1, 23), rng.randrange(1, 23)
+        large = scenario(field, k, range(k - 1), seed=9)
+        small = scenario(field, k, range(k - i), seed=9)
+        assert attack_targeted(large, value, target).exact == Fraction(1, 22)
+        assert attack_targeted(small, value, target).exact == Fraction(1, 22)
+        fixed = [rng.randrange(1, 23) for _ in range(k - 1)]
+        assert sorted(sweep_image(field, fixed)) == list(range(1, 23))
 
     def test_honest_count_bounds(self, field):
-        with pytest.raises(ScenarioError):
-            collusion_equivalence(field, 3, 0)
-        with pytest.raises(ScenarioError):
-            collusion_equivalence(field, 3, 3)
+        # i = 0 leaves every server colluding, i = k none
+        for i in (0, 3):
+            with pytest.raises(ScenarioError):
+                scenario(field, 3, range(3 - i))
 
     def test_large_field_refused(self):
         params = generate_params(31, random.Random(1))
         with pytest.raises(RegimeError):
-            collusion_equivalence(params, 3, 1)
+            attack_targeted(CollusionScenario(params, 3, (0, 1)), 4, 9)
 
 
 class TestMonteCarlo:

@@ -6,7 +6,6 @@ import pytest
 
 from splitvote import blindsig
 from splitvote.blindsig import (
-    BlindingFactor,
     PublishedSignature,
     Signature,
     SigningKey,
@@ -15,7 +14,6 @@ from splitvote.blindsig import (
     confirm_batch,
     disavow,
     honest_responder,
-    random_blinding_factor,
     random_signing_key,
     sign,
     unblind,
@@ -48,7 +46,7 @@ def test_public_key_is_computed_once_per_key(key):
 
 
 def test_blind_worked_example(field, pub):
-    blinded = blind(9, BlindingFactor(5, field), pub)
+    blinded = blind(9, 5, pub)
     assert blinded == 12  # 2**5 = 9, 9 * 9 = 81 = 12 mod 23
 
 
@@ -58,7 +56,7 @@ def test_sign_worked_examples(field, key):
 
 
 def test_unblind_worked_example(field, key, pub):
-    recovered = unblind(3, BlindingFactor(5, field), pub)
+    recovered = unblind(3, 5, pub)
     assert recovered == 16
     assert recovered == mod_exp(9, 3, field)
 
@@ -69,9 +67,8 @@ def test_blind_sign_unblind_round_trip_exhaustive(field, key, pub):
     for m in SUBGROUP_23:
         expected = sign(m, key).sig
         for b in range(1, 11):
-            factor = BlindingFactor(b, field)
-            blinded_sig = sign(blind(m, factor, pub), key).sig
-            assert unblind(blinded_sig, factor, pub) == expected
+            blinded_sig = sign(blind(m, b, pub), key).sig
+            assert unblind(blinded_sig, b, pub) == expected
             count += 1
     assert count == 110
 
@@ -80,21 +77,23 @@ def test_blinded_values_sweep_the_subgroup_uniformly(field, pub):
     # for fixed m the blinded value over b in [1, q-1], plus m itself
     # (b = q would give g**q = 1), covers the subgroup exactly once each
     for m in SUBGROUP_23:
-        seen = {blind(m, BlindingFactor(b, field), pub) for b in range(1, 11)}
+        seen = {blind(m, b, pub) for b in range(1, 11)}
         seen.add(m)
         assert seen == set(SUBGROUP_23)
 
 
-def test_blinding_factor_boundaries(field):
-    with pytest.raises(ParameterError):
-        BlindingFactor(0, field)
-    with pytest.raises(ParameterError):
-        BlindingFactor(11, field)
+def test_blinding_factor_boundaries(field, pub):
+    # b = 0 and b = q blind nothing; the exponent is checked before the message
+    for b in (0, 11):
+        with pytest.raises(ParameterError):
+            blind(9, b, pub)
+        with pytest.raises(ParameterError):
+            blind(5, b, pub)
 
 
 def test_blind_rejects_non_subgroup_message(field, pub):
     with pytest.raises(DomainError):
-        blind(5, BlindingFactor(2, field), pub)
+        blind(5, 2, pub)
 
 
 def test_sign_rejects_zero(field, key):
@@ -245,7 +244,6 @@ def test_random_helpers_land_in_range(field):
     rng = random.Random(9)
     for _ in range(50):
         assert 1 <= random_signing_key(field, rng).exponent <= 10
-        assert 1 <= random_blinding_factor(field, rng).exponent <= 10
 
 
 def test_signature_stays_a_plain_record(field):

@@ -250,6 +250,14 @@ class TestElectionRun:
             "invalid: tally 1 != ledger 0",
         ]
 
+    @pytest.mark.parametrize("booth", BOOTH_MODES)
+    def test_library_config_with_unfit_labels_is_refused(self, booth):
+        # the config parser refuses these labels; a config built in code
+        # reaches the ballot sheet, which refuses them before any message
+        config = ElectionConfig(FIXTURE_FIELD, None, 3, 2, ("a b", "x:1"), booth_mode=booth)
+        with pytest.raises(ParameterError, match="whitespace"):
+            run_election(config)
+
     def test_records_are_byte_identical_across_runs(self):
         _, first = run_election(base_config())
         _, second = run_election(base_config())

@@ -16,6 +16,7 @@ from splitvote.blindsig import (
     verify_with_key,
 )
 from splitvote.errors import (
+    DomainError,
     FieldMismatchError,
     NoInverseError,
     ParameterError,
@@ -33,6 +34,7 @@ from splitvote.modmath import (
     mod_inv,
     params_from_text,
     params_to_text,
+    require_unit,
     sample_subgroup_element,
     _safe_prime_proved,
 )
@@ -84,6 +86,14 @@ def test_mod_inv_of_zero(field):
         mod_inv(0, field)
     with pytest.raises(NoInverseError):
         mod_inv(23, field)
+
+
+def test_require_unit_exhaustive(field):
+    for a in range(1, 23):
+        assert require_unit(a, field, "value") == a
+    for a in (0, 23, -1, 46):
+        with pytest.raises(DomainError, match=rf"^share must lie in \[1, p-1\], got {a}$"):
+            require_unit(a, field, "share")
 
 
 def test_subgroup_membership(field):

@@ -31,6 +31,7 @@ from splitvote.protocol import (
     RegistrationAuthority,
     VoteServer,
     Voter,
+    label_fits,
     make_ballot_sheet,
     tally,
 )
@@ -131,6 +132,15 @@ class TestBallotSheet:
     def test_rejects_nonresidue_ballot(self, field):
         with pytest.raises(DomainError):
             BallotSheet(("a", "b"), (2, 5), (8, 3), field)
+
+    @pytest.mark.parametrize("label", ["a b", "x:1", "a=b", "", "tab\there", "nbsp\u00a0x"])
+    def test_rejects_a_label_reports_cannot_carry(self, field, label):
+        assert not label_fits(label)
+        with pytest.raises(ParameterError):
+            BallotSheet(("ok", label), (2, 3), (8, 6), field)
+
+    def test_label_fits(self):
+        assert all(map(label_fits, ["a", "option-1", "é", "a.b", "x1_"]))
 
     def test_rejects_length_mismatch(self, field):
         with pytest.raises(ParameterError):
