@@ -55,7 +55,7 @@ from .protocol import (
 from .sharing import check_enumerable
 
 SNAPSHOT_KIND = "splitvote-snapshot"
-SNAPSHOT_FORMAT = 4
+SNAPSHOT_FORMAT = 5
 
 
 def stream(seed: int, label: str) -> Random:

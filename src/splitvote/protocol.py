@@ -122,6 +122,8 @@ class BallotSheet:
     def __post_init__(self):
         if len(self.candidates) < 2:
             raise ParameterError("a ballot sheet needs at least two candidates")
+        if len(set(self.candidates)) != len(self.candidates):
+            raise ParameterError("candidate labels must be distinct")
         if not all(map(label_fits, self.candidates)):
             raise ParameterError("a candidate label is empty or holds whitespace, ':' or '='")
         if not (len(self.candidates) == len(self.ballots) == len(self.signed_ballots)):
@@ -242,12 +244,12 @@ class Voter:
 
     def register(self, authority: RegistrationAuthority, bus: MessageBus) -> Signature:
         """Blind a fresh anonymous id, have it signed, unblind, and confirm
-        the credential in a round of its own and the ballot sheet in one
-        batched round; a refused batch falls back to a round per ballot,
+        the credential and the ballot sheet in one batched round; a refused
+        batch falls back to a round for the credential, then one per ballot,
         which disavows the first bad one.  Id 1 is redrawn: the booth
         refuses it, since it is its own signature under every key.  The id
-        is a square, so blinding skips its subgroup test; the credential's
-        confirmation makes it, and the booth reuses that verdict."""
+        is a square, so blinding skips its subgroup test; the batch makes
+        it, and the booth reuses that verdict."""
         params = self.authority_key.params
         anon_id = sample_subgroup_element(params, self.rng)
         while anon_id == 1:
@@ -262,11 +264,13 @@ class Voter:
         )
         signed_blinded, sheet = authority.register(self.v_id, blinded, bus)
         credential = Signature(anon_id, unblind(signed_blinded, factor, self.authority_key), params)
-        self._confirm_or_disavow(credential, "confirm-credential", authority, bus)
-        batch = confirm_batch(sheet.signatures, self.authority_key, authority.responder, self.rng)
+        batch = confirm_batch(
+            (credential, *sheet.signatures), self.authority_key, authority.responder, self.rng
+        )
         body = f"weights={','.join(map(str, batch.weights))} {_transcript_body(batch)}"
         bus.post(self.reg_name, authority.name, "confirm-batch", body)
         if not batch.accepted:
+            self._confirm_or_disavow(credential, "confirm-credential", authority, bus)
             for label, signature in zip(sheet.candidates, sheet.signatures):
                 self._confirm_or_disavow(
                     signature, "confirm-ballot", authority, bus, lead=f"candidate={label} "
@@ -352,7 +356,8 @@ class PollingBooth:
         and the authority's signature on it.
 
         Re-authenticating with the same credential is the re-vote path: the
-        previous token dies.  A known id under a *different* valid signature
+        previous token dies, and the signature its first grant verified is
+        not verified again.  A known id under a *different* valid signature
         is a collision and the voter must re-register.  The credential's
         cached subgroup verdicts are reused, so a voter showing the object
         that registration confirmed costs no subgroup test here.
@@ -373,22 +378,21 @@ class PollingBooth:
         if anon_id == 1:
             bus.post(self.name, holder, "auth-reject", "reason=degenerate-id")
             raise AuthenticationError("anonymous id 1 is signed by every key")
-        if self.mode == KEY_COPY:
-            valid = verify_with_key(credential, self.key)
-        else:
-            authority = self.authority
-            transcript = confirm(
-                credential, authority.key.public_key(), authority.responder, self.rng
-            )
-            bus.post(self.name, authority.name, "auth-zk", _transcript_body(transcript))
-            valid = transcript.accepted
-        if not valid:
-            bus.post(self.name, holder, "auth-reject", "reason=invalid-signature")
-            raise AuthenticationError("credential signature does not verify")
         session = self.sessions.get(anon_id)
-        if session is not None and session[0] != signature:
-            bus.post(self.name, holder, "auth-reject", "reason=collision")
-            raise CollisionError("anonymous id already bound to a different signature")
+        if session is None or session[0] != signature:
+            if self.mode == KEY_COPY:
+                valid = verify_with_key(credential, self.key)
+            else:
+                ra = self.authority
+                transcript = confirm(credential, ra.key.public_key(), ra.responder, self.rng)
+                bus.post(self.name, ra.name, "auth-zk", _transcript_body(transcript))
+                valid = transcript.accepted
+            if not valid:
+                bus.post(self.name, holder, "auth-reject", "reason=invalid-signature")
+                raise AuthenticationError("credential signature does not verify")
+            if session is not None:
+                bus.post(self.name, holder, "auth-reject", "reason=collision")
+                raise CollisionError("anonymous id already bound to a different signature")
         self.clock += 1
         token = f"{self.rng.getrandbits(128):032x}"
         self.sessions[anon_id] = (signature, token)

@@ -181,11 +181,16 @@ def test_transcript_record_fields(field, key, pub):
     sheet = make_ballot_sheet(("a", "b"), key, random.Random(7))
     voter = Voter("V00000", pub, random.Random(100))
     credential = voter.register(RegistrationAuthority(key, ["V00000"], sheet), bus)
-    line = next(line for line in bus.render_log() if " confirm-credential " in line)
+    line = next(line for line in bus.render_log() if " confirm-batch " in line)
     pairs = [pair.split("=", 1) for pair in line.split(" ")[5:]]
-    assert [name for name, _ in pairs] == ["e1", "e2", "challenge", "response", "accepted"]
-    e1, e2, challenge, response, accepted = (int(value) for _, value in pairs)
-    assert challenge == credential.message ** e1 * 2 ** e2 % 23
+    names = ["weights", "e1", "e2", "challenge", "response", "accepted"]
+    assert [name for name, _ in pairs] == names
+    weights = [int(r) for r in pairs[0][1].split(",")]
+    e1, e2, challenge, response, accepted = (int(value) for _, value in pairs[1:])
+    expected = 2 ** e2
+    for message, r in zip((credential.message, *sheet.ballots), weights, strict=True):
+        expected = expected * message ** (r * e1 % 11) % 23
+    assert challenge == expected
     assert response == challenge ** 3 % 23
     assert accepted == 1
 

@@ -320,6 +320,7 @@ class TestHostileSnapshots:
             ("format", 1, "format 1 is not supported"),
             ("format", 2, "format 2 is not supported"),
             ("format", 3, "format 3 is not supported"),
+            ("format", 4, "format 4 is not supported"),
             ("cursor", 10_000, "beyond the schedule"),
             ("sha256", "0" * 64, "digest mismatch"),
             # format 2 kept these; the seed now lives in the config alone
@@ -349,6 +350,26 @@ class TestHostileSnapshots:
         assert "format 3 is not supported" in err and "rerun with --snapshot-at" in err
         # replaying its config today cannot reach the digest it recorded
         relabelled = json.loads(self.FORMAT_3_SNAPSHOT) | {"format": harness.SNAPSHOT_FORMAT}
+        snap.write_text(json.dumps(relabelled), encoding="utf-8")
+        assert "digest mismatch" in _resume_fails_with_one_line(snap, capsys)
+
+    # written by format-4 code for the same election and cursor, before the
+    # credential joined the sheet's batched round and a recast stopped
+    # being verified again
+    FORMAT_4_SNAPSHOT = (
+        '{"config":["p = 23","q = 11","g = 2","voters = 12","servers = 3",'
+        '"candidates = alpha,beta","recast_fraction = 0.25","incomplete_fraction = 0.0",'
+        '"booth = key-copy","seed = 9"],"cursor":6,"format":4,"kind":"splitvote-snapshot",'
+        '"sha256":"286f63b35b696755e58e187e230870b1b8ebec08f9cab68299228c84a7b3440f"}'
+    )
+
+    def test_format_4_snapshot_is_refused_by_its_format(self, tmp_path, capsys):
+        snap = tmp_path / "state.json"
+        snap.write_text(self.FORMAT_4_SNAPSHOT, encoding="utf-8")
+        err = _resume_fails_with_one_line(snap, capsys)
+        assert "format 4 is not supported" in err and "rerun with --snapshot-at" in err
+        # replaying its config today cannot reach the digest it recorded
+        relabelled = json.loads(self.FORMAT_4_SNAPSHOT) | {"format": harness.SNAPSHOT_FORMAT}
         snap.write_text(json.dumps(relabelled), encoding="utf-8")
         assert "digest mismatch" in _resume_fails_with_one_line(snap, capsys)
 

@@ -258,6 +258,14 @@ class TestElectionRun:
         with pytest.raises(ParameterError, match="whitespace"):
             run_election(config)
 
+    @pytest.mark.parametrize("booth", BOOTH_MODES)
+    def test_library_config_with_duplicate_labels_is_refused(self, booth):
+        # two labels sharing one count would print `count a = ...` twice
+        # and echo a `candidates` line the config parser refuses
+        config = ElectionConfig(FIXTURE_FIELD, None, 3, 2, ("a", "a"), booth_mode=booth)
+        with pytest.raises(ParameterError, match="distinct"):
+            run_election(config)
+
     def test_records_are_byte_identical_across_runs(self):
         _, first = run_election(base_config())
         _, second = run_election(base_config())
@@ -293,11 +301,19 @@ class TestElectionRun:
         _, second = run_election(config)
         assert first.agreement()
         assert first.render_records() == second.render_records()
-        assert run.bus.kind_counts()["auth-zk"] >= 8
+        # one relayed round per credential, at its first authentication
+        assert run.bus.kind_counts()["auth-zk"] == first.distinct_credentials
 
+    # named by booth alone, so that re-pinning a digest renames no test
     PINNED_DIGESTS = [
-        ("zk-relay", "a3cf7a374b6fd8556aeacddb83ca29027fee9042d2469a47152e797a2d843140"),
-        ("key-copy", "e09d6d1fb1cc3e7c80bbaab98e9cb08e4e3919ccccf8e5d209104208fa858bcb"),
+        pytest.param(
+            "zk-relay", "9cfcae237bc05e2947971dc339c1853b6578a703d5fd386e5b9058b984f69b10",
+            id="zk-relay",
+        ),
+        pytest.param(
+            "key-copy", "1611ca620103c62c26ecb76f9259d9058592e26c6f627b1f9760e5bafd08ecc2",
+            id="key-copy",
+        ),
     ]
 
     @staticmethod
@@ -452,7 +468,7 @@ class TestSnapshots:
         run.run_schedule(upto=20)
         state = json.loads(run.snapshot_json())
         assert sorted(state) == ["config", "cursor", "format", "kind", "sha256"]
-        assert state["format"] == 4 and state["cursor"] == 20
+        assert state["format"] == 5 and state["cursor"] == 20
         assert state["config"] == list(base_config().echo_lines())
         assert len(run.snapshot_json()) < 600
 

@@ -5,10 +5,12 @@ seed, builds the field that seed yields, and checks the same identities on
 it: the int arithmetic against ``pow``, split/reconstruct,
 blind/sign/unblind, confirmation completeness, the disavowal verdicts,
 table-backed signatures confirming like plain ones, the batched round's
-verdict on a sheet, and the harness ledger agreeing with the tally.
+verdict on a sheet and on a registration, and the harness ledger agreeing
+with the tally.
 """
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from splitvote.blindsig import (
     unblind,
     verify_with_key,
 )
+from splitvote import protocol
 from splitvote.errors import DomainError
 from splitvote.harness import ElectionConfig, run_election
 from splitvote.modmath import (
@@ -37,7 +40,15 @@ from splitvote.modmath import (
     mod_inv,
     sample_subgroup_element,
 )
-from splitvote.protocol import BOOTH_MODES
+from splitvote.protocol import (
+    BOOTH_MODES,
+    BallotSheet,
+    CredentialInvalidError,
+    MessageBus,
+    RegistrationAuthority,
+    Voter,
+    make_ballot_sheet,
+)
 from splitvote.sharing import reconstruct, split
 
 fields = st.builds(
@@ -150,6 +161,56 @@ def test_batch_verdict_is_that_of_every_key_check(params, seed, m, bad, non_resi
     transcript = confirm_batch(sheet, key.public_key(), honest_responder(key), rng)
     assert transcript.accepted == all(verify_with_key(sig, key) for sig in sheet)
     assert transcript.accepted == (bad == 0)
+
+
+class _TamperingAuthority(RegistrationAuthority):
+    """Multiplies every signed blinded id by ``factor``, so the credential's
+    signature comes out multiplied by it too."""
+
+    factor = 1
+
+    def register(self, v_id, blinded, bus):
+        signed, sheet = super().register(v_id, blinded, bus)
+        return signed * self.factor % self.key.params.p, sheet
+
+
+@settings(max_examples=20, deadline=None)
+@given(fields, seeds, st.integers(2, 5), st.integers(0, 2), st.booleans())
+def test_registration_batch_verdict_is_that_of_every_key_check(
+    params, seed, m, bad, non_residue
+):
+    # the credential (position 0) and a sheet of m ballots, `bad` of them
+    # wrong, the first wrong one the non-residue -sig when asked
+    rng = random.Random(seed)
+    key = random_signing_key(params, rng)
+    sheet = make_ballot_sheet(tuple(f"c{i}" for i in range(m)), key, rng)
+    wrong = sorted(rng.sample(range(m + 1), bad))
+    factors = [1] * (m + 1)
+    for position in wrong:
+        factors[position] = params.p - 1 if non_residue and position == wrong[0] else params.g
+    signed = tuple(s * f % params.p for s, f in zip(sheet.signed_ballots, factors[1:]))
+    sheet = BallotSheet(sheet.candidates, sheet.ballots, signed, params)
+    authority = _TamperingAuthority(key, ["V0"], sheet)
+    authority.factor = factors[0]
+    batches = []
+
+    def spy(sigs, *args):
+        batches.append(tuple(sigs))
+        return confirm_batch(sigs, *args)
+
+    bus = MessageBus()
+    with mock.patch.object(protocol, "confirm_batch", spy):
+        try:
+            Voter("V0", key.public_key(), rng).register(authority, bus)
+        except CredentialInvalidError:
+            pass
+    [batch] = batches
+    assert batch[1:] == sheet.signatures
+    line = next(line for line in bus.render_log() if " confirm-batch " in line)
+    accepted = line.endswith(" accepted=1")
+    assert accepted == all(verify_with_key(sig, key) for sig in batch)
+    assert accepted == (bad == 0)
+    assert authority.registered == {"V0"}
 
 
 @settings(max_examples=12, deadline=None)

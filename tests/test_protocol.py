@@ -12,6 +12,7 @@ from splitvote.blindsig import (
     SigningKey,
     confirm_batch,
     random_signing_key,
+    sign,
     verify_with_key,
 )
 from splitvote.errors import DomainError, ParameterError, VotingError
@@ -84,9 +85,11 @@ def register_all(voters, authority, bus):
     return [voter.register(authority, bus) for voter in voters]
 
 
-def count_calls(monkeypatch, name):
-    """Count calls of the ``modmath`` function ``name`` from every module."""
-    counts = {name: 0}
+def count_calls(monkeypatch, name, counts=None):
+    """Count calls of the ``modmath`` function ``name`` from every module,
+    in ``counts[name]``."""
+    counts = {} if counts is None else counts
+    counts[name] = 0
     original = getattr(modmath, name)
 
     def counted(*args):
@@ -96,6 +99,21 @@ def count_calls(monkeypatch, name):
     for module_name, module in list(sys.modules.items()):
         if module_name.startswith("splitvote") and getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def count_work(monkeypatch):
+    """Count ``mod_exp`` calls, subgroup tests and fixed-base table powers."""
+    counts = count_calls(monkeypatch, "mod_exp")
+    count_calls(monkeypatch, "in_subgroup", counts)
+    counts["table"] = 0
+    power = modmath.FixedBase.power
+
+    def counted_power(table, exponent):
+        counts["table"] += 1
+        return power(table, exponent)
+
+    monkeypatch.setattr(modmath.FixedBase, "power", counted_power)
     return counts
 
 
@@ -139,6 +157,10 @@ class TestBallotSheet:
         with pytest.raises(ParameterError):
             BallotSheet(("ok", label), (2, 3), (8, 6), field)
 
+    def test_rejects_duplicate_labels(self, field):
+        with pytest.raises(ParameterError, match="distinct"):
+            BallotSheet(("a", "b", "a"), (2, 3, 4), (8, 6, 18), field)
+
     def test_label_fits(self):
         assert all(map(label_fits, ["a", "option-1", "é", "a.b", "x1_"]))
 
@@ -176,8 +198,9 @@ class TestMessageBus:
 
 class TestRenderedLines:
     """The literal log lines of the message kinds and reasons that no
-    pinned-digest run reaches.  Parsing lines into dicts cannot see field
-    order or spacing; these comparisons do."""
+    pinned-digest run reaches, and of a recast, which has no ``auth-zk``
+    line.  Parsing lines into dicts cannot see field order or spacing;
+    these comparisons do."""
 
     @staticmethod
     def ineligible(field, key, sheet, mode):
@@ -204,8 +227,9 @@ class TestRenderedLines:
 
     @staticmethod
     def bad_sheet(field, key, sheet, mode):
-        # the batch is refused, so every ballot gets a round of its own in
-        # sheet order, up to the doubled one, which is disavowed
+        # the batch is refused, so the credential and then every ballot get
+        # a round of their own in sheet order, up to the doubled one, which
+        # is disavowed
         signed = list(sheet.signed_ballots)
         signed[1] = signed[1] * 2 % 23
         bad_sheet = BallotSheet(sheet.candidates, sheet.ballots, tuple(signed), field)
@@ -213,7 +237,7 @@ class TestRenderedLines:
         authority = RegistrationAuthority(key, ["V00000"], bad_sheet)
         with pytest.raises(CredentialInvalidError):
             Voter("V00000", key.public_key(), random.Random(100)).register(authority, bus)
-        return bus, 3  # after the request, the grant and the credential's round
+        return bus, 2  # after the register-request and register-grant
 
     @staticmethod
     def disavow(field, key, sheet, mode):
@@ -271,6 +295,15 @@ class TestRenderedLines:
         return bus, start
 
     @classmethod
+    def recast(cls, field, key, sheet, mode):
+        # the granted pair again: no auth-zk round and no key check
+        bus, booth, servers, voter, cred = cls.registered(field, key, sheet, mode)
+        booth.authenticate(cred, bus)
+        start = len(bus)
+        booth.authenticate(cred, bus)
+        return bus, start
+
+    @classmethod
     def collision(cls, field, key, sheet, mode):
         bus, booth, servers, voter, cred = cls.registered(field, key, sheet, mode)
         start = len(bus)
@@ -311,76 +344,86 @@ class TestRenderedLines:
             "000002 ra -> voter/V99999 register-reject reason=ineligible",
         ],
         "already_registered": [
-            "000005 voter/V00000 -> ra register-request v_id=V00000 blinded=1",
-            "000006 ra -> voter/V00000 register-reject reason=already-registered",
+            "000004 voter/V00000 -> ra register-request v_id=V00000 blinded=1",
+            "000005 ra -> voter/V00000 register-reject reason=already-registered",
         ],
         "malformed_blinded": [
             "000001 ra -> voter/V00000 register-reject reason=malformed-blinded",
         ],
         "bad_sheet": [
-            "000004 voter/V00000 -> ra confirm-batch weights=7,6,7 e1=9 e2=2 challenge=6 response=9 accepted=0",
-            "000005 voter/V00000 -> ra confirm-ballot candidate=alpha e1=9 e2=2 challenge=18 response=13 accepted=1",
-            "000006 voter/V00000 -> ra confirm-ballot candidate=beta e1=2 e2=8 challenge=12 response=3 accepted=0",
+            "000003 voter/V00000 -> ra confirm-batch weights=8,3,7,6 e1=7 e2=9 challenge=1 response=1 accepted=0",
+            "000004 voter/V00000 -> ra confirm-credential e1=2 e2=9 challenge=1 response=1 accepted=1",
+            "000005 voter/V00000 -> ra confirm-ballot candidate=alpha e1=2 e2=2 challenge=6 response=9 accepted=1",
+            "000006 voter/V00000 -> ra confirm-ballot candidate=beta e1=8 e2=5 challenge=4 response=18 accepted=0",
             "000007 voter/V00000 -> ra disavow forgery=1",
         ],
         "disavow": [
-            "000003 voter/V00000 -> ra confirm-credential e1=8 e2=3 challenge=1 response=1 accepted=0",
-            "000004 voter/V00000 -> ra disavow forgery=1",
+            "000003 voter/V00000 -> ra confirm-batch weights=8,3,7,6 e1=7 e2=9 challenge=1 response=1 accepted=0",
+            "000004 voter/V00000 -> ra confirm-credential e1=2 e2=9 challenge=1 response=1 accepted=0",
+            "000005 voter/V00000 -> ra disavow forgery=1",
         ],
         "closed": [
-            "000005 booth -> * close",
-            "000006 holder/2 -> booth auth-request anon_id=2 signature=8",
-            "000007 booth -> holder/2 auth-reject reason=closed",
+            "000004 booth -> * close",
+            "000005 holder/2 -> booth auth-request anon_id=2 signature=8",
+            "000006 booth -> holder/2 auth-reject reason=closed",
         ],
         "malformed_id": [
             "000001 holder/5 -> booth auth-request anon_id=5 signature=5",
             "000002 booth -> holder/5 auth-reject reason=malformed-id",
         ],
         "wrapped_id/key-copy": [
-            "000005 holder/25 -> booth auth-request anon_id=25 signature=8",
-            "000006 booth -> holder/25 auth-reject reason=malformed-id",
+            "000004 holder/25 -> booth auth-request anon_id=25 signature=8",
+            "000005 booth -> holder/25 auth-reject reason=malformed-id",
         ],
         "wrapped_id/zk-relay": [
-            "000005 holder/25 -> booth auth-request anon_id=25 signature=8",
-            "000006 booth -> holder/25 auth-reject reason=malformed-id",
+            "000004 holder/25 -> booth auth-request anon_id=25 signature=8",
+            "000005 booth -> holder/25 auth-reject reason=malformed-id",
         ],
         "degenerate_id": [
             "000001 holder/1 -> booth auth-request anon_id=1 signature=1",
             "000002 booth -> holder/1 auth-reject reason=degenerate-id",
         ],
         "invalid_signature/key-copy": [
-            "000005 holder/2 -> booth auth-request anon_id=2 signature=16",
-            "000006 booth -> holder/2 auth-reject reason=invalid-signature",
+            "000004 holder/2 -> booth auth-request anon_id=2 signature=16",
+            "000005 booth -> holder/2 auth-reject reason=invalid-signature",
         ],
         "invalid_signature/zk-relay": [
-            "000005 holder/2 -> booth auth-request anon_id=2 signature=16",
-            "000006 booth -> ra auth-zk e1=8 e2=9 challenge=18 response=13 accepted=0",
-            "000007 booth -> holder/2 auth-reject reason=invalid-signature",
+            "000004 holder/2 -> booth auth-request anon_id=2 signature=16",
+            "000005 booth -> ra auth-zk e1=8 e2=9 challenge=18 response=13 accepted=0",
+            "000006 booth -> holder/2 auth-reject reason=invalid-signature",
+        ],
+        "recast/key-copy": [
+            "000006 holder/2 -> booth auth-request anon_id=2 signature=8",
+            "000007 booth -> holder/2 auth-grant token=73ab48767734d7c1c7fde805ec99108d issued_at=2",
+        ],
+        "recast/zk-relay": [
+            "000007 holder/2 -> booth auth-request anon_id=2 signature=8",
+            "000008 booth -> holder/2 auth-grant token=965eda32dae445508201e2bd73ab4876 issued_at=2",
         ],
         "collision/key-copy": [
-            "000005 holder/2 -> booth auth-request anon_id=2 signature=8",
-            "000006 booth -> holder/2 auth-reject reason=collision",
+            "000004 holder/2 -> booth auth-request anon_id=2 signature=8",
+            "000005 booth -> holder/2 auth-reject reason=collision",
         ],
         "collision/zk-relay": [
-            "000005 holder/2 -> booth auth-request anon_id=2 signature=8",
-            "000006 booth -> ra auth-zk e1=8 e2=9 challenge=18 response=13 accepted=1",
-            "000007 booth -> holder/2 auth-reject reason=collision",
+            "000004 holder/2 -> booth auth-request anon_id=2 signature=8",
+            "000005 booth -> ra auth-zk e1=8 e2=9 challenge=18 response=13 accepted=1",
+            "000006 booth -> holder/2 auth-reject reason=collision",
         ],
         "unknown_token": [
-            "000009 holder/2 -> server/0 cast-share anon_id=2 version=1 share=18 token=db5b5fab8f4d3e27dda1494c73cf256d",
-            "000010 server/0 -> booth token-check token=db5b5fab8f4d3e27dda1494c73cf256d anon_id=2",
-            "000011 booth -> server/0 token-bad token=db5b5fab8f4d3e27dda1494c73cf256d",
-            "000012 server/0 -> holder/2 cast-reject anon_id=2 version=1 reason=unknown-token",
+            "000008 holder/2 -> server/0 cast-share anon_id=2 version=1 share=4 token=db5b5fab8f4d3e27dda1494c73cf256d",
+            "000009 server/0 -> booth token-check token=db5b5fab8f4d3e27dda1494c73cf256d anon_id=2",
+            "000010 booth -> server/0 token-bad token=db5b5fab8f4d3e27dda1494c73cf256d",
+            "000011 server/0 -> holder/2 cast-reject anon_id=2 version=1 reason=unknown-token",
         ],
         "zero_share": [
-            "000007 server/0 -> booth token-check token=db5b5fab8f4d3e27dda1494c73cf256d anon_id=2",
-            "000008 booth -> server/0 token-ok token=db5b5fab8f4d3e27dda1494c73cf256d",
-            "000009 server/0 -> holder/2 cast-reject anon_id=2 version=1 reason=zero-share",
+            "000006 server/0 -> booth token-check token=db5b5fab8f4d3e27dda1494c73cf256d anon_id=2",
+            "000007 booth -> server/0 token-ok token=db5b5fab8f4d3e27dda1494c73cf256d",
+            "000008 server/0 -> holder/2 cast-reject anon_id=2 version=1 reason=zero-share",
         ],
         "stale_version": [
-            "000011 server/0 -> booth token-check token=db5b5fab8f4d3e27dda1494c73cf256d anon_id=2",
-            "000012 booth -> server/0 token-ok token=db5b5fab8f4d3e27dda1494c73cf256d",
-            "000013 server/0 -> holder/2 cast-reject anon_id=2 version=1 reason=stale-version",
+            "000010 server/0 -> booth token-check token=db5b5fab8f4d3e27dda1494c73cf256d anon_id=2",
+            "000011 booth -> server/0 token-ok token=db5b5fab8f4d3e27dda1494c73cf256d",
+            "000012 server/0 -> holder/2 cast-reject anon_id=2 version=1 reason=stale-version",
         ],
     }
 
@@ -419,18 +462,17 @@ class TestRegistration:
             ghost.register(authority, bus)
 
     def test_voter_confirms_credential_and_every_ballot(self, field, key, sheet):
+        # one batched round, weighted once for the credential and once per
+        # ballot, and no round of their own
         bus, authority, booth, servers, voters = make_setup(field, key, sheet)
         voters[0].register(authority, bus)
         counts = bus.kind_counts()
-        assert counts["confirm-credential"] == 1
         assert counts["confirm-batch"] == 1
-        assert "confirm-ballot" not in counts
-        for m in logged(bus):
-            if m.kind.startswith("confirm-"):
-                assert m.fields["accepted"] == "1"
+        assert "confirm-credential" not in counts and "confirm-ballot" not in counts
         batch = next(m for m in logged(bus) if m.kind == "confirm-batch")
+        assert batch.fields["accepted"] == "1"
         weights = [int(r) for r in batch.fields["weights"].split(",")]
-        assert len(weights) == len(CANDIDATES)
+        assert len(weights) == 1 + len(CANDIDATES)
         assert all(1 <= r <= field.q - 1 for r in weights)
 
     @pytest.mark.parametrize("blinded", [0, 23, -1])
@@ -507,20 +549,22 @@ class TestRegistration:
         )
         assert register_two() == (verdicts, log)
 
-    def test_second_registration_costs_five_exponentiations(self, monkeypatch):
-        # credential: blinded**x, m**e1, c**x, sig**e1; the four ballots'
-        # batched round: c**x only, since every m_i and s_i power comes
-        # from the sheet's tables; subgroup tests: both credential halves,
-        # the id's being the one its confirmation makes
+    def test_second_registration_costs_four_exponentiations(self, monkeypatch):
+        # blinded**x, then one batched round over the credential and the
+        # four ballots: the credential's m**t and sig**t, and c**x, since
+        # every m_i and s_i power comes from the sheet's tables; table
+        # powers: g**b, y**b, g**e2, y**e2 and the sheet's eight; subgroup
+        # tests: both credential halves, the id's being the one the batch
+        # makes; messages: request, grant and batch, for each voter
         params = field_64()
         key = random_signing_key(params, random.Random(1))
         four = make_ballot_sheet(("a", "b", "c", "d"), key, random.Random(7))
         bus, authority, booth, servers, voters = make_setup(params, key, four, n_voters=2)
         voters[0].register(authority, bus)
-        mod_exp = count_calls(monkeypatch, "mod_exp")
-        in_subgroup = count_calls(monkeypatch, "in_subgroup")
+        counts = count_work(monkeypatch)
         voters[1].register(authority, bus)
-        assert (mod_exp, in_subgroup) == ({"mod_exp": 5}, {"in_subgroup": 2})
+        assert counts == {"mod_exp": 4, "in_subgroup": 2, "table": 12}
+        assert len(bus) == 6
 
 
 class TestBooth:
@@ -616,6 +660,44 @@ class TestBooth:
         assert counts == {"mod_exp": 3, "tables": 0}
 
     @pytest.mark.parametrize(
+        "mode, first, recast",
+        [
+            # m**t, c**x and sig**t, with g**e2 and y**e2 from the tables
+            # the voters' registrations already built
+            pytest.param(
+                ZK_RELAY, {"mod_exp": 3, "table": 2}, {"mod_exp": 0, "table": 0}, id="zk-relay"
+            ),
+            # message**x
+            pytest.param(
+                KEY_COPY, {"mod_exp": 1, "table": 0}, {"mod_exp": 0, "table": 0}, id="key-copy"
+            ),
+        ],
+    )
+    def test_a_recast_authentication_is_not_verified_again(
+        self, mode, first, recast, monkeypatch
+    ):
+        params = field_64()
+        key = random_signing_key(params, random.Random(1))
+        sheet = make_ballot_sheet(CANDIDATES, key, random.Random(7))
+        bus, authority, booth, servers, voters = make_setup(params, key, sheet, mode=mode)
+        creds = register_all(voters, authority, bus)
+        counts = count_work(monkeypatch)
+        tokens = []
+        for expected in (first, recast):
+            start = len(bus)
+            tokens.append(booth.authenticate(creds[0], bus))
+            assert counts == expected | {"in_subgroup": 0}
+            kinds = [m.kind for m in logged(bus, start)]
+            relayed = ["auth-zk"] if mode == ZK_RELAY and expected is first else []
+            assert kinds == ["auth-request", *relayed, "auth-grant"]
+            counts.update(dict.fromkeys(counts, 0))
+        assert not booth.token_valid(tokens[0], creds[0].message)
+        assert booth.token_valid(tokens[1], creds[0].message)
+        # a wire copy of the granted pair is the same pair
+        booth.authenticate(Signature(creds[0].message, creds[0].sig, params), bus)
+        assert counts == {"mod_exp": 0, "in_subgroup": 1, "table": 0}
+
+    @pytest.mark.parametrize(
         "mode, present, tests",
         [
             # a fresh wire copy of the credential: the malformed-id check and
@@ -639,6 +721,76 @@ class TestBooth:
         counts = count_calls(monkeypatch, "in_subgroup")
         booth.authenticate(cred, bus)
         assert counts == {"in_subgroup": tests}
+
+    @staticmethod
+    def verdict_checking_every_pair(booth, credential):
+        """The booth's verdict when every pair, a recast's too, is checked
+        with the key before its session is looked at (key-copy)."""
+        if booth.closed:
+            return "closed"
+        if not in_subgroup(credential.message, credential.params):
+            return "malformed-id"
+        if credential.message == 1:
+            return "degenerate-id"
+        if not verify_with_key(credential, booth.key):
+            return "invalid-signature"
+        session = booth.sessions.get(credential.message)
+        if session is not None and session[0] != credential.sig:
+            return "collision"
+        return "grant"
+
+    @pytest.mark.parametrize(
+        "first", [a for a in range(2, 23) if in_subgroup(a, modmath.FIXTURE_FIELD)]
+    )
+    def test_skipping_a_granted_pair_changes_no_verdict(self, field, key, sheet, first):
+        # after the first grant of id `first`, every int pair around the
+        # field gets the verdict of checking every pair; pairs the booth
+        # grants along the way become sessions for the pairs after them
+        bus, authority, booth, servers, voters = make_setup(field, key, sheet)
+        booth.authenticate(sign(first, key), bus)
+        for message in range(-1, 2 * 23 + 1):
+            for sig in range(-1, 2 * 23 + 1):
+                credential = Signature(message, sig, field)
+                expected = self.verdict_checking_every_pair(booth, credential)
+                before = dict(booth.sessions)
+                try:
+                    booth.authenticate(credential, bus)
+                except VotingError:
+                    pass
+                last = logged(bus, len(bus) - 1)[0]
+                verdict = "grant" if last.kind == "auth-grant" else last.fields["reason"]
+                assert verdict == expected, (message, sig)
+                if verdict == "grant":
+                    assert booth.sessions[message][0] == sig
+                else:
+                    assert booth.sessions == before
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=pytest.fail.Exception,
+        reason="credentials are unhashed exponentiation signatures, so (g**a, y**a) "
+        "and the product of two issued credentials are valid signatures",
+    )
+    @pytest.mark.parametrize("mode", BOOTH_MODES)
+    @pytest.mark.parametrize("forgery", ["public-key-power", "product"])
+    def test_forged_credential_is_refused(self, mode, forgery):
+        params = field_64()
+        key = random_signing_key(params, random.Random(1))
+        sheet = make_ballot_sheet(CANDIDATES, key, random.Random(7))
+        bus, authority, booth, servers, voters = make_setup(params, key, sheet, mode=mode)
+        creds = register_all(voters, authority, bus)
+        p = params.p
+        if forgery == "public-key-power":
+            a = random.Random(1).randrange(1, params.q)
+            y = key.public_key().value
+            forged = Signature(pow(params.g, a, p), pow(y, a, p), params)
+        else:
+            forged = Signature(
+                creds[0].message * creds[1].message % p, creds[0].sig * creds[1].sig % p, params
+            )
+        assert forged.message not in {cred.message for cred in creds} | set(booth.sessions)
+        with pytest.raises(AuthenticationError):
+            booth.authenticate(forged, bus)
 
     @pytest.mark.parametrize("mode", BOOTH_MODES)
     def test_non_residue_id_is_malformed(self, field, key, sheet, mode):
