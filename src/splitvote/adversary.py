@@ -33,6 +33,8 @@ ANY_VALID = "any-valid"
 ANY_OTHER = "any-other"
 EXHAUSTIVE = "exhaustive"
 MONTE_CARLO = "monte-carlo"
+# words a bulk draw of ``_count_bytes`` takes at most
+CHUNK_WORDS = 1 << 14
 
 
 def colluder_problems(k: int, colluders: Sequence[int]) -> list[str]:
@@ -137,7 +139,8 @@ def _simulate(scenario, value, winners, rewrite, trials, rng) -> int:
     making those calls here gives the same shares from the same words.  The
     rewritten product is rewrite * prod(leading) when the forced k-th share
     is rewritten, and value * rewrite / r when a free share r is, so the
-    winning values of that one coordinate are found before the loop.
+    winning values of that one coordinate are found before the loop.  When
+    p - 1 < 256 the draws are counted as bytes instead (``_count_bytes``).
     """
     if trials < 1:
         raise ScenarioError("need at least one trial")
@@ -146,11 +149,17 @@ def _simulate(scenario, value, winners, rewrite, trials, rng) -> int:
     j = scenario.rewritten
     bound = p - 1
     bits = bound.bit_length()
-    draw = rng.getrandbits
-    successes = 0
     if j == k - 1:
         inverse = pow(rewrite, -1, p)
         wins = frozenset(w * inverse % p for w in winners)
+    else:
+        # winning shares r, less one: the raw draw is tested as it comes
+        wins = frozenset(value * rewrite * pow(w, -1, p) % p - 1 for w in winners)
+    if bound < 256:
+        return _count_bytes(scenario.params, k - 1, j, wins, trials, rng)
+    draw = rng.getrandbits
+    successes = 0
+    if j == k - 1:
         rest = range(k - 2)
         for _ in range(trials):
             prod = draw(bits)
@@ -165,8 +174,6 @@ def _simulate(scenario, value, winners, rewrite, trials, rng) -> int:
             if prod in wins:
                 successes += 1
         return successes
-    # winning shares r, less one: the raw draw is tested as it comes
-    wins = frozenset(value * rewrite * pow(w, -1, p) % p - 1 for w in winners)
     before, after = range(j), range(k - 2 - j)
     for _ in range(trials):
         for _ in before:
@@ -180,6 +187,51 @@ def _simulate(scenario, value, winners, rewrite, trials, rng) -> int:
                 pass
         if r in wins:
             successes += 1
+    return successes
+
+
+def _count_bytes(params, n, j, wins, trials, rng) -> int:
+    """``_simulate``'s count for p - 1 < 256, one byte a share, n a trial.
+
+    A draw is the top (p - 1).bit_length() <= 8 bits of one 32-bit word, and
+    ``getrandbits(32 * w)`` is w words, first word least significant: the
+    top byte of each, mapped to its share less the rejected draws, gives the
+    shares single calls would.  A chunk of no more words than shares owed
+    takes no word they would not.  Column i of a block is share i of each
+    trial.  The product of the free shares is counted by its log to the base
+    p - g, which generates [1, p - 1] (g has odd order q, -1 has order 2).
+    """
+    p = params.p
+    shift = 8 - (p - 1).bit_length()
+    share = bytes(((b >> shift) + 1) & 255 for b in range(256))
+    rejected = bytes(b for b in range(256) if b >> shift >= p - 1)
+    if j < n:
+        hit = bytes(r - 1 in wins for r in range(256))
+    else:
+        root, log, power = p - params.g, bytearray(256), 1
+        for e in range(p - 1):
+            log[power], power = e, power * root % p
+        hit = bytes(pow(root, e, p) in wins for e in range(256))
+    successes, owed, carry = 0, trials * n, b""
+    while owed > 0:
+        w = min(CHUNK_WORDS, owed)
+        got = rng.getrandbits(32 * w).to_bytes(4 * w, "little")[3::4].translate(share, rejected)
+        owed -= len(got)
+        block = carry + got
+        m = len(block) // n
+        block, carry = block[:m * n], block[m * n:]
+        if j < n:
+            successes += block[j::n].translate(hit).count(1)
+            continue
+        # logs add in 16-bit lanes of one int; adding 2^15 - (p - 1) sets
+        # bit 15 of each lane that must drop p - 1
+        lane, ones = bytearray(2 * m), int.from_bytes(b"\1\0" * m, "little")
+        total = 0
+        for i in range(n):
+            lane[::2] = block[i::n].translate(log)
+            total += int.from_bytes(lane, "little")
+            total -= ((total + ones * (2**15 - p + 1)) >> 15 & ones) * (p - 1)
+        successes += total.to_bytes(2 * m, "little")[::2].translate(hit).count(1)
     return successes
 
 

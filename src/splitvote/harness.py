@@ -261,9 +261,14 @@ class CastEvent:
     deliver_count: int
 
 
+def _schedule_length(config: ElectionConfig) -> int:
+    """Casts in the schedule: one per voter, one more per recaster."""
+    return config.n_voters + round(config.recast_fraction * config.n_voters)
+
+
 def _build_schedule(config: ElectionConfig) -> tuple[CastEvent, ...]:
     rng = stream(config.seed, "schedule")
-    recasters = rng.sample(range(config.n_voters), round(config.recast_fraction * config.n_voters))
+    recasters = rng.sample(range(config.n_voters), _schedule_length(config) - config.n_voters)
     occurrences = list(range(config.n_voters)) + sorted(recasters)
     rng.shuffle(occurrences)
     events = []
@@ -545,9 +550,9 @@ class ElectionRun:
         if problems:
             raise ConfigError(problems)
         config = parse_election_config("\n".join(state["config"]))
-        # the schedule needs only the config, so a bad cursor is refused
-        # before registration runs
-        if state["cursor"] > len(_build_schedule(config)):
+        # the schedule's length needs only the config, so a bad cursor is
+        # refused before registration runs
+        if state["cursor"] > _schedule_length(config):
             raise ConfigError(["snapshot cursor lies beyond the schedule"])
         run = cls(config)
         run.run_schedule(state["cursor"])

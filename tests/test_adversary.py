@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from splitvote.adversary import (
     ANY_OTHER,
     ANY_VALID,
+    CHUNK_WORDS,
     EXHAUSTIVE,
     MONTE_CARLO,
     TARGETED,
@@ -23,7 +24,7 @@ from splitvote.adversary import (
     sweep_image,
 )
 from splitvote.errors import DomainError, RegimeError, ScenarioError
-from splitvote.modmath import generate_params
+from splitvote.modmath import MIN_PRIME, FieldParams, generate_params
 from splitvote.sharing import split
 
 # every nonzero residue is a possible reconstruction, so targets need not be
@@ -357,4 +358,121 @@ def test_trial_loop_matches_oracle_on_random_fields(bits, seed, data):
     oracle_simulate(s, value, lambda f: reached.append(f), rewrite, trials, rng)
     winners = set(data.draw(st.lists(st.sampled_from(reached), max_size=3)))
     winners |= set(data.draw(st.lists(st.integers(1, p - 1), max_size=3)))
+    assert_matches_oracle(s, value, winners, replacement, trials)
+
+
+class TestGeneratorFacts:
+    """The CPython generator facts both trial paths rely on.  A Python that
+    changes one fails here, not deep inside the oracle tests."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000])
+    def test_a_wide_draw_is_its_words_first_word_least_significant(self, n):
+        wide, words = random.Random(n), random.Random(n)
+        expected = sum(words.getrandbits(32) << (32 * i) for i in range(n))
+        assert wide.getrandbits(32 * n) == expected
+        assert wide.getstate() == words.getstate()
+
+    def test_a_narrow_draw_is_the_top_of_one_word(self):
+        for b in range(1, 33):
+            narrow, words = random.Random(b), random.Random(b)
+            for _ in range(100):
+                assert narrow.getrandbits(b) == words.getrandbits(32) >> (32 - b)
+            assert narrow.getstate() == words.getstate()
+
+    @pytest.mark.parametrize("p", [17, 23, 227, 257, 263, 4007, 2**31 - 1, 2**61 - 1])
+    def test_randrange_redraws_getrandbits_below_p_minus_one(self, p):
+        drawn, words = random.Random(p), random.Random(p)
+        bits = (p - 1).bit_length()
+        for _ in range(500):
+            r = words.getrandbits(bits)
+            while r >= p - 1:
+                r = words.getrandbits(bits)
+            assert drawn.randrange(1, p) == r + 1
+        assert drawn.getstate() == words.getstate()
+
+
+# every safe prime with p - 1 < 256, whose trials take the byte path, and
+# the first safe prime above them, whose trials take the loop
+BYTE_PATH_PRIMES = (23, 47, 59, 83, 107, 167, 179, 227)
+LOOP_PRIME = 263
+
+
+def small_field(p):
+    return FieldParams(p, (p - 1) // 2, 4)
+
+
+class DrawLog(random.Random):
+    """A generator that records the width of every ``getrandbits`` call."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.widths = []
+
+    def getrandbits(self, k):
+        self.widths.append(k)
+        return super().getrandbits(k)
+
+
+class TestBytePath:
+    def test_the_primes_are_every_safe_prime_up_to_the_loop(self):
+        def prime(n):
+            return n > 1 and all(n % d for d in range(2, n))
+
+        safe = [p for p in range(MIN_PRIME, LOOP_PRIME + 1) if prime(p) and prime(p // 2)]
+        assert safe == [*BYTE_PATH_PRIMES, LOOP_PRIME]
+
+    @pytest.mark.parametrize("p", BYTE_PATH_PRIMES + (LOOP_PRIME,))
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 12])
+    def test_every_rewritten_index_and_goal(self, p, k):
+        # runs whose last chunks are a few words, besides a few hundred
+        # trials; the largest sheet a field allows has q ballots
+        for j in range(k):
+            s = CollusionScenario(small_field(p), k, (j,), seed=p * k + j)
+            for winners in ({7}, SHEET, SHEET - {CAST}, set(range(2, p, 2))):
+                for trials in (1, 2, 3, 10, 300):
+                    assert_matches_oracle(s, CAST, winners, None, trials)
+
+    def test_chunks_with_no_rejected_word(self):
+        # at p = 227 seven words in eight are shares, so some seeds draw a
+        # first chunk of shares only; a chunk one word longer would take a
+        # word the single calls never take
+        for seed in range(1000):
+            s = CollusionScenario(small_field(227), 2, (1,), seed)
+            assert_matches_oracle(s, CAST, {7}, 5, 33)
+
+    @pytest.mark.parametrize("p", BYTE_PATH_PRIMES)
+    def test_runs_over_several_chunks(self, p):
+        trials = 20_011
+        assert trials * 2 > 2 * CHUNK_WORDS
+        for j in (0, 1, 2):
+            s = CollusionScenario(small_field(p), 3, (j,), seed=p + j)
+            for winners in ({7}, SHEET):
+                assert_matches_oracle(s, CAST, winners, 5, trials)
+
+    @pytest.mark.parametrize("p", BYTE_PATH_PRIMES + (LOOP_PRIME,))
+    def test_the_path_follows_the_field(self, p):
+        s = CollusionScenario(small_field(p), 3, (0, 2), seed=1)
+        rng = DrawLog(1)
+        _simulate(s, CAST, frozenset({7}), 5, 1000, rng)
+        bits = (p - 1).bit_length()
+        if p - 1 < 256:
+            assert max(rng.widths) > 32
+        else:
+            assert set(rng.widths) == {bits}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(5, 8), st.integers(0, 2**32 - 1), st.data())
+def test_byte_path_matches_oracle_on_random_small_fields(bits, seed, data):
+    # every field of 5 to 8 bits has p - 1 < 256
+    params = generate_params(bits, random.Random(seed))
+    p = params.p
+    k = data.draw(st.integers(2, 5))
+    size = data.draw(st.integers(1, k - 1))
+    colluders = data.draw(st.permutations(range(k)))[:size]
+    s = CollusionScenario(params, k, tuple(colluders), seed)
+    value = data.draw(st.integers(1, p - 1))
+    replacement = data.draw(st.one_of(st.none(), st.integers(1, p - 1)))
+    winners = set(data.draw(st.lists(st.integers(1, p - 1), min_size=1, max_size=5)))
+    trials = data.draw(st.integers(1, 400))
     assert_matches_oracle(s, value, winners, replacement, trials)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitvote import blindsig, modmath, protocol
+from splitvote import blindsig, harness, modmath, protocol
 from splitvote.errors import ConfigError, ParameterError, RegimeError, VotingError
 from splitvote.harness import (
     AttackConfig,
@@ -455,6 +455,29 @@ class TestSnapshots:
         monkeypatch.setattr(Voter, "register", no_registration)
         with pytest.raises(ConfigError, match="beyond the schedule"):
             ElectionRun.resume(state)
+
+    def test_resume_builds_the_schedule_once(self, monkeypatch):
+        run = ElectionRun(base_config())
+        run.run_schedule(upto=3)
+        state = run.snapshot_state()
+        built = []
+
+        def counted(config):
+            built.append(config)
+            return real(config)
+
+        real = harness._build_schedule
+        monkeypatch.setattr(harness, "_build_schedule", counted)
+        ElectionRun.resume(state)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("n_voters,recast_fraction", [
+        (5, 0.5), (7, 0.5), (9, 0.5), (1, 0.5), (5, 0.0), (5, 1.0), (6, 0.25), (10, 0.15),
+    ])
+    def test_schedule_length_is_that_of_the_schedule(self, n_voters, recast_fraction):
+        # half of an odd count rounds to even, both ways; 0 and 1 are the ends
+        config = base_config(n_voters=n_voters, recast_fraction=recast_fraction)
+        assert harness._schedule_length(config) == len(harness._build_schedule(config))
 
     def test_seed_override_is_the_config_seed(self):
         run, report = run_election(base_config(seed=11))

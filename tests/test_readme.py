@@ -81,6 +81,36 @@ def test_attack_example(tmp_path, capsys):
     assert printed[-len(shown) + 1:] == shown[1:]
 
 
+def _attack_config(**lines) -> str:
+    """The README's attack config, with the given keys' lines replaced."""
+    [config] = [body for _, body in BLOCKS if "colluders = " in body]
+    kept = [line for line in config.splitlines() if line.split(" = ")[0] not in lines]
+    if "field_bits" in lines:
+        kept = [line for line in kept if line.split(" = ")[0] not in ("p", "q", "g")]
+    return "\n".join(kept + [f"{key} = {value}" for key, value in lines.items()]) + "\n"
+
+
+def test_attack_monte_carlo_example(tmp_path, capsys):
+    path = tmp_path / "attack-mc.cfg"
+    path.write_text(_attack_config(trials=1000000), encoding="utf-8")
+    assert main(["attack", "--config", str(path)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    shown = _transcript("splitvote attack --config attack-mc.cfg")
+    assert shown[0] == "..."
+    assert printed[-len(shown) + 1:] == shown[1:]
+
+
+def test_attack_config_on_the_loop_path(tmp_path, capsys):
+    # p - 1 >= 256, so the trials take the per-draw loop, not the byte path
+    path = tmp_path / "attack-12.cfg"
+    path.write_text(_attack_config(field_bits=12, trials=100000), encoding="utf-8")
+    assert main(["attack", "--config", str(path)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[printed.index("[field]") + 1] == "p = 4007"
+    assert printed[-1] == ("mode=monte-carlo goal=targeted successes=22 trials=100000 "
+                           "estimate=11/50000 asymptotic=1/4007 stderr=4.690e-05")
+
+
 def test_snapshot_example(demo_cfg, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["run", "--config", "demo.cfg", "--snapshot", "state.json", "--snapshot-at", "6"]) == 0
