@@ -303,17 +303,3 @@ def attack_any_valid(
     any_outcome = _run(scenario, value, ANY_VALID, valid, replacement, trials)
     other_outcome = _run(scenario, value, ANY_OTHER, valid - {v}, replacement, trials)
     return any_outcome, other_outcome
-
-
-def sweep_image(params: FieldParams, fixed_shares: Sequence[int]) -> list[int]:
-    """Products u * prod(fixed) as u sweeps [1, p - 1].
-
-    The image being a permutation of [1, p - 1] is the bijection behind the
-    exact counts: one unknown coordinate already makes every reconstruction
-    equally reachable.
-    """
-    base = 1
-    for share in fixed_shares:
-        base = base * require_unit(share, params, "fixed share") % params.p
-    return [base * u % params.p for u in range(1, params.p)]
-

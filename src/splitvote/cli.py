@@ -53,11 +53,7 @@ def _add_report_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_params(args: argparse.Namespace) -> int:
-    params, text = emit_params(args.bits, args.seed, args.out)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        print(f"p has {params.p.bit_length()} bits -> {args.out}")
+    _write_or_print(emit_params(args.bits, args.seed), args.out)
     return 0
 
 
@@ -119,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     params = commands.add_parser("params", help="generate field parameters")
     params.add_argument("--bits", type=int, required=True, help="bit length of the modulus")
     params.add_argument("--seed", type=int, default=0)
-    params.add_argument("--out", help="write the three-line parameter file here")
+    params.add_argument("--out", help="write the p, q and g config lines here")
     params.set_defaults(handler=cmd_params)
 
     run = commands.add_parser("run", help="run one election from a config file")

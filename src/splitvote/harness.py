@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from random import Random
 from time import perf_counter
 from typing import Sequence
@@ -37,7 +36,7 @@ from .adversary import (
 )
 from .blindsig import confirm_batch, random_signing_key, verify_with_key
 from .errors import ConfigError, VotingError
-from .modmath import FieldParams, generate_params, params_to_text
+from .modmath import FieldParams, generate_params
 from .protocol import (
     BOOTH_MODES,
     KEY_COPY,
@@ -336,7 +335,6 @@ class IntentLedger:
 class RunReport:
     config_lines: tuple[str, ...]
     params: FieldParams
-    candidates: tuple[str, ...]
     result: TallyResult
     predicted: TallyResult
     registered: int
@@ -354,8 +352,8 @@ class RunReport:
         """Where the tally and the ledger prediction disagree; empty when
         the run is healthy."""
         diffs = []
-        for label in self.candidates:
-            a, b = self.result.counts[label], self.predicted.counts[label]
+        for label, a in self.result.counts.items():
+            b = self.predicted.counts[label]
             if a != b:
                 diffs.append(f"count {label}: tally {a} != ledger {b}")
         for name in ("invalid", "inconsistent", "distinct_ids"):
@@ -376,10 +374,10 @@ class RunReport:
             f"messages = {self.message_count}",
             "",
         ]
-        lines += ["[tally]", *self.result.render_lines(self.candidates), ""]
+        lines += ["[tally]", *self.result.render_lines(), ""]
         lines += [
             "[ledger]",
-            *self.predicted.render_lines(self.candidates),
+            *self.predicted.render_lines(),
             f"agreement = {1 if self.agreement() else 0}",
             "",
         ]
@@ -395,8 +393,7 @@ class RunReport:
             ("casts", str(self.casts_attempted)),
             ("messages", str(self.message_count)),
         ]
-        for label in self.candidates:
-            rows.append((label, str(self.result.counts[label])))
+        rows += [(label, str(n)) for label, n in self.result.counts.items()]
         rows += [
             ("invalid", str(self.result.invalid)),
             ("inconsistent", str(self.result.inconsistent)),
@@ -493,7 +490,6 @@ class ElectionRun:
         return RunReport(
             self.config.echo_lines(),
             self.params,
-            self.config.candidates,
             self.result,
             self.predicted,
             len(self.authority.registered),
@@ -722,11 +718,8 @@ def run_attack(config: AttackConfig) -> AttackReport:
     return AttackReport(config.echo_lines(), params, outcomes, perf_counter() - start)
 
 
-def emit_params(bit_length: int, seed: int, path: str | Path | None = None) -> tuple[FieldParams, str]:
-    """Generate field parameters from a named stream and render them in the
-    three-line decimal exchange format, optionally writing them to a file."""
+def emit_params(bit_length: int, seed: int) -> str:
+    """The ``p``, ``q`` and ``g`` lines of the field a config with
+    ``field_bits = bit_length`` and ``seed = seed`` generates."""
     params = generate_params(bit_length, stream(seed, "field"))
-    text = params_to_text(params)
-    if path is not None:
-        Path(path).write_text(text, encoding="ascii")
-    return params, text
+    return "\n".join(_field_lines(params)) + "\n"

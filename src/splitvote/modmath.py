@@ -261,20 +261,4 @@ def generate_params(bit_length: int, rng: Random) -> FieldParams:
         return FieldParams._proved(p, q, g)
 
 
-def params_to_text(params: FieldParams) -> str:
-    """Canonical text form: decimal p, q, g, one per line."""
-    return f"{params.p}\n{params.q}\n{params.g}\n"
-
-
-def params_from_text(text: str) -> FieldParams:
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if len(lines) != 3:
-        raise ParameterError(f"expected 3 lines (p, q, g), got {len(lines)}")
-    try:
-        p, q, g = (int(line) for line in lines)
-    except ValueError as exc:
-        raise ParameterError(f"non-decimal field parameter: {exc}") from None
-    return FieldParams(p=p, q=q, g=g)
-
-
 FIXTURE_FIELD = FieldParams(p=23, q=11, g=2)

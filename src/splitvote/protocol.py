@@ -15,7 +15,6 @@ the bus in program order, so a fixed seed replays the identical log.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from random import Random
@@ -95,14 +94,12 @@ class MessageBus:
     def render_log(self) -> list[str]:
         return list(self._lines)
 
-    def kind_counts(self) -> dict[str, int]:
-        return Counter(line.split(" ", 5)[4] for line in self._lines)
-
 
 def label_fits(label: str) -> bool:
-    """Whether a label is nonempty with no whitespace, ':' or '=', so that
-    reports printing ``count <label> = n`` and ``counts=<label>:n`` parse back."""
-    return bool(label) and not any(ch.isspace() or ch in ":=" for ch in label)
+    """Whether a label is nonempty with no whitespace, ':', '=', ',' or '#',
+    so that reports printing ``count <label> = n`` and ``counts=<label>:n``,
+    and the echoed ``candidates = <label>,...`` config line, parse back."""
+    return bool(label) and not any(ch.isspace() or ch in ":=,#" for ch in label)
 
 
 @dataclass(frozen=True)
@@ -125,7 +122,9 @@ class BallotSheet:
         if len(set(self.candidates)) != len(self.candidates):
             raise ParameterError("candidate labels must be distinct")
         if not all(map(label_fits, self.candidates)):
-            raise ParameterError("a candidate label is empty or holds whitespace, ':' or '='")
+            raise ParameterError(
+                "a candidate label is empty or holds whitespace, ':', '=', ',' or '#'"
+            )
         if not (len(self.candidates) == len(self.ballots) == len(self.signed_ballots)):
             raise ParameterError("candidates, ballots and signatures must line up")
         if len(set(self.ballots)) != len(self.ballots):
@@ -163,13 +162,15 @@ class CastAck:
 
 @dataclass
 class TallyResult:
+    """Counts per label, in sheet order, which every rendering follows."""
+
     counts: dict[str, int]
     invalid: int
     inconsistent: int
     distinct_ids: int
 
-    def render_lines(self, order: Sequence[str]) -> list[str]:
-        lines = [f"count {label} = {self.counts[label]}" for label in order]
+    def render_lines(self) -> list[str]:
+        lines = [f"count {label} = {n}" for label, n in self.counts.items()]
         lines.append(f"invalid = {self.invalid}")
         lines.append(f"inconsistent = {self.inconsistent}")
         lines.append(f"distinct_ids = {self.distinct_ids}")
@@ -489,7 +490,7 @@ def tally(
         else:
             counts[label] += 1
     result = TallyResult(counts, invalid, inconsistent, len(ids))
-    tallied = ",".join(f"{label}:{counts[label]}" for label in sheet.candidates)
+    tallied = ",".join(f"{label}:{n}" for label, n in counts.items())
     bus.post(
         TALLY,
         "*",

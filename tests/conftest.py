@@ -1,3 +1,4 @@
+from collections import Counter
 from typing import NamedTuple
 
 import pytest
@@ -40,3 +41,8 @@ class LoggedMessage(NamedTuple):
 def logged(bus, start=0):
     """The bus's messages from position ``start`` on, parsed from its log."""
     return [LoggedMessage.parse(line) for line in bus.render_log()[start:]]
+
+
+def kind_counts(bus) -> Counter:
+    """How many messages of each kind the bus has logged."""
+    return Counter(message.kind for message in logged(bus))

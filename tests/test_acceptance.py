@@ -9,12 +9,7 @@ import random
 from fractions import Fraction
 from time import perf_counter
 
-from splitvote.adversary import (
-    CollusionScenario,
-    attack_any_valid,
-    attack_targeted,
-    sweep_image,
-)
+from splitvote.adversary import CollusionScenario, attack_any_valid, attack_targeted
 from splitvote.blindsig import (
     Signature,
     SigningKey,
@@ -33,8 +28,9 @@ from splitvote.harness import (
     run_election,
 )
 from splitvote.modmath import FIXTURE_FIELD, generate_params, sample_subgroup_element
-from splitvote.sharing import complete_split, marginal_distribution, reconstruct, split
+from splitvote.sharing import complete_split, reconstruct, split
 from tests.conftest import logged
+from tests.oracles import marginal_distribution, sweep_image
 
 FIELD = FIXTURE_FIELD
 SUBGROUP = tuple(sorted({pow(u, 2, 23) for u in range(1, 23)}))

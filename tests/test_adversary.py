@@ -21,11 +21,11 @@ from splitvote.adversary import (
     _simulate,
     attack_any_valid,
     attack_targeted,
-    sweep_image,
 )
 from splitvote.errors import DomainError, RegimeError, ScenarioError
 from splitvote.modmath import MIN_PRIME, FieldParams, generate_params
 from splitvote.sharing import split
+from tests.oracles import sweep_image
 
 # every nonzero residue is a possible reconstruction, so targets need not be
 # squares

@@ -7,7 +7,8 @@ import pytest
 
 from splitvote import harness
 from splitvote.cli import main
-from splitvote.modmath import params_from_text
+from splitvote.harness import parse_election_config, stream
+from splitvote.modmath import generate_params
 
 ELECTION_CFG = """\
 p = 23
@@ -52,23 +53,30 @@ def attack_cfg(tmp_path):
     return path
 
 
+# the config above without its field, for the p, q and g lines of `params`
+FIELDLESS_CFG = ELECTION_CFG.split("g = 2\n", 1)[1]
+
+
 class TestParams:
     def test_stdout(self, capsys):
         assert main(["params", "--bits", "16", "--seed", "2"]) == 0
         text = capsys.readouterr().out
-        assert params_from_text(text).p.bit_length() == 16
+        assert [line.split(" = ")[0] for line in text.splitlines()] == ["p", "q", "g"]
+        assert parse_election_config(text + FIELDLESS_CFG).params.p.bit_length() == 16
 
     def test_file_output(self, tmp_path, capsys):
-        out = tmp_path / "field.txt"
+        out = tmp_path / "field.cfg"
         assert main(["params", "--bits", "16", "--seed", "2", "--out", str(out)]) == 0
-        assert "16 bits" in capsys.readouterr().out
-        assert params_from_text(out.read_text(encoding="ascii")).p.bit_length() == 16
+        assert capsys.readouterr().out == ""
+        config = parse_election_config(out.read_text(encoding="utf-8") + FIELDLESS_CFG)
+        assert config.params == generate_params(16, stream(2, "field"))
 
     def test_512_bits_prints_the_pinned_field(self, capsys):
-        # the text the 64-round search produced for this seed, byte for byte
+        # p, q and g as decimal lines, as the 64-round search produced them
         assert main(["params", "--bits", "512", "--seed", "1"]) == 0
-        text = capsys.readouterr().out
-        assert hashlib.sha256(text.encode()).hexdigest() == (
+        lines = capsys.readouterr().out.splitlines()
+        values = "".join(line.split(" = ")[1] + "\n" for line in lines)
+        assert hashlib.sha256(values.encode()).hexdigest() == (
             "f383230f61b9f6df05116bcfdf4aa7e241f4c5226075273c7c0211f0ce27281d"
         )
 

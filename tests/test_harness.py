@@ -23,8 +23,9 @@ from splitvote.harness import (
     run_election,
     stream,
 )
-from splitvote.modmath import FIXTURE_FIELD, generate_params, params_from_text
-from splitvote.protocol import BOOTH_MODES, TallyResult, Voter
+from splitvote.modmath import FIXTURE_FIELD, generate_params
+from splitvote.protocol import BOOTH_MODES, MessageBus, TallyResult, Voter
+from tests.conftest import kind_counts
 
 BASE_TEXT = """
 # three-way race on the small field
@@ -127,6 +128,11 @@ class TestConfigParsing:
     def test_bad_field_values_reported(self):
         with pytest.raises(ConfigError) as exc:
             parse_election_config("p = 24\nq = 11\ng = 2\nvoters = 1\nservers = 2\ncandidates = x,y\n")
+        assert any(problem.startswith("field:") for problem in exc.value.problems)
+
+    def test_non_integer_field_value_reported(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_election_config("p = 23\nq = eleven\ng = 2\nvoters = 1\nservers = 2\ncandidates = x,y\n")
         assert any(problem.startswith("field:") for problem in exc.value.problems)
 
     def test_missing_everything(self):
@@ -259,6 +265,21 @@ class TestElectionRun:
             run_election(config)
 
     @pytest.mark.parametrize("booth", BOOTH_MODES)
+    @pytest.mark.parametrize("label", ["a,b", "a#b"])
+    def test_library_config_with_a_label_its_config_line_cannot_carry_is_refused(
+        self, booth, label, monkeypatch
+    ):
+        # echoed as `candidates = a,b,c`, the labels would parse back as
+        # three, and `#` starts a comment, so the run's own snapshot would
+        # not resume; the sheet refuses them before any message is posted
+        posted = []
+        monkeypatch.setattr(MessageBus, "post", lambda bus, *message: posted.append(message))
+        config = ElectionConfig(FIXTURE_FIELD, None, 6, 3, (label, "c"), booth_mode=booth, seed=3)
+        with pytest.raises(ParameterError, match="',' or '#'"):
+            run_election(config)
+        assert posted == []
+
+    @pytest.mark.parametrize("booth", BOOTH_MODES)
     def test_library_config_with_duplicate_labels_is_refused(self, booth):
         # two labels sharing one count would print `count a = ...` twice
         # and echo a `candidates` line the config parser refuses
@@ -302,7 +323,7 @@ class TestElectionRun:
         assert first.agreement()
         assert first.render_records() == second.render_records()
         # one relayed round per credential, at its first authentication
-        assert run.bus.kind_counts()["auth-zk"] == first.distinct_credentials
+        assert kind_counts(run.bus)["auth-zk"] == first.distinct_credentials
 
     # named by booth alone, so that re-pinning a digest renames no test
     PINNED_DIGESTS = [
@@ -606,10 +627,12 @@ class TestAttackRuns:
 
 class TestEmitParams:
     def test_writes_parseable_file(self, tmp_path):
-        path = tmp_path / "field.txt"
-        params, text = emit_params(16, 2, path)
-        assert path.read_text(encoding="ascii") == text
-        assert params_from_text(text) == params
+        path = tmp_path / "election.cfg"
+        path.write_text(
+            emit_params(16, 2) + "voters = 0\nservers = 2\ncandidates = x,y\n", encoding="utf-8"
+        )
+        params = parse_election_config(path.read_text(encoding="utf-8")).params
+        assert params == generate_params(16, stream(2, "field"))
         assert params.p.bit_length() == 16
 
     def test_deterministic(self):
@@ -617,6 +640,6 @@ class TestEmitParams:
         assert emit_params(16, 2) != emit_params(16, 3)
 
     def test_matches_election_field_stream(self):
-        params, _ = emit_params(24, 9)
         run = ElectionRun(base_config(params=None, field_bits=24, n_voters=0, seed=9))
-        assert run.params == params
+        p, q, g = run.params.p, run.params.q, run.params.g
+        assert emit_params(24, 9) == f"p = {p}\nq = {q}\ng = {g}\n"

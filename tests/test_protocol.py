@@ -36,7 +36,7 @@ from splitvote.protocol import (
     make_ballot_sheet,
     tally,
 )
-from tests.conftest import logged
+from tests.conftest import kind_counts, logged
 
 CANDIDATES = ("alpha", "beta", "gamma")
 
@@ -151,7 +151,9 @@ class TestBallotSheet:
         with pytest.raises(DomainError):
             BallotSheet(("a", "b"), (2, 5), (8, 3), field)
 
-    @pytest.mark.parametrize("label", ["a b", "x:1", "a=b", "", "tab\there", "nbsp\u00a0x"])
+    @pytest.mark.parametrize(
+        "label", ["a b", "x:1", "a=b", "", "tab\there", "nbsp\u00a0x", "a,b", "a#b"]
+    )
     def test_rejects_a_label_reports_cannot_carry(self, field, label):
         assert not label_fits(label)
         with pytest.raises(ParameterError):
@@ -187,13 +189,6 @@ class TestMessageBus:
         bus.post("a", "b", "ping", "x=1")
         bus.post("b", "a", "pong")
         assert bus.render_log() == ["000001 a -> b ping x=1", "000002 b -> a pong"]
-
-    def test_kind_counts(self):
-        bus = MessageBus()
-        for _ in range(3):
-            bus.post("a", "b", "ping")
-        bus.post("a", "b", "pong")
-        assert bus.kind_counts() == {"ping": 3, "pong": 1}
 
 
 class TestRenderedLines:
@@ -466,7 +461,7 @@ class TestRegistration:
         # ballot, and no round of their own
         bus, authority, booth, servers, voters = make_setup(field, key, sheet)
         voters[0].register(authority, bus)
-        counts = bus.kind_counts()
+        counts = kind_counts(bus)
         assert counts["confirm-batch"] == 1
         assert "confirm-credential" not in counts and "confirm-ballot" not in counts
         batch = next(m for m in logged(bus) if m.kind == "confirm-batch")
@@ -508,7 +503,7 @@ class TestRegistration:
             voter.register(authority, bus)
         assert exc.value.disavowal.is_forgery
         assert len(exc.value.disavowal.rounds) == 2
-        assert bus.kind_counts()["disavow"] == 1
+        assert kind_counts(bus)["disavow"] == 1
 
     @pytest.mark.parametrize("mode", BOOTH_MODES)
     @pytest.mark.parametrize("first_bad", ["wrong", "non-residue"])
@@ -1000,7 +995,7 @@ class TestTally:
     def test_render_lines(self, field, key, sheet):
         bus, booth, servers, creds = self.run_votes(field, key, sheet, [1])
         result = tally(servers, sheet, key_verifier(key), bus)
-        lines = result.render_lines(CANDIDATES)
+        lines = result.render_lines()
         assert lines[0] == "count alpha = 0"
         assert lines[1] == "count beta = 1"
         assert lines[-1] == "distinct_ids = 1"

@@ -69,6 +69,23 @@ def test_params_example_through_python_m():
     assert done.stdout.splitlines() == _transcript("splitvote params --bits 24 --seed 4")
 
 
+@pytest.mark.parametrize("bits,seed", [(24, 4), (16, 2), (32, 7)])
+def test_params_output_is_a_config_field(bits, seed, tmp_path, capsys):
+    assert main(["params", "--bits", str(bits), "--seed", str(seed)]) == 0
+    field = capsys.readouterr().out
+    demo = _block("# small demonstration election\n").splitlines(keepends=True)
+    rest = "".join(line for line in demo if line.split(" = ")[0] not in ("p", "q", "g", "seed"))
+    printed = []
+    for head in (field, f"field_bits = {bits}\n"):
+        path = tmp_path / "election.cfg"
+        path.write_text(head + rest + f"seed = {seed}\n", encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 0
+        printed.append(capsys.readouterr().out)
+    explicit, generated = (records.split("\n\n", 1) for records in printed)
+    assert "p = " in explicit[0] and f"field_bits = {bits}" in generated[0]
+    assert explicit[1] == generated[1]
+
+
 def test_attack_example(tmp_path, capsys):
     config = [body for _, body in BLOCKS if "colluders = " in body]
     assert len(config) == 1

@@ -5,13 +5,9 @@ import pytest
 
 from splitvote.errors import DomainError, ParameterError, RegimeError
 from splitvote.modmath import FIXTURE_FIELD, generate_params
-from splitvote.sharing import (
-    complete_split,
-    marginal_distribution,
-    reconstruct,
-    split,
-)
+from splitvote.sharing import complete_split, reconstruct, split
 from tests.conftest import ScriptedRandom
+from tests.oracles import marginal_distribution
 
 
 def test_split_worked_example(field):
