@@ -9,12 +9,13 @@ nonzero residues, so a targeted rewrite lands with probability exactly
 1/(p - 1) and a hit-anything rewrite with m/(p - 1) for m signed ballots,
 regardless of how many servers collude.
 
-Small fields get the exact count: the rewritten coordinate's pre-image is a
-bijective function of one sweep coordinate, so driving that coordinate over
-[1, p - 1] visits every reachable outcome exactly once and the quotient
-successes/(p - 1) is the exact probability, not an estimate.  Large fields
-fall back to Monte Carlo over fresh splits.  Both report the exact target
-1/(p - 1) next to the 1/p figure usually quoted in the large-field limit.
+Small fields get the exact count: whatever the other shares hold, the
+rewritten share's original value is a bijection of one free coordinate, so
+sweeping that value over [1, p - 1] gives each outcome its exact weight
+and the quotient successes/(p - 1) is the exact probability, not an
+estimate.  Large fields fall back to Monte Carlo over fresh splits.  Both
+report the exact target 1/(p - 1) next to the 1/p figure usually quoted in
+the large-field limit.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ def colluder_problems(k: int, colluders: Sequence[int]) -> list[str]:
 class CollusionScenario:
     """Which servers collude, over which field, with which dealt constants.
 
-    ``seed`` fixes the constants the enumeration holds still (the colluders'
-    bystander shares and the default rewrite value), so a scenario names one
-    reproducible experiment.  The last listed colluder does the rewriting.
+    ``seed`` fixes only the default rewrite value and the Monte Carlo
+    splits, so a scenario names one reproducible experiment.  The last
+    listed colluder does the rewriting.
     """
 
     params: FieldParams
@@ -109,26 +110,14 @@ def _resolve_rewrite(scenario, replacement, rng) -> int:
     return require_unit(replacement, scenario.params, "replacement share")
 
 
-def _exhaust(scenario, value, winners, rewrite, rng) -> int:
+def _exhaust(scenario, value, winners, rewrite) -> int:
     p = scenario.params.p
     check_enumerable(p)
-    k = scenario.k
-    j = scenario.rewritten
-    # sweep the rewritten coordinate itself, or any free coordinate when the
-    # rewritten one is the forced k-th share; either way the rewritten
-    # coordinate's original value is a bijection of the sweep variable
-    sweep = j if j < k - 1 else 0
-    fixed = 1
-    for i in range(k - 1):
-        if i != sweep:
-            fixed = fixed * rng.randrange(1, p) % p
-    successes = 0
-    for u in range(1, p):
-        original = u if j < k - 1 else value * pow(fixed * u, -1, p) % p
-        # the rewrite divides the original coordinate back out of the product
-        if value * rewrite * pow(original, -1, p) % p in winners:
-            successes += 1
-    return successes
+    # whatever the bystander shares hold, the rewritten share's original
+    # value is a bijection of one free coordinate swept over [1, p - 1], so
+    # the count sweeps that original value itself; the rewrite divides it
+    # back out of the product
+    return sum(value * rewrite * pow(original, -1, p) % p in winners for original in range(1, p))
 
 
 def _simulate(scenario, value, winners, rewrite, trials, rng) -> int:
@@ -251,7 +240,7 @@ def _run(
     p = scenario.params.p
     asymptotic = Fraction(len(winners), p)
     if trials is None:
-        successes = _exhaust(scenario, v, winners, rewrite, rng)
+        successes = _exhaust(scenario, v, winners, rewrite)
         estimate = Fraction(successes, p - 1)
         return AttackOutcome(
             EXHAUSTIVE, goal, successes, p - 1, estimate, estimate, asymptotic, 0.0,

@@ -182,26 +182,19 @@ class ConfirmationTranscript:
 
 
 def confirm(
-    sig: Signature,
-    signer_key: PublicKey,
-    responder: Responder,
-    rng: Random | None = None,
-    *,
-    e1: int | None = None,
-    e2: int | None = None,
+    sig: Signature, signer_key: PublicKey, responder: Responder, rng: Random
 ) -> ConfirmationTranscript:
-    """One confirmation round for a claimed signature.
+    """One live confirmation round for a claimed signature.
 
-    The verifier hides fresh exponents e1, e2 inside the challenge
-    c = message**e1 * g**e2 and accepts iff the signer's response c**x
-    equals sig**e1 * y**e2 -- which holds for every challenge exactly when
-    sig really is message**x.  Claims outside the subgroup are never
-    accepted.  This is ``confirm_batch`` on the one signature with weight 1.
-
-    Explicit e1/e2 pin the challenge for exhaustive soundness sweeps; live
-    runs draw them uniformly from [1, q-1].
+    The verifier hides fresh exponents e1, e2, drawn in that order from
+    ``rng`` uniformly in [1, q-1], inside the challenge c = message**e1 *
+    g**e2 and accepts iff the signer's response c**x equals sig**e1 * y**e2
+    -- which holds for every challenge exactly when sig really is
+    message**x.  Claims outside the subgroup are never accepted.  This is
+    ``confirm_batch`` on the one signature with weight 1; a sweep that pins
+    the challenge calls that with explicit e1 and e2.
     """
-    return confirm_batch((sig,), signer_key, responder, rng, weights=(1,), e1=e1, e2=e2)
+    return confirm_batch((sig,), signer_key, responder, rng, weights=(1,))
 
 
 def confirm_batch(

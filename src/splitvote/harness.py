@@ -47,7 +47,7 @@ from .protocol import (
     TallyResult,
     VoteServer,
     Voter,
-    label_fits,
+    candidate_problems,
     make_ballot_sheet,
     tally,
 )
@@ -116,18 +116,18 @@ def _require_int(pairs, key, problems, minimum) -> int:
     return minimum if value is None else value
 
 
-def _take_fraction(pairs, key, problems, default=0.0) -> float:
+def _take_fraction(pairs, key, problems) -> float:
     raw = pairs.pop(key, None)
     if raw is None:
-        return default
+        return 0.0
     try:
         value = float(raw)
     except ValueError:
         problems.append(f"{key}: not a number: {raw!r}")
-        return default
+        return 0.0
     if not 0.0 <= value <= 1.0:
         problems.append(f"{key}: must lie in [0, 1]")
-        return default
+        return 0.0
     return value
 
 
@@ -182,25 +182,10 @@ def _take_candidates(pairs, problems) -> tuple[str, ...]:
         return ()
     # isdigit() also admits superscripts such as "²", which int() refuses
     if raw.isdecimal():
-        count = int(raw)
-        if count < 2:
-            problems.append("candidates: need at least two")
-            return ()
-        return tuple(f"option-{i + 1}" for i in range(count))
-    labels = tuple(part.strip() for part in raw.split(","))
-    if any(not label for label in labels):
-        problems.append("candidates: empty label")
-        return ()
-    unfit = [label for label in labels if not label_fits(label)]
-    if unfit:
-        problems.append(f"candidates: label {unfit[0]!r} holds whitespace, ':' or '='")
-        return ()
-    if len(labels) < 2:
-        problems.append("candidates: need at least two")
-        return ()
-    if len(set(labels)) != len(labels):
-        problems.append("candidates: duplicate label")
-        return ()
+        labels = tuple(f"option-{i + 1}" for i in range(int(raw)))
+    else:
+        labels = tuple(part.strip() for part in raw.split(","))
+    problems.extend(f"candidates: {problem}" for problem in candidate_problems(labels))
     return labels
 
 

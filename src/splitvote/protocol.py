@@ -102,6 +102,22 @@ def label_fits(label: str) -> bool:
     return bool(label) and not any(ch.isspace() or ch in ":=,#" for ch in label)
 
 
+def candidate_problems(labels: Sequence[str]) -> list[str]:
+    """What keeps ``labels`` from naming a ballot sheet's candidates; empty
+    when nothing does."""
+    problems = []
+    if len(labels) < 2:
+        problems.append("need at least two")
+    if "" in labels:
+        problems.append("empty label")
+    unfit = [label for label in labels if label and not label_fits(label)]
+    if unfit:
+        problems.append(f"label {unfit[0]!r} holds whitespace, ':', '=', ',' or '#'")
+    if len(set(labels)) != len(labels):
+        problems.append("duplicate label")
+    return problems
+
+
 @dataclass(frozen=True)
 class BallotSheet:
     """Public ballot values, one per candidate, plus their signatures.
@@ -117,14 +133,9 @@ class BallotSheet:
     params: FieldParams
 
     def __post_init__(self):
-        if len(self.candidates) < 2:
-            raise ParameterError("a ballot sheet needs at least two candidates")
-        if len(set(self.candidates)) != len(self.candidates):
-            raise ParameterError("candidate labels must be distinct")
-        if not all(map(label_fits, self.candidates)):
-            raise ParameterError(
-                "a candidate label is empty or holds whitespace, ':', '=', ',' or '#'"
-            )
+        problems = candidate_problems(self.candidates)
+        if problems:
+            raise ParameterError("candidates: " + "; ".join(problems))
         if not (len(self.candidates) == len(self.ballots) == len(self.signed_ballots)):
             raise ParameterError("candidates, ballots and signatures must line up")
         if len(set(self.ballots)) != len(self.ballots):

@@ -15,6 +15,7 @@ from splitvote.blindsig import (
     SigningKey,
     blind,
     confirm,
+    confirm_batch,
     honest_responder,
     sign,
     unblind,
@@ -181,7 +182,9 @@ def test_criterion_07_confirmation_soundness():
         accepted = 0
         for e1 in range(11):
             for e2 in range(11):
-                accepted += confirm(forged, pub, responder, e1=e1, e2=e2).accepted
+                accepted += confirm_batch(
+                    (forged,), pub, responder, weights=(1,), e1=e1, e2=e2
+                ).accepted
         counts.append(accepted)
     _verdict(7, {
         "genuine accepted 100/100": genuine == 100,

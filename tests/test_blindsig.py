@@ -6,6 +6,7 @@ import pytest
 
 from splitvote import blindsig
 from splitvote.blindsig import (
+    PublicKey,
     PublishedSignature,
     Signature,
     SigningKey,
@@ -22,6 +23,7 @@ from splitvote.blindsig import (
 from splitvote.errors import DomainError, FieldMismatchError, ParameterError, ProtocolAbortError
 from splitvote.modmath import FIXTURE_FIELD, generate_params, in_subgroup, mod_exp
 from splitvote.protocol import MessageBus, RegistrationAuthority, Voter, make_ballot_sheet
+from tests.conftest import ScriptedRandom
 
 SUBGROUP_23 = [1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18]
 
@@ -43,6 +45,11 @@ def test_public_key_value(key):
 def test_public_key_is_computed_once_per_key(key):
     # every caller shares one PublicKey, and so one fixed-base table
     assert key.public_key() is key.public_key()
+
+
+def test_public_key_refuses_a_value_outside_the_subgroup(field):
+    with pytest.raises(ParameterError, match="subgroup"):
+        PublicKey(5, field)
 
 
 def test_blind_worked_example(field, pub):
@@ -130,7 +137,7 @@ def test_confirm_rejects_forgery_on_all_live_challenges(field, key, pub):
     claimed = Signature(4, 17, field)
     responder = honest_responder(key)
     accepted = sum(
-        confirm(claimed, pub, responder, e1=e1, e2=e2).accepted
+        confirm(claimed, pub, responder, ScriptedRandom([e1, e2])).accepted
         for e1 in range(1, 11)
         for e2 in range(1, 11)
     )
@@ -144,7 +151,7 @@ def test_confirm_forgery_acceptance_at_most_one_in_q(field, key, pub):
         claimed = Signature(4, forged, field)
         assert not verify_with_key(claimed, key)
         accepted = sum(
-            confirm(claimed, pub, responder, e1=e1, e2=e2).accepted
+            confirm_batch((claimed,), pub, responder, weights=(1,), e1=e1, e2=e2).accepted
             for e1 in range(11)
             for e2 in range(11)
         )
@@ -210,6 +217,20 @@ def test_disavow_on_genuine_signature_with_honest_signer(field, key, pub):
     assert outcome.rounds[0].accepted
 
 
+def test_disavow_clears_a_claim_the_second_round_accepts(field, key, pub):
+    # the signer garbles its first answer and then answers honestly
+    answers = []
+
+    def responder(challenge):
+        answers.append(challenge)
+        honest = pow(challenge, 3, 23)
+        return honest if len(answers) > 1 else honest * 2 % 23
+
+    outcome = disavow(sign(9, key), pub, responder, random.Random(3))
+    assert not outcome.is_forgery
+    assert [r.accepted for r in outcome.rounds] == [False, True]
+
+
 def test_disavow_catches_a_lying_signer(field, key, pub):
     # signer tries to deny its own signature by answering with random
     # subgroup junk; the cross-check should side with the signature in all
@@ -260,7 +281,7 @@ def test_signature_stays_a_plain_record(field):
 
 def _confirm_outcome(claim, pub, responder, e1, e2):
     try:
-        return confirm(claim, pub, responder, e1=e1, e2=e2)
+        return confirm_batch((claim,), pub, responder, weights=(1,), e1=e1, e2=e2)
     except DomainError as exc:
         return f"DomainError: {exc}"
 
@@ -279,6 +300,14 @@ def test_published_signature_confirms_like_a_plain_one_exhaustively(field, key, 
                     expected = _confirm_outcome(plain, pub, responder, e1, e2)
                     assert _confirm_outcome(published, pub, responder, e1, e2) == expected
                     assert isinstance(expected, str) == (m not in SUBGROUP_23)
+
+
+def test_published_signature_powers_outside_the_subgroup_are_mod_exp(field):
+    # 5 and 17 are non-residues, so neither half gets a table
+    published = PublishedSignature(5, 17, field)
+    for e in range(30):
+        assert published.message_power(e) == mod_exp(5, e, field)
+        assert published.sig_power(e) == mod_exp(17, e, field)
 
 
 def test_published_signature_disavows_like_a_plain_one(field, key, pub):
@@ -359,7 +388,7 @@ def test_confirm_batch_is_confirm_on_the_weighted_products(field, key, pub):
             product = Signature(
                 product.message * sig.message**r % 23, product.sig * sig.sig**r % 23, field
             )
-        single = confirm(product, pub, responder, e1=e1, e2=e2)
+        single = confirm_batch((product,), pub, responder, weights=(1,), e1=e1, e2=e2)
         batch = confirm_batch(sigs, pub, responder, weights=weights, e1=e1, e2=e2)
         assert (batch.challenge, batch.response, batch.accepted) == (
             single.challenge, single.response, single.accepted
@@ -386,6 +415,15 @@ def test_confirm_batch_draws_weights_then_the_challenge_pair(field, key, pub):
     rng = random.Random(3)
     drawn = [rng.randrange(1, 11) for _ in range(5)]
     assert (*transcript.weights, transcript.e1, transcript.e2) == tuple(drawn)
+
+
+def test_confirm_draws_e1_then_e2_and_no_weight(field, key, pub):
+    live = random.Random(3)
+    transcript = confirm(sign(4, key), pub, honest_responder(key), live)
+    rng = random.Random(3)
+    assert (transcript.e1, transcript.e2) == (rng.randrange(1, 11), rng.randrange(1, 11))
+    assert transcript.weights == (1,)
+    assert live.getstate() == rng.getstate()
 
 
 def test_confirm_batch_argument_checks(field, key, pub):

@@ -180,9 +180,9 @@ class TestRun:
             ("alpha,beta", "alpha,,beta", "candidates: empty label"),
             ("alpha,beta", "alpha,alpha", "candidates: duplicate label"),
             # labels are printed as "count <label> = n" and "counts=<label>:n"
-            ("alpha,beta", "a b,beta", "candidates: label 'a b' holds whitespace, ':' or '='"),
-            ("alpha,beta", "alpha,x:1", "candidates: label 'x:1' holds whitespace, ':' or '='"),
-            ("alpha,beta", "a=b,beta", "candidates: label 'a=b' holds whitespace, ':' or '='"),
+            ("alpha,beta", "a b,beta", "candidates: label 'a b' holds whitespace, ':', '=', ',' or '#'"),
+            ("alpha,beta", "alpha,x:1", "candidates: label 'x:1' holds whitespace, ':', '=', ',' or '#'"),
+            ("alpha,beta", "a=b,beta", "candidates: label 'a=b' holds whitespace, ':', '=', ',' or '#'"),
         ],
         ids=["empty-value", "voters-not-integer", "fraction-not-number", "one-candidate",
              "empty-label", "duplicate-label", "label-space", "label-colon", "label-equals"],
@@ -480,7 +480,7 @@ class TestAttack:
             # a targeted attack reads no candidates, so it refuses to echo them
             ("seed = 1", "seed = 1\ncandidates = 5", "candidates: only goal any-valid reads them"),
             ("goal = targeted", "goal = any-valid\ncandidates = a b,c",
-             "candidates: label 'a b' holds whitespace, ':' or '='"),
+             "candidates: label 'a b' holds whitespace, ':', '=', ',' or '#'"),
         ],
         ids=["missing-colluders", "colluder-not-integer", "colluder-out-of-range",
              "duplicate-colluder", "zero-trials", "unknown-key", "targeted-candidates",

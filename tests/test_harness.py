@@ -3,13 +3,15 @@
 import functools
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from splitvote import blindsig, harness, modmath, protocol
+from splitvote.blindsig import SigningKey
 from splitvote.errors import ConfigError, ParameterError, RegimeError, VotingError
 from splitvote.harness import (
     AttackConfig,
@@ -24,7 +26,7 @@ from splitvote.harness import (
     stream,
 )
 from splitvote.modmath import FIXTURE_FIELD, generate_params
-from splitvote.protocol import BOOTH_MODES, MessageBus, TallyResult, Voter
+from splitvote.protocol import BOOTH_MODES, MessageBus, TallyResult, Voter, make_ballot_sheet
 from tests.conftest import kind_counts
 
 BASE_TEXT = """
@@ -148,6 +150,35 @@ class TestConfigParsing:
         assert any("line 1" in problem for problem in exc.value.problems)
 
 
+# labels a config line can carry: no ',' or '#', and no blank ends, which
+# the parser strips from each label
+LABELS = st.text("ab :=", max_size=3).map(str.strip)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(LABELS, max_size=6))
+def test_config_and_ballot_sheet_refuse_the_same_labels(labels):
+    raw = ",".join(labels)
+    assume(raw)  # nor an empty value
+    text = f"p = 23\nq = 11\ng = 2\nvoters = 1\nservers = 2\ncandidates = {raw}\n"
+    try:
+        parse_election_config(text)
+        problems = []
+    except ConfigError as exc:
+        problems = exc.problems
+    try:
+        make_ballot_sheet(labels, SigningKey(3, FIXTURE_FIELD), random.Random(0))
+        refusal = None
+    except ParameterError as exc:
+        refusal = str(exc)
+    if not problems:
+        assert refusal is None
+    else:
+        assert refusal == "candidates: " + "; ".join(
+            problem.removeprefix("candidates: ") for problem in problems
+        )
+
+
 class TestStreams:
     def test_same_label_same_draws(self):
         a = [stream(5, "booth").randrange(1000) for _ in range(3)]
@@ -191,10 +222,6 @@ class TestLedger:
         assert ledger.stores[1][4] == (1, 9)
 
     def test_predict_buckets(self, field):
-        from splitvote.blindsig import SigningKey
-        from splitvote.protocol import make_ballot_sheet
-        import random
-
         sheet = make_ballot_sheet(("a", "b"), SigningKey(3, field), random.Random(7))
         target = sheet.signed_ballots[0]
         ledger = IntentLedger(2)
@@ -284,7 +311,7 @@ class TestElectionRun:
         # two labels sharing one count would print `count a = ...` twice
         # and echo a `candidates` line the config parser refuses
         config = ElectionConfig(FIXTURE_FIELD, None, 3, 2, ("a", "a"), booth_mode=booth)
-        with pytest.raises(ParameterError, match="distinct"):
+        with pytest.raises(ParameterError, match="duplicate label"):
             run_election(config)
 
     def test_records_are_byte_identical_across_runs(self):

@@ -36,6 +36,7 @@ from splitvote.modmath import (
     sample_subgroup_element,
     _safe_prime_proved,
 )
+from tests.conftest import ScriptedRandom
 
 # independent oracle: repeated multiplication
 def naive_power(base, exponent, modulus):
@@ -239,12 +240,15 @@ def test_cross_field_operations_rejected(field):
     key, foreign = SigningKey(3, field), SigningKey(3, other)
     claim = sign(2, key)
     with pytest.raises(FieldMismatchError):
-        confirm(claim, foreign.public_key(), honest_responder(foreign), e1=1, e2=1)
+        confirm(claim, foreign.public_key(), honest_responder(foreign), ScriptedRandom([1, 1]))
     with pytest.raises(FieldMismatchError):
-        confirm(Signature(2, claim.sig, other), key.public_key(), honest_responder(key), e1=1, e2=1)
+        confirm(
+            Signature(2, claim.sig, other), key.public_key(), honest_responder(key),
+            ScriptedRandom([1, 1]),
+        )
     with pytest.raises(FieldMismatchError):
         verify_with_key(claim, foreign)
-    assert confirm(claim, key.public_key(), honest_responder(key), e1=1, e2=1).accepted
+    assert confirm(claim, key.public_key(), honest_responder(key), ScriptedRandom([1, 1])).accepted
 
 
 def test_field_params_validation():
@@ -256,6 +260,14 @@ def test_field_params_validation():
         FieldParams(p=23, q=11, g=5)  # 5 is not a residue
     with pytest.raises(ParameterError):
         FieldParams(p=23, q=11, g=1)
+
+
+# 3 divides 27; 2**34 = 9 (mod 35), so 35 fails the base-2 condition
+@pytest.mark.parametrize("p, q", [(27, 13), (35, 17)])
+def test_field_params_refuse_a_composite_p_whose_q_is_prime(p, q):
+    assert is_probable_prime(q)
+    with pytest.raises(ParameterError, match=f"p = {p} is not prime"):
+        FieldParams(p, q, 4)
 
 
 def test_generate_params_is_deterministic():

@@ -147,6 +147,10 @@ class TestBallotSheet:
         with pytest.raises(ParameterError):
             BallotSheet(("a", "b"), (2, 2), (8, 8), field)
 
+    def test_rejects_repeated_signed_ballots(self, field):
+        with pytest.raises(ParameterError, match="signed ballot values must be distinct"):
+            BallotSheet(("a", "b"), (2, 3), (8, 8), field)
+
     def test_rejects_nonresidue_ballot(self, field):
         with pytest.raises(DomainError):
             BallotSheet(("a", "b"), (2, 5), (8, 3), field)
@@ -160,7 +164,7 @@ class TestBallotSheet:
             BallotSheet(("ok", label), (2, 3), (8, 6), field)
 
     def test_rejects_duplicate_labels(self, field):
-        with pytest.raises(ParameterError, match="distinct"):
+        with pytest.raises(ParameterError, match="duplicate label"):
             BallotSheet(("a", "b", "a"), (2, 3, 4), (8, 6, 18), field)
 
     def test_label_fits(self):
