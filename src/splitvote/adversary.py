@@ -184,40 +184,45 @@ def _count_bytes(params, n, j, wins, trials, rng) -> int:
 
     A draw is the top (p - 1).bit_length() <= 8 bits of one 32-bit word, and
     ``getrandbits(32 * w)`` is w words, first word least significant: the
-    top byte of each, mapped to its share less the rejected draws, gives the
-    shares single calls would.  A chunk of no more words than shares owed
-    takes no word they would not.  Column i of a block is share i of each
-    trial.  The product of the free shares is counted by its log to the base
-    p - g, which generates [1, p - 1] (g has odd order q, -1 has order 2).
+    top byte of each, less the rejected draws, gives the shares single calls
+    would.  A chunk of no more words than shares owed takes no word they
+    would not.  Column i of a block is share i of each trial.  A kept byte
+    becomes what its branch reads: whether a rewritten free share's draw is
+    in ``wins``, or a free share's log to the base p - g, a generator of
+    [1, p - 1] (g has odd order q, -1 order 2); ``hit`` reads n logs summed
+    in one-byte lanes if n(p - 2) < 256 rules out a carry, else 16-bit ones.
     """
     p = params.p
     shift = 8 - (p - 1).bit_length()
-    share = bytes(((b >> shift) + 1) & 255 for b in range(256))
     rejected = bytes(b for b in range(256) if b >> shift >= p - 1)
     if j < n:
-        hit = bytes(r - 1 in wins for r in range(256))
+        read = bytes(b >> shift in wins for b in range(256))
     else:
         root, log, power = p - params.g, bytearray(256), 1
         for e in range(p - 1):
-            log[power], power = e, power * root % p
+            log[power - 1], power = e, power * root % p
+        read = bytes(log[b >> shift] for b in range(256))
         hit = bytes(pow(root, e, p) in wins for e in range(256))
     successes, owed, carry = 0, trials * n, b""
     while owed > 0:
         w = min(CHUNK_WORDS, owed)
-        got = rng.getrandbits(32 * w).to_bytes(4 * w, "little")[3::4].translate(share, rejected)
+        got = rng.getrandbits(32 * w).to_bytes(4 * w, "little")[3::4].translate(read, rejected)
         owed -= len(got)
         block = carry + got
         m = len(block) // n
         block, carry = block[:m * n], block[m * n:]
         if j < n:
-            successes += block[j::n].translate(hit).count(1)
+            successes += block[j::n].count(1)
             continue
-        # logs add in 16-bit lanes of one int; adding 2^15 - (p - 1) sets
-        # bit 15 of each lane that must drop p - 1
+        if n * (p - 2) < 256:
+            total = sum(int.from_bytes(block[i::n], "little") for i in range(n))
+            successes += total.to_bytes(m, "little").translate(hit).count(1)
+            continue
+        # adding 2^15 - (p - 1) sets bit 15 of each lane that must drop p - 1
         lane, ones = bytearray(2 * m), int.from_bytes(b"\1\0" * m, "little")
         total = 0
         for i in range(n):
-            lane[::2] = block[i::n].translate(log)
+            lane[::2] = block[i::n]
             total += int.from_bytes(lane, "little")
             total -= ((total + ones * (2**15 - p + 1)) >> 15 & ones) * (p - 1)
         successes += total.to_bytes(2 * m, "little")[::2].translate(hit).count(1)

@@ -175,14 +175,27 @@ def _record_header(config_lines: Sequence[str], params: FieldParams) -> list[str
     return ["[config]", *config_lines, "", "[field]", *_field_lines(params), ""]
 
 
-def _take_candidates(pairs, problems) -> tuple[str, ...]:
+def _take_candidates(pairs, problems, params, bits) -> tuple[str, ...]:
     raw = pairs.pop("candidates", None)
     if raw is None:
         problems.append("missing key: candidates")
         return ()
     # isdigit() also admits superscripts such as "²", which int() refuses
     if raw.isdecimal():
-        labels = tuple(f"option-{i + 1}" for i in range(int(raw)))
+        # a count is checked against the subgroup order q, or 2^(bits - 1) - 1
+        # for a generated field, before any label is built; a field that did
+        # not parse is a problem already, and leaves no bound to check
+        if params is None and bits is None:
+            return ()
+        try:
+            count = int(raw)
+            over = count > params.q if params is not None else count.bit_length() >= bits
+        except ValueError:  # more digits than int() converts
+            over = True
+        if over:
+            problems.append("candidates: more than the subgroup has elements")
+            return ()
+        labels = tuple(f"option-{i + 1}" for i in range(count))
     else:
         labels = tuple(part.strip() for part in raw.split(","))
     problems.extend(f"candidates: {problem}" for problem in candidate_problems(labels))
@@ -221,7 +234,7 @@ def parse_election_config(text: str) -> ElectionConfig:
     params, bits = _take_field(pairs, problems)
     voters = _require_int(pairs, "voters", problems, minimum=0)
     servers = _require_int(pairs, "servers", problems, minimum=2)
-    candidates = _take_candidates(pairs, problems)
+    candidates = _take_candidates(pairs, problems, params, bits)
     recast = _take_fraction(pairs, "recast_fraction", problems)
     incomplete = _take_fraction(pairs, "incomplete_fraction", problems)
     booth_mode = pairs.pop("booth", KEY_COPY)
@@ -644,7 +657,7 @@ def parse_attack_config(text: str) -> AttackConfig:
         pairs.pop("candidates")
         problems.append("candidates: only goal any-valid reads them")
     else:
-        candidates = _take_candidates(pairs, problems)
+        candidates = _take_candidates(pairs, problems, params, bits)
     seed = _take_int(pairs, "seed", problems)
     for key in pairs:
         problems.append(f"unknown key: {key}")

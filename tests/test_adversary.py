@@ -288,13 +288,13 @@ def oracle_simulate(scenario, value, predicate, rewrite, trials, rng):
     return successes, trials
 
 
-def assert_matches_oracle(s, value, winners, replacement, trials):
-    old_rng = random.Random(s.seed)
+def assert_matches_oracle(s, value, winners, replacement, trials, generator=random.Random):
+    old_rng = generator(s.seed)
     old_rewrite = _resolve_rewrite(s, replacement, old_rng)
     expected = oracle_simulate(
         s, value, lambda f: f in winners, old_rewrite, trials, old_rng
     )
-    rng = random.Random(s.seed)
+    rng = generator(s.seed)
     rewrite = _resolve_rewrite(s, replacement, rng)
     assert (_simulate(s, value, frozenset(winners), rewrite, trials, rng), trials) == expected
     assert rng.getstate() == old_rng.getstate()
@@ -401,6 +401,19 @@ def small_field(p):
     return FieldParams(p, (p - 1) // 2, 4)
 
 
+class OneWord(random.Random):
+    """A generator every 32-bit word of which is ``word``."""
+
+    def __init__(self, word):
+        super().__init__(0)
+        self.word = word
+
+    def getrandbits(self, k):
+        words = -(-k // 32)
+        whole = int.from_bytes(self.word.to_bytes(4, "little") * words, "little")
+        return whole >> (32 * words - k)
+
+
 class DrawLog(random.Random):
     """A generator that records the width of every ``getrandbits`` call."""
 
@@ -422,15 +435,30 @@ class TestBytePath:
         assert safe == [*BYTE_PATH_PRIMES, LOOP_PRIME]
 
     @pytest.mark.parametrize("p", BYTE_PATH_PRIMES + (LOOP_PRIME,))
-    @pytest.mark.parametrize("k", [2, 3, 4, 5, 12])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 12, 13, 14])
     def test_every_rewritten_index_and_goal(self, p, k):
         # runs whose last chunks are a few words, besides a few hundred
-        # trials; the largest sheet a field allows has q ballots
+        # trials; the largest sheet a field allows has q ballots.  A forced
+        # share sums its k - 1 logs in one-byte lanes when (k - 1)(p - 2) <
+        # 256 and in 16-bit lanes otherwise: k = 13 and 14 at p = 23 (sums
+        # up to 252 and 273) and k = 3 and 4 at p = 107 (210 and 315) sit
+        # on both sides of that bound.  Random draws seldom reach it, so
+        # every word of a second generator draws r, the share whose log to
+        # the base p - g is p - 2: then every share and the rewrite are r,
+        # and the rewritten product is CAST for a free share, r^k for the
+        # forced one
+        field = small_field(p)
+        r = pow(p - field.g, -1, p)
+        word = (r - 1) << (32 - (p - 1).bit_length())
         for j in range(k):
-            s = CollusionScenario(small_field(p), k, (j,), seed=p * k + j)
+            s = CollusionScenario(field, k, (j,), seed=p * k + j)
             for winners in ({7}, SHEET, SHEET - {CAST}, set(range(2, p, 2))):
                 for trials in (1, 2, 3, 10, 300):
                     assert_matches_oracle(s, CAST, winners, None, trials)
+            for trials in (1, 300):
+                assert_matches_oracle(
+                    s, CAST, {CAST, pow(r, k, p)}, None, trials, lambda _: OneWord(word)
+                )
 
     def test_chunks_with_no_rejected_word(self):
         # at p = 227 seven words in eight are shares, so some seeds draw a

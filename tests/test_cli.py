@@ -183,9 +183,12 @@ class TestRun:
             ("alpha,beta", "a b,beta", "candidates: label 'a b' holds whitespace, ':', '=', ',' or '#'"),
             ("alpha,beta", "alpha,x:1", "candidates: label 'x:1' holds whitespace, ':', '=', ',' or '#'"),
             ("alpha,beta", "a=b,beta", "candidates: label 'a=b' holds whitespace, ':', '=', ',' or '#'"),
+            # q = 11 at p = 23
+            ("alpha,beta", "12", "candidates: more than the subgroup has elements"),
         ],
         ids=["empty-value", "voters-not-integer", "fraction-not-number", "one-candidate",
-             "empty-label", "duplicate-label", "label-space", "label-colon", "label-equals"],
+             "empty-label", "duplicate-label", "label-space", "label-colon", "label-equals",
+             "count-over-q"],
     )
     def test_config_problem_exits_2(self, tmp_path, capsys, line, edited, complaint):
         path = tmp_path / "bad.cfg"
@@ -481,10 +484,12 @@ class TestAttack:
             ("seed = 1", "seed = 1\ncandidates = 5", "candidates: only goal any-valid reads them"),
             ("goal = targeted", "goal = any-valid\ncandidates = a b,c",
              "candidates: label 'a b' holds whitespace, ':', '=', ',' or '#'"),
+            ("goal = targeted", "goal = any-valid\ncandidates = 1000000",
+             "candidates: more than the subgroup has elements"),
         ],
         ids=["missing-colluders", "colluder-not-integer", "colluder-out-of-range",
              "duplicate-colluder", "zero-trials", "unknown-key", "targeted-candidates",
-             "label-space"],
+             "label-space", "count-over-q"],
     )
     def test_config_problem_exits_2(self, tmp_path, capsys, line, edited, complaint):
         path = tmp_path / "bad.cfg"

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,18 @@ def base_config(**overrides):
     return ElectionConfig(**fields)
 
 
+def refusal_and_peak(parse, text):
+    """The problems ``parse`` refuses ``text`` with, and the peak of the
+    memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as exc:
+            parse(text)
+        return exc.value.problems, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestConfigParsing:
     def test_echo_round_trip(self):
         config = parse_election_config(BASE_TEXT)
@@ -88,6 +101,30 @@ class TestConfigParsing:
     def test_candidate_count_generates_labels(self):
         config = parse_election_config("p=23\nq=11\ng=2\nvoters=1\nservers=2\ncandidates = 4\n")
         assert config.candidates == ("option-1", "option-2", "option-3", "option-4")
+
+    @pytest.mark.parametrize(
+        "field, bound",
+        [("p = 23\nq = 11\ng = 2", 11), ("field_bits = 8", 2**7 - 1), ("field_bits = 16", 2**15 - 1)],
+        ids=["explicit", "generated-8", "generated-16"],
+    )
+    def test_candidate_count_is_checked_against_the_subgroup_before_any_label(self, field, bound):
+        # q for an explicit field; for a generated one, the largest q its bit
+        # length allows.  A count past it is refused with no label built, so
+        # a config cannot make the parser hold a label per unit of its count
+        election = f"{field}\nvoters = 1\nservers = 2\ncandidates = {{}}\n"
+        attack = f"{field}\nservers = 2\ncolluders = 0\ngoal = any-valid\ncandidates = {{}}\n"
+        for parse, text in ((parse_election_config, election), (parse_attack_config, attack)):
+            assert len(parse(text.format(bound)).candidates) == bound
+            for count in (bound + 1, 10**6, 10**30, "9" * 5000):
+                problems, peak = refusal_and_peak(parse, text.format(count))
+                assert problems == ["candidates: more than the subgroup has elements"]
+                assert peak < 1 << 20
+
+    def test_candidate_count_beside_a_field_problem_builds_no_label(self):
+        text = "voters = 1\nservers = 2\ncandidates = 1000000\n"
+        problems, peak = refusal_and_peak(parse_election_config, text)
+        assert problems == ["missing field: give field_bits or p, q, g"]
+        assert peak < 1 << 20
 
     def test_comments_and_blanks_ignored(self):
         config = parse_election_config(
