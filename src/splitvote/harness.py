@@ -2,8 +2,9 @@
 
 A run is a pure function of its config and seed.  Every source of
 randomness is a named stream derived from the seed, the cast schedule is
-precomputed before any message flows, and the harness keeps an intent
-ledger in parallel with the servers so the final tally can be checked
+precomputed before any message flows, and a voter's stream is read once,
+at registration, for its coins and then its scheduled casts' free shares.
+The harness keeps an intent ledger beside the servers so the tally is checked
 against an independently maintained prediction.  Reports come in two
 renderings: a canonical record format that is byte-identical across runs
 (no wall-clock time), and a human table that includes timing.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass
 from random import Random
 from time import perf_counter
@@ -51,7 +53,7 @@ from .protocol import (
     make_ballot_sheet,
     tally,
 )
-from .sharing import check_enumerable
+from .sharing import check_enumerable, free_shares
 
 SNAPSHOT_KIND = "splitvote-snapshot"
 SNAPSHOT_FORMAT = 5
@@ -284,7 +286,7 @@ class IntentLedger:
 
     ``apply`` mirrors the servers' version rule only: it stores a share
     when its id has none yet or an older version.  It has no share-range
-    rule, as ``split`` deals only shares in [1, p - 1]; a share outside
+    rule, as a cast deals only shares in [1, p - 1]; a share outside
     that range would stop the run with "ledger diverged".  After every cast
     the two must agree share for share; ``predict`` then mirrors the tally
     over the ledger's copy.  Divergence at any point is a bug in one of the
@@ -415,8 +417,8 @@ class ElectionRun:
         self.shares_accepted = 0
         self.result: TallyResult | None = None
         self.predicted: TallyResult | None = None
-        self._setup()
         self.schedule = _build_schedule(config)
+        self._setup()
         self.ledger = IntentLedger(config.k)
 
     def _setup(self) -> None:
@@ -428,11 +430,15 @@ class ElectionRun:
         self.authority = RegistrationAuthority(self.key, roster, self.sheet)
         self.booth = PollingBooth(config.booth_mode, stream(seed, "booth"), self.authority)
         self.servers = [VoteServer(i, self.booth) for i in range(config.k)]
+        casts = Counter(event.voter_index for event in self.schedule)
         self.voters: list[Voter] = []
+        self.free: list[list[int]] = []  # each voter's unspent free shares
         drawn: dict[int, int] = {}
         for i, v_id in enumerate(roster):
-            voter = Voter(v_id, self.key.public_key(), stream(seed, f"voter/{i}"))
-            anon = voter.register(self.authority, self.bus).message
+            voter = Voter(v_id, self.key.public_key())
+            rng = stream(seed, f"voter/{i}")
+            anon = voter.register(self.authority, self.bus, rng).message
+            self.free.append(free_shares(casts[i] * (config.k - 1), self.params, rng))
             if anon in drawn:
                 self.warnings.append(
                     f"anonymous id collision: registrants {drawn[anon]} and {i} share id {anon}"
@@ -448,7 +454,11 @@ class ElectionRun:
         event = self.schedule[self.cursor]
         voter = self.voters[event.voter_index]
         token = self.booth.authenticate(voter.credential, self.bus)
-        ack = voter.cast(token, self.servers, event.candidate_index, self.bus, event.deliver_count)
+        free, n = self.free[event.voter_index], self.config.k - 1
+        ack = voter.cast(
+            token, self.servers, event.candidate_index, free[:n], self.bus, event.deliver_count
+        )
+        del free[:n]
         decisions = self.ledger.apply(
             voter.credential.message, ack.version, ack.shares, event.deliver_count
         )

@@ -37,7 +37,7 @@ from .blindsig import (
 )
 from .errors import DomainError, ParameterError, VotingError
 from .modmath import FieldParams, sample_subgroup_element
-from .sharing import reconstruct, split
+from .sharing import complete_split, reconstruct
 
 KEY_COPY = "key-copy"
 ZK_RELAY = "zk-relay"
@@ -67,10 +67,6 @@ class CredentialInvalidError(VotingError):
 
 class AuthenticationError(VotingError):
     """The booth rejected an authentication attempt."""
-
-
-class CollisionError(VotingError):
-    """A known anonymous id showed up bound to a different signature."""
 
 
 class MessageBus:
@@ -242,10 +238,9 @@ class Voter:
     """Carries the true identity through registration, then only the
     anonymous credential."""
 
-    def __init__(self, v_id: str, authority_key: PublicKey, rng: Random):
+    def __init__(self, v_id: str, authority_key: PublicKey):
         self.v_id = v_id
         self.authority_key = authority_key
-        self.rng = rng
         self.credential: Signature | None = None
         self.sheet: BallotSheet | None = None
         self.version = 0
@@ -254,19 +249,19 @@ class Voter:
     def reg_name(self) -> str:
         return f"voter/{self.v_id}"
 
-    def register(self, authority: RegistrationAuthority, bus: MessageBus) -> Signature:
+    def register(self, authority: RegistrationAuthority, bus: MessageBus, rng: Random) -> Signature:
         """Blind a fresh anonymous id, have it signed, unblind, and confirm
         the credential and the ballot sheet in one batched round; a refused
         batch falls back to a round for the credential, then one per ballot,
         which disavows the first bad one.  Id 1 is redrawn: the booth
         refuses it, since it is its own signature under every key.  The id
         is a square, so blinding skips its subgroup test; the batch makes
-        it, and the booth reuses that verdict."""
+        it, and the booth reuses that verdict.  The voter keeps no ``rng``."""
         params = self.authority_key.params
-        anon_id = sample_subgroup_element(params, self.rng)
+        anon_id = sample_subgroup_element(params, rng)
         while anon_id == 1:
-            anon_id = sample_subgroup_element(params, self.rng)
-        factor = self.rng.randrange(1, params.q)
+            anon_id = sample_subgroup_element(params, rng)
+        factor = rng.randrange(1, params.q)
         blinded = _blind_member(anon_id, factor, self.authority_key)
         bus.post(
             self.reg_name,
@@ -277,25 +272,25 @@ class Voter:
         signed_blinded, sheet = authority.register(self.v_id, blinded, bus)
         credential = Signature(anon_id, unblind(signed_blinded, factor, self.authority_key), params)
         batch = confirm_batch(
-            (credential, *sheet.signatures), self.authority_key, authority.responder, self.rng
+            (credential, *sheet.signatures), self.authority_key, authority.responder, rng
         )
         body = f"weights={','.join(map(str, batch.weights))} {_transcript_body(batch)}"
         bus.post(self.reg_name, authority.name, "confirm-batch", body)
         if not batch.accepted:
-            self._confirm_or_disavow(credential, "confirm-credential", authority, bus)
+            self._confirm_or_disavow(credential, "confirm-credential", authority, bus, rng)
             for label, signature in zip(sheet.candidates, sheet.signatures):
                 self._confirm_or_disavow(
-                    signature, "confirm-ballot", authority, bus, lead=f"candidate={label} "
+                    signature, "confirm-ballot", authority, bus, rng, lead=f"candidate={label} "
                 )
         self.credential = credential
         self.sheet = sheet
         return self.credential
 
-    def _confirm_or_disavow(self, signature, kind, authority, bus, lead=""):
-        transcript = confirm(signature, self.authority_key, authority.responder, self.rng)
+    def _confirm_or_disavow(self, signature, kind, authority, bus, rng, lead=""):
+        transcript = confirm(signature, self.authority_key, authority.responder, rng)
         bus.post(self.reg_name, authority.name, kind, lead + _transcript_body(transcript))
         if not transcript.accepted:
-            verdict = disavow(signature, self.authority_key, authority.responder, self.rng)
+            verdict = disavow(signature, self.authority_key, authority.responder, rng)
             forgery = 1 if verdict.is_forgery else 0
             bus.post(self.reg_name, authority.name, "disavow", f"forgery={forgery}")
             raise CredentialInvalidError("authority signature failed confirmation", verdict)
@@ -305,11 +300,13 @@ class Voter:
         token: str,
         servers: Sequence["VoteServer"],
         candidate_index: int,
+        free: Sequence[int],
         bus: MessageBus,
         deliver_count: int | None = None,
     ) -> CastAck:
         """Split the chosen signed ballot and deliver one share per server.
 
+        ``complete_split`` adds the last share to the k - 1 ``free`` ones.
         Delivery stops after ``deliver_count`` servers when given (fault
         injection for interrupted casts).  Every attempt, complete or not,
         bumps this credential's version.
@@ -323,9 +320,10 @@ class Voter:
             deliver_count = k
         if not 1 <= deliver_count <= k:
             raise ParameterError("deliver_count must lie in [1, k]")
+        if k < 2 or len(free) != k - 1:
+            raise ParameterError("a cast needs at least 2 servers and k - 1 free shares")
+        shares = complete_split(self.sheet.signed_ballots[candidate_index], free, self.sheet.params)
         self.version += 1
-        cast_value = self.sheet.signed_ballots[candidate_index]
-        shares = split(cast_value, k, self.sheet.params, self.rng)
         anon_id = self.credential.message
         holder = f"holder/{anon_id}"
         accepted = []
@@ -369,8 +367,8 @@ class PollingBooth:
 
         Re-authenticating with the same credential is the re-vote path: the
         previous token dies, and the signature its first grant verified is
-        not verified again.  A known id under a *different* valid signature
-        is a collision and the voter must re-register.  The credential's
+        not verified again.  A key admits one signature per id, so any other
+        signature on a known id fails verification.  The credential's
         cached subgroup verdicts are reused, so a voter showing the object
         that registration confirmed costs no subgroup test here.
         """
@@ -402,9 +400,6 @@ class PollingBooth:
             if not valid:
                 bus.post(self.name, holder, "auth-reject", "reason=invalid-signature")
                 raise AuthenticationError("credential signature does not verify")
-            if session is not None:
-                bus.post(self.name, holder, "auth-reject", "reason=collision")
-                raise CollisionError("anonymous id already bound to a different signature")
         self.clock += 1
         token = f"{self.rng.getrandbits(128):032x}"
         self.sessions[anon_id] = (signature, token)

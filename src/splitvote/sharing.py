@@ -33,11 +33,16 @@ def complete_split(value: int, leading: Sequence[int], params: FieldParams) -> t
     return (*leading, value * pow(prod, -1, p) % p)
 
 
+def free_shares(count: int, params: FieldParams, rng: Random) -> list[int]:
+    """The ``count`` free shares a split draws, each uniform on [1, p-1]."""
+    return [rng.randrange(1, params.p) for _ in range(count)]
+
+
 def split(value: int, k: int, params: FieldParams, rng: Random) -> tuple[int, ...]:
     """Split ``value`` into k shares, k - 1 of them uniform on [1, p-1]."""
     if k < 2:
         raise ParameterError("k must be at least 2")
-    return complete_split(value, [rng.randrange(1, params.p) for _ in range(k - 1)], params)
+    return complete_split(value, free_shares(k - 1, params, rng), params)
 
 
 def reconstruct(shares: Sequence[int], params: FieldParams) -> int:

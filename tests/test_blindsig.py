@@ -186,8 +186,9 @@ def test_transcript_record_fields(field, key, pub):
     # a confirmation round is recorded as the fields of its logged message
     bus = MessageBus()
     sheet = make_ballot_sheet(("a", "b"), key, random.Random(7))
-    voter = Voter("V00000", pub, random.Random(100))
-    credential = voter.register(RegistrationAuthority(key, ["V00000"], sheet), bus)
+    voter = Voter("V00000", pub)
+    authority = RegistrationAuthority(key, ["V00000"], sheet)
+    credential = voter.register(authority, bus, random.Random(100))
     line = next(line for line in bus.render_log() if " confirm-batch " in line)
     pairs = [pair.split("=", 1) for pair in line.split(" ")[5:]]
     names = ["weights", "e1", "e2", "challenge", "response", "accepted"]

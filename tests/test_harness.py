@@ -1,6 +1,7 @@
 """Simulator determinism, double bookkeeping, snapshots, attack reports."""
 
 import functools
+import gc
 import hashlib
 import json
 import random
@@ -277,10 +278,10 @@ class TestLedger:
 
     @pytest.mark.parametrize("booth", BOOTH_MODES)
     def test_share_a_server_refuses_stops_the_run(self, booth, monkeypatch):
-        # the ledger has no share-range rule: a zero share, which split never
+        # the ledger has no share-range rule: a zero share, which a cast never
         # deals, is kept by the ledger and refused by the server
-        dealt = protocol.split
-        monkeypatch.setattr(protocol, "split", lambda value, k, params, rng: (0, *dealt(value, k, params, rng)[1:]))
+        dealt = protocol.complete_split
+        monkeypatch.setattr(protocol, "complete_split", lambda value, free, params: (0, *dealt(value, free, params)[1:]))
         run = ElectionRun(base_config(booth_mode=booth))
         with pytest.raises(VotingError, match="ledger diverged"):
             run.step()
@@ -448,6 +449,19 @@ class TestElectionRun:
         assert any("collision" in warning for warning in report.warnings)
         # 25 registrants share 11 possible ids, so warnings are guaranteed
         assert report.distinct_credentials <= 11
+
+    def test_registration_leaves_no_generator_per_voter(self):
+        # each voter's stream is read to the end of its casts' free shares at
+        # registration and let go, so the generators alive after set-up do
+        # not grow with the roster
+        def generators_alive(n_voters):
+            run = ElectionRun(base_config(n_voters=n_voters))
+            gc.collect()
+            alive = sum(isinstance(obj, random.Random) for obj in gc.get_objects())
+            assert len(run.voters) == n_voters
+            return alive
+
+        assert generators_alive(50) == generators_alive(400)
 
     def test_generated_field_run(self):
         config = base_config(params=None, field_bits=24, n_voters=4)

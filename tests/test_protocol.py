@@ -24,7 +24,6 @@ from splitvote.protocol import (
     AlreadyRegisteredError,
     AuthenticationError,
     BallotSheet,
-    CollisionError,
     CredentialInvalidError,
     IneligibleVoterError,
     MessageBus,
@@ -36,6 +35,7 @@ from splitvote.protocol import (
     make_ballot_sheet,
     tally,
 )
+from splitvote.sharing import complete_split, free_shares
 from tests.conftest import kind_counts, logged
 
 CANDIDATES = ("alpha", "beta", "gamma")
@@ -55,6 +55,23 @@ def sheet(field, key):
     return make_ballot_sheet(CANDIDATES, key, random.Random(7))
 
 
+class SeededVoter(Voter):
+    """A voter beside its own generator, for tests that cast at will:
+    registration draws from it, then each cast its k - 1 free shares, the
+    order in which a run reads a voter's stream."""
+
+    def __init__(self, v_id, authority_key, rng):
+        super().__init__(v_id, authority_key)
+        self.rng = rng
+
+    def register(self, authority, bus):
+        return super().register(authority, bus, self.rng)
+
+    def cast(self, token, servers, candidate_index, bus, deliver_count=None):
+        free = free_shares(len(servers) - 1, self.authority_key.params, self.rng)
+        return super().cast(token, servers, candidate_index, free, bus, deliver_count)
+
+
 def make_setup(field, key, sheet, mode=KEY_COPY, n_voters=3, k=3, booth_seed=11):
     bus = MessageBus()
     roster = [f"V{i:05d}" for i in range(n_voters)]
@@ -62,7 +79,7 @@ def make_setup(field, key, sheet, mode=KEY_COPY, n_voters=3, k=3, booth_seed=11)
     booth = PollingBooth(mode, random.Random(booth_seed), authority)
     servers = [VoteServer(i, booth) for i in range(k)]
     voters = [
-        Voter(v_id, key.public_key(), random.Random(VOTER_SEEDS[j]))
+        SeededVoter(v_id, key.public_key(), random.Random(VOTER_SEEDS[j]))
         for j, v_id in enumerate(roster)
     ]
     return bus, authority, booth, servers, voters
@@ -205,7 +222,7 @@ class TestRenderedLines:
     def ineligible(field, key, sheet, mode):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet, mode=mode)
         with pytest.raises(IneligibleVoterError):
-            Voter("V99999", key.public_key(), random.Random(2)).register(authority, bus)
+            Voter("V99999", key.public_key()).register(authority, bus, random.Random(2))
         return bus, 0
 
     @staticmethod
@@ -214,7 +231,7 @@ class TestRenderedLines:
         voters[0].register(authority, bus)
         start = len(bus)
         with pytest.raises(AlreadyRegisteredError):
-            Voter(voters[0].v_id, key.public_key(), random.Random(1)).register(authority, bus)
+            Voter(voters[0].v_id, key.public_key()).register(authority, bus, random.Random(1))
         return bus, start
 
     @staticmethod
@@ -235,7 +252,7 @@ class TestRenderedLines:
         bus = MessageBus()
         authority = RegistrationAuthority(key, ["V00000"], bad_sheet)
         with pytest.raises(CredentialInvalidError):
-            Voter("V00000", key.public_key(), random.Random(100)).register(authority, bus)
+            Voter("V00000", key.public_key()).register(authority, bus, random.Random(100))
         return bus, 2  # after the register-request and register-grant
 
     @staticmethod
@@ -243,7 +260,7 @@ class TestRenderedLines:
         bus = MessageBus()
         authority = TamperingAuthority(key, ["V00000"], sheet)
         with pytest.raises(CredentialInvalidError):
-            Voter("V00000", key.public_key(), random.Random(100)).register(authority, bus)
+            Voter("V00000", key.public_key()).register(authority, bus, random.Random(100))
         return bus, 2  # after the register-request and register-grant
 
     @staticmethod
@@ -300,15 +317,6 @@ class TestRenderedLines:
         booth.authenticate(cred, bus)
         start = len(bus)
         booth.authenticate(cred, bus)
-        return bus, start
-
-    @classmethod
-    def collision(cls, field, key, sheet, mode):
-        bus, booth, servers, voter, cred = cls.registered(field, key, sheet, mode)
-        start = len(bus)
-        booth.sessions[cred.message] = (cred.sig * 2 % 23, "0" * 32)
-        with pytest.raises(CollisionError):
-            booth.authenticate(cred, bus)
         return bus, start
 
     @classmethod
@@ -399,15 +407,6 @@ class TestRenderedLines:
             "000007 holder/2 -> booth auth-request anon_id=2 signature=8",
             "000008 booth -> holder/2 auth-grant token=965eda32dae445508201e2bd73ab4876 issued_at=2",
         ],
-        "collision/key-copy": [
-            "000004 holder/2 -> booth auth-request anon_id=2 signature=8",
-            "000005 booth -> holder/2 auth-reject reason=collision",
-        ],
-        "collision/zk-relay": [
-            "000004 holder/2 -> booth auth-request anon_id=2 signature=8",
-            "000005 booth -> ra auth-zk e1=8 e2=9 challenge=18 response=13 accepted=1",
-            "000006 booth -> holder/2 auth-reject reason=collision",
-        ],
         "unknown_token": [
             "000008 holder/2 -> server/0 cast-share anon_id=2 version=1 share=4 token=db5b5fab8f4d3e27dda1494c73cf256d",
             "000009 server/0 -> booth token-check token=db5b5fab8f4d3e27dda1494c73cf256d anon_id=2",
@@ -446,9 +445,9 @@ class TestRegistration:
     def test_double_registration_rejected(self, field, key, sheet):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet)
         voters[0].register(authority, bus)
-        retry = Voter(voters[0].v_id, key.public_key(), random.Random(1))
+        retry = Voter(voters[0].v_id, key.public_key())
         with pytest.raises(AlreadyRegisteredError):
-            retry.register(authority, bus)
+            retry.register(authority, bus, random.Random(1))
         assert any(
             m.kind == "register-reject" and m.fields["reason"] == "already-registered"
             for m in logged(bus)
@@ -456,9 +455,9 @@ class TestRegistration:
 
     def test_unknown_voter_rejected(self, field, key, sheet):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet)
-        ghost = Voter("V99999", key.public_key(), random.Random(2))
+        ghost = Voter("V99999", key.public_key())
         with pytest.raises(IneligibleVoterError):
-            ghost.register(authority, bus)
+            ghost.register(authority, bus, random.Random(2))
 
     def test_voter_confirms_credential_and_every_ballot(self, field, key, sheet):
         # one batched round, weighted once for the credential and once per
@@ -494,17 +493,17 @@ class TestRegistration:
         rng = random.Random(31)
         assert rng.randrange(1, 23) == 1 and rng.randrange(1, 23) == 16
         bus, authority, booth, servers, voters = make_setup(field, key, sheet, n_voters=1)
-        voter = Voter(voters[0].v_id, key.public_key(), random.Random(31))
-        cred = voter.register(authority, bus)
+        voter = Voter(voters[0].v_id, key.public_key())
+        cred = voter.register(authority, bus, random.Random(31))
         assert cred.message == 16 * 16 % 23
         assert verify_with_key(cred, key)
 
     def test_tampered_signature_triggers_disavowal(self, field, key, sheet):
         bus = MessageBus()
         authority = TamperingAuthority(key, ["V00000"], sheet)
-        voter = Voter("V00000", key.public_key(), random.Random(100))
+        voter = Voter("V00000", key.public_key())
         with pytest.raises(CredentialInvalidError) as exc:
-            voter.register(authority, bus)
+            voter.register(authority, bus, random.Random(100))
         assert exc.value.disavowal.is_forgery
         assert len(exc.value.disavowal.rounds) == 2
         assert kind_counts(bus)["disavow"] == 1
@@ -598,15 +597,6 @@ class TestBooth:
         grants = [m.fields for m in logged(bus) if m.kind == "auth-grant"]
         assert [grant["token"] for grant in grants] == [first, second]
         assert int(grants[1]["issued_at"]) > int(grants[0]["issued_at"])
-
-    def test_same_id_different_signature_is_collision(self, field, key, sheet):
-        bus, authority, booth, servers, voters = make_setup(field, key, sheet)
-        cred = voters[0].register(authority, bus)
-        # a correct key admits one signature per id, so the conflicting
-        # binding has to be planted directly
-        booth.sessions[cred.message] = ((cred.sig * 2) % 23, "0" * 32)
-        with pytest.raises(CollisionError):
-            booth.authenticate(cred, bus)
 
     def test_closed_booth_rejects(self, field, key, sheet):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet)
@@ -724,7 +714,7 @@ class TestBooth:
     @staticmethod
     def verdict_checking_every_pair(booth, credential):
         """The booth's verdict when every pair, a recast's too, is checked
-        with the key before its session is looked at (key-copy)."""
+        with the key (key-copy)."""
         if booth.closed:
             return "closed"
         if not in_subgroup(credential.message, credential.params):
@@ -733,9 +723,6 @@ class TestBooth:
             return "degenerate-id"
         if not verify_with_key(credential, booth.key):
             return "invalid-signature"
-        session = booth.sessions.get(credential.message)
-        if session is not None and session[0] != credential.sig:
-            return "collision"
         return "grant"
 
     @pytest.mark.parametrize(
@@ -932,9 +919,21 @@ class TestCasting:
             voters[0].cast(token, servers, 9, bus)
         with pytest.raises(ParameterError):
             voters[0].cast(token, servers, 0, bus, deliver_count=0)
-        fresh = Voter("V00009", key.public_key(), random.Random(3))
+        fresh = Voter("V00009", key.public_key())
         with pytest.raises(VotingError):
-            fresh.cast(token, servers, 0, bus)
+            fresh.cast(token, servers, 0, (2, 4), bus)
+        # a refused split posts nothing and leaves the version alone
+        start = len(bus)
+        for free in [(), (2,), (2, 4, 6)]:
+            with pytest.raises(ParameterError):
+                Voter.cast(voters[0], token, servers, 0, free, bus)
+        for free in [(0, 4), (2, 23), (-1, 4)]:
+            with pytest.raises(DomainError):
+                Voter.cast(voters[0], token, servers, 0, free, bus)
+        assert len(bus) == start
+        assert voters[0].version == 0
+        ack = Voter.cast(voters[0], token, servers, 1, (2, 4), bus)
+        assert ack.shares == complete_split(sheet.signed_ballots[1], (2, 4), field)
 
 
 class TestTally:

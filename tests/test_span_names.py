@@ -109,5 +109,6 @@ def test_every_reported_span_is_reached_by_a_run(monkeypatch):
     # registration blinds its fresh id through _blind_member, which skips the
     # subgroup test of a value that is a square by construction, and an
     # honest authority's signatures never fail the confirmation that would
-    # lead to a disavowal
-    assert unreached == {"blindsig.blind", "blindsig.disavow"}
+    # lead to a disavowal; a run completes each cast's split from free
+    # shares drawn at registration, so it never calls split
+    assert unreached == {"blindsig.blind", "blindsig.disavow", "sharing.split"}
