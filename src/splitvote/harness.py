@@ -10,11 +10,11 @@ renderings: a canonical record format that is byte-identical across runs
 (no wall-clock time), and a human table that includes timing.
 
 A mid-run snapshot records only what replay needs, the config (seed
-included) and the cast cursor, plus a sha256 digest of the state at the
-cursor (message log, server stores, ledger).  Resuming rebuilds the run from
-the config, replays it to the cursor, checks the digest and continues, so
-the resumed run produces exactly the messages, tokens and shares of an
-uninterrupted one.  A finished run has no snapshot.
+included) and the cast cursor, plus the sha256 of the message log at the
+cursor, which fixes the server stores and the ledger.  Resuming rebuilds
+the run from the config, replays it to the cursor, checks the digest and
+continues, so the resumed run produces exactly the messages, tokens and
+shares of an uninterrupted one.  A finished run has no snapshot.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .protocol import (
 from .sharing import check_enumerable, free_shares
 
 SNAPSHOT_KIND = "splitvote-snapshot"
-SNAPSHOT_FORMAT = 5
+SNAPSHOT_FORMAT = 6
 
 
 def stream(seed: int, label: str) -> Random:
@@ -510,22 +510,16 @@ class ElectionRun:
         )
 
     def state_digest(self) -> str:
-        """sha256 of the canonical state at the cursor: the rendered message
-        log, then every server store and every ledger store in id order.
-        Log lines start with a sequence number and store lines are digits,
-        so the ``[...]`` section heads cannot be confused with either."""
+        """sha256 of the rendered message log at the cursor, one line per
+        message, each ended by a newline.  The log fixes the stores: every
+        share a server keeps is a logged ``cast-share`` its ``cast-accept``
+        acknowledged, and ``step`` holds the ledger to the same decisions."""
         digest = hashlib.sha256()
         log = self.bus.render_log()
         # 4096 lines per update: fewer calls than one per line, and no copy
         # of the whole log as one string
         for start in range(0, len(log), 4096):
             digest.update("\n".join([*log[start : start + 4096], ""]).encode("utf-8"))
-        stores = [(f"server {server.index}", server.store) for server in self.servers]
-        stores += [(f"ledger {index}", store) for index, store in enumerate(self.ledger.stores)]
-        for head, store in stores:
-            digest.update(f"[{head}]\n".encode("ascii"))
-            for anon, (version, share) in sorted(store.items()):
-                digest.update(f"{anon} {version} {share}\n".encode("ascii"))
         return digest.hexdigest()
 
     def snapshot_state(self) -> dict:

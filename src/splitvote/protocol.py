@@ -420,7 +420,6 @@ class VoteServer:
     under the id's live session token; strictly newer versions overwrite."""
 
     def __init__(self, index: int, booth: PollingBooth):
-        self.index = index
         self.name = f"server/{index}"
         self.booth = booth
         self.p = booth.authority.key.params.p

@@ -7,7 +7,7 @@ that use them check the secrecy claims by counting, not by sampling.
 import itertools
 from typing import Sequence
 
-from splitvote.errors import ParameterError, RegimeError
+from splitvote.errors import RegimeError
 from splitvote.modmath import FieldParams, require_unit
 from splitvote.sharing import check_enumerable, complete_split
 
@@ -25,19 +25,13 @@ def marginal_distribution(
     """
     p = params.p
     require_unit(value, params, "split value")
-    # no k check: only k >= 2 has a nonempty proper subset of range(k)
-    pos = tuple(positions)
-    if not pos or len(pos) >= k:
-        raise ParameterError("positions must be a nonempty proper subset of range(k)")
-    if len(set(pos)) != len(pos) or any(not 0 <= i < k for i in pos):
-        raise ParameterError("positions must be distinct indices in range(k)")
     check_enumerable(p)
     if (p - 1) ** (k - 1) > _ENUMERATION_BUDGET:
         raise RegimeError("enumeration of (p-1)**(k-1) leading tuples is too large")
     counts: dict[tuple[int, ...], int] = {}
     for leading in itertools.product(range(1, p), repeat=k - 1):
         values = complete_split(value, leading, params)
-        key = tuple(values[i] for i in pos)
+        key = tuple(values[i] for i in positions)
         counts[key] = counts.get(key, 0) + 1
     return counts
 

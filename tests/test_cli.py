@@ -332,6 +332,7 @@ class TestHostileSnapshots:
             ("format", 2, "format 2 is not supported"),
             ("format", 3, "format 3 is not supported"),
             ("format", 4, "format 4 is not supported"),
+            ("format", 5, "format 5 is not supported"),
             ("cursor", 10_000, "beyond the schedule"),
             ("sha256", "0" * 64, "digest mismatch"),
             # format 2 kept these; the seed now lives in the config alone
@@ -381,6 +382,25 @@ class TestHostileSnapshots:
         assert "format 4 is not supported" in err and "rerun with --snapshot-at" in err
         # replaying its config today cannot reach the digest it recorded
         relabelled = json.loads(self.FORMAT_4_SNAPSHOT) | {"format": harness.SNAPSHOT_FORMAT}
+        snap.write_text(json.dumps(relabelled), encoding="utf-8")
+        assert "digest mismatch" in _resume_fails_with_one_line(snap, capsys)
+
+    # written by format-5 code for the same election and cursor, whose
+    # digest also covered every server store and the ledger's copy of them
+    FORMAT_5_SNAPSHOT = (
+        '{"config":["p = 23","q = 11","g = 2","voters = 12","servers = 3",'
+        '"candidates = alpha,beta","recast_fraction = 0.25","incomplete_fraction = 0.0",'
+        '"booth = key-copy","seed = 9"],"cursor":6,"format":5,"kind":"splitvote-snapshot",'
+        '"sha256":"2f1511d026d007ef6965f0a9cd800c1c3e99e675ecc2f334ebc178c8b88db2c0"}'
+    )
+
+    def test_format_5_snapshot_is_refused_by_its_format(self, tmp_path, capsys):
+        snap = tmp_path / "state.json"
+        snap.write_text(self.FORMAT_5_SNAPSHOT, encoding="utf-8")
+        err = _resume_fails_with_one_line(snap, capsys)
+        assert "format 5 is not supported" in err and "rerun with --snapshot-at" in err
+        # the same run and cursor, but the digest of the log alone differs
+        relabelled = json.loads(self.FORMAT_5_SNAPSHOT) | {"format": harness.SNAPSHOT_FORMAT}
         snap.write_text(json.dumps(relabelled), encoding="utf-8")
         assert "digest mismatch" in _resume_fails_with_one_line(snap, capsys)
 

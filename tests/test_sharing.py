@@ -110,17 +110,6 @@ def test_full_share_set_depends_on_the_secret(field):
     assert a != b
 
 
-def test_marginal_distribution_argument_checks(field):
-    with pytest.raises(ParameterError):
-        marginal_distribution(8, 3, (), field)
-    with pytest.raises(ParameterError):
-        marginal_distribution(8, 3, (0, 1, 2), field)
-    with pytest.raises(ParameterError):
-        marginal_distribution(8, 3, (0, 0), field)
-    with pytest.raises(ParameterError):
-        marginal_distribution(8, 3, (3,), field)
-
-
 def test_marginal_distribution_regime_guard():
     params = generate_params(32, random.Random(6))
     with pytest.raises(RegimeError):
