@@ -184,39 +184,33 @@ class ConfirmationTranscript:
 def confirm(
     sig: Signature, signer_key: PublicKey, responder: Responder, rng: Random
 ) -> ConfirmationTranscript:
-    """One live confirmation round for a claimed signature.
+    """One confirmation round for a claimed signature.
 
     The verifier hides fresh exponents e1, e2, drawn in that order from
     ``rng`` uniformly in [1, q-1], inside the challenge c = message**e1 *
     g**e2 and accepts iff the signer's response c**x equals sig**e1 * y**e2
     -- which holds for every challenge exactly when sig really is
     message**x.  Claims outside the subgroup are never accepted.  This is
-    ``confirm_batch`` on the one signature with weight 1; a sweep that pins
-    the challenge calls that with explicit e1 and e2.
+    ``confirm_batch`` on the one signature, which draws no weight for it.
     """
-    return confirm_batch((sig,), signer_key, responder, rng, weights=(1,))
+    return confirm_batch((sig,), signer_key, responder, rng)
 
 
 def confirm_batch(
-    sigs: Sequence[Signature],
-    signer_key: PublicKey,
-    responder: Responder,
-    rng: Random | None = None,
-    *,
-    weights: Sequence[int] | None = None,
-    e1: int | None = None,
-    e2: int | None = None,
+    sigs: Sequence[Signature], signer_key: PublicKey, responder: Responder, rng: Random
 ) -> ConfirmationTranscript:
     """One confirmation round for a whole set of claimed signatures.
 
-    ``confirm`` on (prod m_i**r_i, prod s_i**r_i) for secret weights r_i in
-    [1, q-1] (Bellare, Garay and Rabin, EUROCRYPT '98), accepted only if
-    every sig lies in the subgroup.  No weight cancels one bad signature in
-    the prime-order subgroup, so it passes with probability at most 1/q;
-    two cancel for 1/(q-1) of the weights.  Each power m_i**(r_i*e1 mod q)
-    and s_i**(r_i*e1 mod q) is the signature's own ``message_power`` or
-    ``sig_power``, a table lookup for a ``PublishedSignature``.  Live runs
-    draw the weights, then e1 and e2, from ``rng``.
+    ``confirm`` on (prod m_i**r_i, prod s_i**r_i) for secret weights r_i
+    (Bellare, Garay and Rabin, EUROCRYPT '98), accepted only if every sig
+    lies in the subgroup.  The verifier draws the weights, then e1, then
+    e2, from ``rng`` uniformly in [1, q-1]; a lone signature gets weight 1
+    and no draw, since its weight would only rescale e1.  No weight cancels
+    one bad signature in the prime-order subgroup, so it passes with
+    probability at most 1/q; two cancel for 1/(q-1) of the weights.  Each
+    power m_i**(r_i*e1 mod q) and s_i**(r_i*e1 mod q) is the signature's
+    own ``message_power`` or ``sig_power``, a table lookup for a
+    ``PublishedSignature``.
     """
     params = signer_key.params
     q, p = params.q, params.p
@@ -224,16 +218,8 @@ def confirm_batch(
         _same_field(sig, params)
         if not sig.message_in_subgroup:
             raise DomainError("confirmation needs a subgroup message")
-    if weights is None:
-        weights = [rng.randrange(1, q) for _ in sigs]
-    if len(weights) != len(sigs) or not all(1 <= r < q for r in weights):
-        raise ParameterError("batch weights must lie in [1, q-1], one per signature")
-    if e1 is None:
-        e1 = rng.randrange(1, q)
-    if e2 is None:
-        e2 = rng.randrange(1, q)
-    if not (0 <= e1 < q and 0 <= e2 < q):
-        raise ParameterError("challenge exponents must lie in [0, q)")
+    weights = [1] if len(sigs) == 1 else [rng.randrange(1, q) for _ in sigs]
+    e1, e2 = rng.randrange(1, q), rng.randrange(1, q)
     exponents = [r * e1 % q for r in weights]
     challenge = params.g_table.power(e2)
     for sig, t in zip(sigs, exponents):

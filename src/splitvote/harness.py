@@ -350,16 +350,13 @@ class RunReport:
 
     def differences(self) -> list[str]:
         """Where the tally and the ledger prediction disagree; empty when
-        the run is healthy."""
+        the run is healthy.  Both sides render the sheet's labels in one
+        order, and no label holds " = ", so their lines pair up."""
         diffs = []
-        for label, a in self.result.counts.items():
-            b = self.predicted.counts[label]
-            if a != b:
-                diffs.append(f"count {label}: tally {a} != ledger {b}")
-        for name in ("invalid", "inconsistent", "distinct_ids"):
-            a, b = getattr(self.result, name), getattr(self.predicted, name)
-            if a != b:
-                diffs.append(f"{name}: tally {a} != ledger {b}")
+        for tallied, predicted in zip(self.result.render_lines(), self.predicted.render_lines()):
+            if tallied != predicted:
+                name, _, a = tallied.partition(" = ")
+                diffs.append(f"{name}: tally {a} != ledger {predicted.partition(' = ')[2]}")
         return diffs
 
     def render_records(self) -> str:

@@ -210,8 +210,10 @@ class RegistrationAuthority:
     def register(self, v_id: str, blinded: int, bus: MessageBus):
         """Sign a blinded anonymous id for an eligible, fresh registrant.
 
-        The authority never sees the id itself, only message * g**b.  A
-        value ``sign`` refuses leaves the registrant unregistered.
+        The authority is sent message * g**b, not the id, yet it can compute
+        the id from the registrant's ``confirm-batch`` line (ROADMAP item 2,
+        ``TestUnlinkability``).  A value ``sign`` refuses leaves the
+        registrant unregistered.
         """
         if v_id not in self.roster:
             bus.post(self.name, f"voter/{v_id}", "register-reject", "reason=ineligible")
@@ -343,9 +345,10 @@ class PollingBooth:
 
     ``key-copy`` booths hold a copy of the authority's signing key and verify
     directly; ``zk-relay`` booths hold no key and run a confirmation round
-    against the authority, which therefore never learns which anonymous id
-    is voting.  ``sessions`` maps each anonymous id to the signature it
-    first authenticated with and its one live session token.
+    against the authority, which can compute the voting id from its
+    ``auth-zk`` line (ROADMAP item 2, ``TestUnlinkability``).  ``sessions``
+    maps each anonymous id to the signature it first authenticated with and
+    its one live session token.
     """
 
     name = "booth"

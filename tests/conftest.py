@@ -3,6 +3,7 @@ from typing import NamedTuple
 
 import pytest
 
+from splitvote.blindsig import confirm_batch
 from splitvote.modmath import FIXTURE_FIELD
 
 
@@ -22,6 +23,24 @@ class ScriptedRandom:
         lo, hi = (0, start) if stop is None else (start, stop)
         assert lo <= value < hi, f"scripted value {value} outside [{lo}, {hi})"
         return value
+
+
+class PinnedDraws(ScriptedRandom):
+    """A ``ScriptedRandom`` without the range check, so a sweep can pin a
+    draw no live round makes, such as e1 = 0."""
+
+    def randrange(self, start, stop=None):
+        return self.values.pop(0)
+
+
+def pinned_round(sigs, signer_key, responder, e1, e2, weights=()):
+    """``confirm_batch`` with its draws pinned: ``weights`` (none for a
+    lone signature), then e1, then e2.  The round must use every pinned
+    draw, which pins the order it draws them in."""
+    draws = PinnedDraws([*weights, e1, e2])
+    transcript = confirm_batch(sigs, signer_key, responder, draws)
+    assert draws.values == [], f"pinned draws {draws.values} left unused"
+    return transcript
 
 
 class LoggedMessage(NamedTuple):

@@ -15,7 +15,6 @@ from splitvote.blindsig import (
     SigningKey,
     blind,
     confirm,
-    confirm_batch,
     honest_responder,
     sign,
     unblind,
@@ -30,7 +29,7 @@ from splitvote.harness import (
 )
 from splitvote.modmath import FIXTURE_FIELD, generate_params, sample_subgroup_element
 from splitvote.sharing import complete_split, reconstruct, split
-from tests.conftest import logged
+from tests.conftest import logged, pinned_round
 from tests.oracles import marginal_distribution, sweep_image
 
 FIELD = FIXTURE_FIELD
@@ -182,9 +181,7 @@ def test_criterion_07_confirmation_soundness():
         accepted = 0
         for e1 in range(11):
             for e2 in range(11):
-                accepted += confirm_batch(
-                    (forged,), pub, responder, weights=(1,), e1=e1, e2=e2
-                ).accepted
+                accepted += pinned_round((forged,), pub, responder, e1, e2).accepted
         counts.append(accepted)
     _verdict(7, {
         "genuine accepted 100/100": genuine == 100,

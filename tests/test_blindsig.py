@@ -23,7 +23,7 @@ from splitvote.blindsig import (
 from splitvote.errors import DomainError, FieldMismatchError, ParameterError, ProtocolAbortError
 from splitvote.modmath import FIXTURE_FIELD, generate_params, in_subgroup, mod_exp
 from splitvote.protocol import MessageBus, RegistrationAuthority, Voter, make_ballot_sheet
-from tests.conftest import ScriptedRandom
+from tests.conftest import ScriptedRandom, pinned_round
 
 SUBGROUP_23 = [1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18]
 
@@ -151,7 +151,7 @@ def test_confirm_forgery_acceptance_at_most_one_in_q(field, key, pub):
         claimed = Signature(4, forged, field)
         assert not verify_with_key(claimed, key)
         accepted = sum(
-            confirm_batch((claimed,), pub, responder, weights=(1,), e1=e1, e2=e2).accepted
+            pinned_round((claimed,), pub, responder, e1, e2).accepted
             for e1 in range(11)
             for e2 in range(11)
         )
@@ -282,7 +282,7 @@ def test_signature_stays_a_plain_record(field):
 
 def _confirm_outcome(claim, pub, responder, e1, e2):
     try:
-        return confirm_batch((claim,), pub, responder, weights=(1,), e1=e1, e2=e2)
+        return pinned_round((claim,), pub, responder, e1, e2)
     except DomainError as exc:
         return f"DomainError: {exc}"
 
@@ -335,7 +335,7 @@ def test_confirm_batch_worked_example(field, key, pub):
     # 4**3 = 18 and 9**3 = 16; weights 2 and 5 with e1 = 3 give the powers
     # 6 and 15 = 4 (mod 11)
     sigs = (sign(4, key), sign(9, key))
-    transcript = confirm_batch(sigs, pub, honest_responder(key), weights=(2, 5), e1=3, e2=7)
+    transcript = pinned_round(sigs, pub, honest_responder(key), 3, 7, weights=(2, 5))
     assert transcript.weights == (2, 5)
     assert transcript.challenge == 2**7 * 4**6 * 9**4 % 23
     assert transcript.response == transcript.challenge**3 % 23
@@ -351,9 +351,7 @@ def _batch_acceptances(sigs, pub, responder):
         for e1 in range(11):
             for e2 in range(11):
                 rounds += 1
-                accepted += confirm_batch(
-                    sigs, pub, responder, weights=weights, e1=e1, e2=e2
-                ).accepted
+                accepted += pinned_round(sigs, pub, responder, e1, e2, weights).accepted
     return Fraction(accepted, rounds)
 
 
@@ -389,8 +387,8 @@ def test_confirm_batch_is_confirm_on_the_weighted_products(field, key, pub):
             product = Signature(
                 product.message * sig.message**r % 23, product.sig * sig.sig**r % 23, field
             )
-        single = confirm_batch((product,), pub, responder, weights=(1,), e1=e1, e2=e2)
-        batch = confirm_batch(sigs, pub, responder, weights=weights, e1=e1, e2=e2)
+        single = pinned_round((product,), pub, responder, e1, e2)
+        batch = pinned_round(sigs, pub, responder, e1, e2, weights)
         assert (batch.challenge, batch.response, batch.accepted) == (
             single.challenge, single.response, single.accepted
         )
@@ -405,9 +403,9 @@ def test_published_signatures_batch_like_plain_ones(field, key, pub):
         e1, e2 = rng.randrange(11), rng.randrange(11)
         plain = [Signature(m, s, field) for m, s in pairs]
         published = [PublishedSignature(m, s, field) for m, s in pairs]
-        assert confirm_batch(
-            published, pub, responder, weights=weights, e1=e1, e2=e2
-        ) == confirm_batch(plain, pub, responder, weights=weights, e1=e1, e2=e2)
+        assert pinned_round(published, pub, responder, e1, e2, weights) == pinned_round(
+            plain, pub, responder, e1, e2, weights
+        )
 
 
 def test_confirm_batch_draws_weights_then_the_challenge_pair(field, key, pub):
@@ -419,22 +417,21 @@ def test_confirm_batch_draws_weights_then_the_challenge_pair(field, key, pub):
 
 
 def test_confirm_draws_e1_then_e2_and_no_weight(field, key, pub):
-    live = random.Random(3)
-    transcript = confirm(sign(4, key), pub, honest_responder(key), live)
+    # confirm_batch on a lone signature makes confirm's draws and transcript
     rng = random.Random(3)
-    assert (transcript.e1, transcript.e2) == (rng.randrange(1, 11), rng.randrange(1, 11))
-    assert transcript.weights == (1,)
-    assert live.getstate() == rng.getstate()
+    e1, e2 = rng.randrange(1, 11), rng.randrange(1, 11)
+    transcripts = []
+    for round_of in (confirm, lambda sig, *args: confirm_batch((sig,), *args)):
+        live = random.Random(3)
+        transcripts.append(round_of(sign(4, key), pub, honest_responder(key), live))
+        assert live.getstate() == rng.getstate()
+    assert (transcripts[0].e1, transcripts[0].e2, transcripts[0].weights) == (e1, e2, (1,))
+    assert transcripts[1] == transcripts[0]
 
 
 def test_confirm_batch_argument_checks(field, key, pub):
     responder = honest_responder(key)
     sigs = (sign(4, key), sign(9, key))
-    for weights in ((1,), (1, 2, 3), (0, 1), (1, 11), (-1, 2)):
-        with pytest.raises(ParameterError):
-            confirm_batch(sigs, pub, responder, weights=weights, e1=1, e2=1)
-    with pytest.raises(ParameterError):
-        confirm_batch(sigs, pub, responder, weights=(1, 1), e1=11, e2=1)
     with pytest.raises(DomainError):
         confirm_batch((sign(4, key), Signature(5, 10, field)), pub, responder, random.Random(0))
     with pytest.raises(ProtocolAbortError):

@@ -346,61 +346,37 @@ class TestHostileSnapshots:
         snap.write_text(json.dumps(state), encoding="utf-8")
         assert complaint in _resume_fails_with_one_line(snap, capsys)
 
-    # written by format-3 code for the README's demo election at cast 6,
-    # before registration confirmed the ballot sheet in one batched round
-    FORMAT_3_SNAPSHOT = (
+    # written by older code for the README's demo election at cast 6
+    OLD_SNAPSHOT = (
         '{"config":["p = 23","q = 11","g = 2","voters = 12","servers = 3",'
         '"candidates = alpha,beta","recast_fraction = 0.25","incomplete_fraction = 0.0",'
-        '"booth = key-copy","seed = 9"],"cursor":6,"format":3,"kind":"splitvote-snapshot",'
-        '"sha256":"be191f11a14426214f8bdea135004f8a99ced9b7a0854f15157c3cc7ee86695e"}'
+        '"booth = key-copy","seed = 9"],"cursor":6,"format":%d,"kind":"splitvote-snapshot",'
+        '"sha256":"%s"}'
     )
 
-    def test_format_3_snapshot_is_refused_by_its_format(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "format_, digest",
+        [
+            # before registration confirmed the ballot sheet in one batched round
+            (3, "be191f11a14426214f8bdea135004f8a99ced9b7a0854f15157c3cc7ee86695e"),
+            # before the credential joined the sheet's batched round and a
+            # recast stopped being verified again
+            (4, "286f63b35b696755e58e187e230870b1b8ebec08f9cab68299228c84a7b3440f"),
+            # when the digest also covered every server store and the
+            # ledger's copy of them
+            (5, "2f1511d026d007ef6965f0a9cd800c1c3e99e675ecc2f334ebc178c8b88db2c0"),
+        ],
+        ids=["format-3", "format-4", "format-5"],
+    )
+    def test_old_format_snapshot_is_refused_by_its_format(self, tmp_path, capsys, format_, digest):
         snap = tmp_path / "state.json"
-        snap.write_text(self.FORMAT_3_SNAPSHOT, encoding="utf-8")
+        snap.write_text(self.OLD_SNAPSHOT % (format_, digest), encoding="utf-8")
         err = _resume_fails_with_one_line(snap, capsys)
-        assert "format 3 is not supported" in err and "rerun with --snapshot-at" in err
+        assert f"format {format_} is not supported" in err and "rerun with --snapshot-at" in err
         # replaying its config today cannot reach the digest it recorded
-        relabelled = json.loads(self.FORMAT_3_SNAPSHOT) | {"format": harness.SNAPSHOT_FORMAT}
-        snap.write_text(json.dumps(relabelled), encoding="utf-8")
-        assert "digest mismatch" in _resume_fails_with_one_line(snap, capsys)
-
-    # written by format-4 code for the same election and cursor, before the
-    # credential joined the sheet's batched round and a recast stopped
-    # being verified again
-    FORMAT_4_SNAPSHOT = (
-        '{"config":["p = 23","q = 11","g = 2","voters = 12","servers = 3",'
-        '"candidates = alpha,beta","recast_fraction = 0.25","incomplete_fraction = 0.0",'
-        '"booth = key-copy","seed = 9"],"cursor":6,"format":4,"kind":"splitvote-snapshot",'
-        '"sha256":"286f63b35b696755e58e187e230870b1b8ebec08f9cab68299228c84a7b3440f"}'
-    )
-
-    def test_format_4_snapshot_is_refused_by_its_format(self, tmp_path, capsys):
-        snap = tmp_path / "state.json"
-        snap.write_text(self.FORMAT_4_SNAPSHOT, encoding="utf-8")
-        err = _resume_fails_with_one_line(snap, capsys)
-        assert "format 4 is not supported" in err and "rerun with --snapshot-at" in err
-        # replaying its config today cannot reach the digest it recorded
-        relabelled = json.loads(self.FORMAT_4_SNAPSHOT) | {"format": harness.SNAPSHOT_FORMAT}
-        snap.write_text(json.dumps(relabelled), encoding="utf-8")
-        assert "digest mismatch" in _resume_fails_with_one_line(snap, capsys)
-
-    # written by format-5 code for the same election and cursor, whose
-    # digest also covered every server store and the ledger's copy of them
-    FORMAT_5_SNAPSHOT = (
-        '{"config":["p = 23","q = 11","g = 2","voters = 12","servers = 3",'
-        '"candidates = alpha,beta","recast_fraction = 0.25","incomplete_fraction = 0.0",'
-        '"booth = key-copy","seed = 9"],"cursor":6,"format":5,"kind":"splitvote-snapshot",'
-        '"sha256":"2f1511d026d007ef6965f0a9cd800c1c3e99e675ecc2f334ebc178c8b88db2c0"}'
-    )
-
-    def test_format_5_snapshot_is_refused_by_its_format(self, tmp_path, capsys):
-        snap = tmp_path / "state.json"
-        snap.write_text(self.FORMAT_5_SNAPSHOT, encoding="utf-8")
-        err = _resume_fails_with_one_line(snap, capsys)
-        assert "format 5 is not supported" in err and "rerun with --snapshot-at" in err
-        # the same run and cursor, but the digest of the log alone differs
-        relabelled = json.loads(self.FORMAT_5_SNAPSHOT) | {"format": harness.SNAPSHOT_FORMAT}
+        relabelled = json.loads(snap.read_text(encoding="utf-8")) | {
+            "format": harness.SNAPSHOT_FORMAT
+        }
         snap.write_text(json.dumps(relabelled), encoding="utf-8")
         assert "digest mismatch" in _resume_fails_with_one_line(snap, capsys)
 

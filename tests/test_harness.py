@@ -674,6 +674,55 @@ def test_resume_at_any_cursor_is_byte_identical(booth, large, voters, seed, data
     assert resumed.bus.render_log() == full.bus.render_log()
 
 
+def authority_links(bus, params):
+    """The anonymous ids the authority computes from the lines sent to or
+    from it.  A ``confirm-batch`` line has challenge = g**e2 * id**(r0*e1) *
+    prod ballot_i**(r_i*e1) over the ballots its sender was granted, so
+    id = (challenge / (g**e2 * prod ballot_i**(r_i*e1)))**((r0*e1)**-1 mod q);
+    an ``auth-zk`` line gives the id the booth is checking as
+    (challenge * g**-e2)**(e1**-1 mod q).  A line that lacks a field links
+    nothing."""
+    p, q, g = params.p, params.q, params.g
+    granted, ids = {}, set()
+    for message in logged(bus):
+        if "ra" not in (message.sender, message.recipient):
+            continue
+        fields = message.fields
+        try:
+            if message.kind == "register-grant":
+                granted[message.recipient] = [int(b) for b in fields["ballots"].split(",")]
+                continue
+            e1, e2, challenge = int(fields["e1"]), int(fields["e2"]), int(fields["challenge"])
+            if message.kind == "confirm-batch":
+                r0, *weights = (int(r) for r in fields["weights"].split(","))
+                known = pow(g, e2, p)
+                for ballot, r in zip(granted[message.sender], weights, strict=True):
+                    known = known * pow(ballot, r * e1, p) % p
+                ids.add(pow(challenge * pow(known, -1, p) % p, pow(r0 * e1, -1, q), p))
+            elif message.kind == "auth-zk":
+                ids.add(pow(challenge * pow(g, -e2, p) % p, pow(e1, -1, q), p))
+        except KeyError:
+            continue
+    return ids
+
+
+class TestUnlinkability:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the confirm-batch and auth-zk lines the authority sees carry the "
+        "verifier's secret weights, e1 and e2 beside the challenge (ROADMAP item 2)",
+    )
+    @pytest.mark.parametrize("booth", BOOTH_MODES)
+    def test_the_authority_links_no_more_cast_ids_than_chance(self, booth):
+        # at 64 bits a guessed id is a cast's id with negligible probability
+        config = ElectionConfig(_field_64(), None, 50, 3, ("a", "b", "c"), 0.3, 0.0, booth, 1)
+        run, _ = run_election(config)
+        cast = {int(m.fields["anon_id"]) for m in logged(run.bus) if m.kind == "cast-share"}
+        assert len(cast) == 50
+        assert len(authority_links(run.bus, config.params) & cast) <= 1
+
+
 class TestAttackRuns:
     def test_targeted_exhaustive_records(self):
         config = parse_attack_config(ATTACK_TEXT)

@@ -50,7 +50,7 @@ from splitvote.protocol import (
     make_ballot_sheet,
 )
 from splitvote.sharing import reconstruct, split
-from tests.conftest import ScriptedRandom
+from tests.conftest import ScriptedRandom, pinned_round
 
 fields = st.builds(
     lambda bits, seed: generate_params(bits, random.Random(seed)),
@@ -135,9 +135,9 @@ def test_published_signature_confirms_like_a_plain_one(params, seed):
         assert verify_with_key(published, key) == verify_with_key(plain, key)
         for _ in range(3):
             e1, e2 = rng.randrange(params.q), rng.randrange(params.q)
-            assert confirm_batch(
-                (published,), pub, responder, weights=(1,), e1=e1, e2=e2
-            ) == confirm_batch((plain,), pub, responder, weights=(1,), e1=e1, e2=e2)
+            assert pinned_round((published,), pub, responder, e1, e2) == pinned_round(
+                (plain,), pub, responder, e1, e2
+            )
     outside = params.p - 1
     for claim in (Signature(outside, outside, params), PublishedSignature(outside, outside, params)):
         with pytest.raises(DomainError):

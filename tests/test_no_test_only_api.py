@@ -27,9 +27,6 @@ OUTSIDE_PARAMETERS = {
     # _run draws its own generator, so only a caller can pin the rewrite
     "attack_targeted.replacement",
     "attack_any_valid.replacement",
-    # pin e1 = 0, which the soundness counts include and no live round draws
-    "confirm_batch.e1",
-    "confirm_batch.e2",
 }
 
 
