@@ -57,9 +57,9 @@ def colluder_problems(k: int, colluders: Sequence[int]) -> list[str]:
 class CollusionScenario:
     """Which servers collude, over which field, with which dealt constants.
 
-    ``seed`` fixes only the default rewrite value and the Monte Carlo
-    splits, so a scenario names one reproducible experiment.  The last
-    listed colluder does the rewriting.
+    ``seed`` fixes the rewrite value, drawn before any share is dealt, and
+    the Monte Carlo splits, so a scenario names one reproducible experiment.
+    The last listed colluder does the rewriting.
     """
 
     params: FieldParams
@@ -102,12 +102,6 @@ class AttackOutcome:
         if self.mode == MONTE_CARLO:
             parts.append(f"stderr={self.stderr:.3e}")
         return " ".join(parts)
-
-
-def _resolve_rewrite(scenario, replacement, rng) -> int:
-    if replacement is None:
-        return rng.randrange(1, scenario.params.p)
-    return require_unit(replacement, scenario.params, "replacement share")
 
 
 def _exhaust(scenario, value, winners, rewrite) -> int:
@@ -234,23 +228,22 @@ def _run(
     value: int,
     goal: str,
     winners: frozenset[int],
-    replacement,
     trials: int | None,
 ) -> AttackOutcome:
-    """One attack on ``value``; it succeeds when the reconstructed product
-    lands in ``winners``."""
-    v = require_unit(value, scenario.params, "split value")
-    rng = Random(scenario.seed)
-    rewrite = _resolve_rewrite(scenario, replacement, rng)
+    """One attack on ``value``, a unit its caller has checked; it succeeds
+    when the reconstructed product lands in ``winners``.  The rewrite is the
+    seed's first draw, fixed before any share is dealt."""
     p = scenario.params.p
+    rng = Random(scenario.seed)
+    rewrite = rng.randrange(1, p)
     asymptotic = Fraction(len(winners), p)
     if trials is None:
-        successes = _exhaust(scenario, v, winners, rewrite)
+        successes = _exhaust(scenario, value, winners, rewrite)
         estimate = Fraction(successes, p - 1)
         return AttackOutcome(
             EXHAUSTIVE, goal, successes, p - 1, estimate, estimate, asymptotic, 0.0,
         )
-    successes = _simulate(scenario, v, winners, rewrite, trials, rng)
+    successes = _simulate(scenario, value, winners, rewrite, trials, rng)
     estimate = Fraction(successes, trials)
     rate = float(estimate)
     stderr = (rate * (1.0 - rate) / trials) ** 0.5
@@ -263,24 +256,23 @@ def attack_targeted(
     scenario: CollusionScenario,
     value: int,
     target: int,
-    replacement: int | None = None,
     trials: int | None = None,
 ) -> AttackOutcome:
     """Success probability of steering the product to one chosen value.
 
     ``trials=None`` enumerates exactly (small fields only); an integer runs
-    that many Monte Carlo trials instead.  ``replacement`` fixes the
-    rewritten share; ``None`` deals one from the scenario seed.
+    that many Monte Carlo trials instead.  The rewritten share is the
+    scenario seed's first ``randrange(1, p)``.
     """
     t = require_unit(target, scenario.params, "target")
-    return _run(scenario, value, TARGETED, frozenset({t}), replacement, trials)
+    v = require_unit(value, scenario.params, "split value")
+    return _run(scenario, v, TARGETED, frozenset({t}), trials)
 
 
 def attack_any_valid(
     scenario: CollusionScenario,
     value: int,
     signed_ballots: Sequence[int],
-    replacement: int | None = None,
     trials: int | None = None,
 ) -> tuple[AttackOutcome, AttackOutcome]:
     """Success probabilities of landing on any signed ballot, and on any
@@ -294,6 +286,5 @@ def attack_any_valid(
         raise ScenarioError("signed ballot values must be distinct")
     if v not in valid:
         raise ScenarioError("the cast value must be one of the signed ballots")
-    any_outcome = _run(scenario, value, ANY_VALID, valid, replacement, trials)
-    other_outcome = _run(scenario, value, ANY_OTHER, valid - {v}, replacement, trials)
-    return any_outcome, other_outcome
+    any_outcome = _run(scenario, v, ANY_VALID, valid, trials)
+    return any_outcome, _run(scenario, v, ANY_OTHER, valid - {v}, trials)

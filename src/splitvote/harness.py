@@ -38,7 +38,7 @@ from .adversary import (
 )
 from .blindsig import confirm_batch, random_signing_key, verify_with_key
 from .errors import ConfigError, VotingError
-from .modmath import FieldParams, generate_params
+from .modmath import MAX_FIELD_BITS, FieldParams, generate_params
 from .protocol import (
     BOOTH_MODES,
     KEY_COPY,
@@ -139,6 +139,9 @@ def _take_field(pairs, problems) -> tuple[FieldParams | None, int | None]:
     if bits is not None and any(v is not None for v in explicit):
         problems.append("give either field_bits or p, q, g, not both")
         return None, None
+    if bits is not None and bits > MAX_FIELD_BITS:
+        problems.append(f"field_bits: must be at most {MAX_FIELD_BITS}")
+        return None, None
     if bits is not None:
         return None, bits
     if all(v is None for v in explicit):
@@ -183,23 +186,25 @@ def _take_candidates(pairs, problems, params, bits) -> tuple[str, ...]:
         problems.append("missing key: candidates")
         return ()
     # isdigit() also admits superscripts such as "²", which int() refuses
-    if raw.isdecimal():
-        # a count is checked against the subgroup order q, or 2^(bits - 1) - 1
-        # for a generated field, before any label is built; a field that did
-        # not parse is a problem already, and leaves no bound to check
-        if params is None and bits is None:
+    counted = raw.isdecimal()
+    labels = () if counted else tuple(part.strip() for part in raw.split(","))
+    # either form is held to the subgroup order q, or 2^(bits - 1) - 1 for a
+    # generated field, and a bare count before any label is built; a field
+    # that did not parse is a problem already, and leaves no bound to check
+    if params is None and bits is None:
+        if counted:
             return ()
+    else:
         try:
-            count = int(raw)
+            count = int(raw) if counted else len(labels)
             over = count > params.q if params is not None else count.bit_length() >= bits
         except ValueError:  # more digits than int() converts
             over = True
         if over:
             problems.append("candidates: more than the subgroup has elements")
             return ()
-        labels = tuple(f"option-{i + 1}" for i in range(count))
-    else:
-        labels = tuple(part.strip() for part in raw.split(","))
+        if counted:
+            labels = tuple(f"option-{i + 1}" for i in range(count))
     problems.extend(f"candidates: {problem}" for problem in candidate_problems(labels))
     return labels
 
@@ -444,7 +449,7 @@ class ElectionRun:
                 drawn[anon] = i
             self.voters.append(voter)
 
-    def step(self) -> CastEvent:
+    def step(self) -> None:
         """Run the next scheduled cast and cross-check ledger vs servers."""
         if self.cursor >= len(self.schedule):
             raise VotingError("schedule exhausted")
@@ -466,7 +471,6 @@ class ElectionRun:
             )
         self.shares_accepted += sum(decisions)
         self.cursor += 1
-        return event
 
     def run_schedule(self, upto: int | None = None) -> None:
         stop = len(self.schedule) if upto is None else min(upto, len(self.schedule))

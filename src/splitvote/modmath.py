@@ -15,6 +15,9 @@ from random import Random
 from .errors import DomainError, NoInverseError, ParameterError
 
 MIN_PRIME = 23
+# The largest bit length a field may be generated at: 8192, the size of RFC
+# 3526's largest MODP group.  Far above it ``getrandbits`` overflows a C int.
+MAX_FIELD_BITS = 8192
 MILLER_RABIN_ROUNDS = 64
 
 # Digit width of fixed-base tables: one row of 2**6 powers per 6-bit digit of
@@ -243,6 +246,8 @@ def generate_params(bit_length: int, rng: Random) -> FieldParams:
     """
     if bit_length < 5:
         raise ParameterError("bit_length must be at least 5 (p >= 23)")
+    if bit_length > MAX_FIELD_BITS:
+        raise ParameterError(f"bit_length must be at most {MAX_FIELD_BITS}")
     while True:
         q = rng.getrandbits(bit_length - 1)
         q |= (1 << (bit_length - 2)) | 1

@@ -304,13 +304,13 @@ class Voter:
         candidate_index: int,
         free: Sequence[int],
         bus: MessageBus,
-        deliver_count: int | None = None,
+        deliver_count: int,
     ) -> CastAck:
         """Split the chosen signed ballot and deliver one share per server.
 
         ``complete_split`` adds the last share to the k - 1 ``free`` ones.
-        Delivery stops after ``deliver_count`` servers when given (fault
-        injection for interrupted casts).  Every attempt, complete or not,
+        Delivery stops after ``deliver_count`` servers, k for a whole cast
+        and fewer for an interrupted one.  Every attempt, complete or not,
         bumps this credential's version.
         """
         if self.credential is None or self.sheet is None:
@@ -318,8 +318,6 @@ class Voter:
         if not 0 <= candidate_index < len(self.sheet.candidates):
             raise ParameterError(f"candidate index {candidate_index} out of range")
         k = len(servers)
-        if deliver_count is None:
-            deliver_count = k
         if not 1 <= deliver_count <= k:
             raise ParameterError("deliver_count must lie in [1, k]")
         if k < 2 or len(free) != k - 1:

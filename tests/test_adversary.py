@@ -17,7 +17,7 @@ from splitvote.adversary import (
     TARGETED,
     AttackOutcome,
     CollusionScenario,
-    _resolve_rewrite,
+    _exhaust,
     _simulate,
     attack_any_valid,
     attack_targeted,
@@ -97,8 +97,7 @@ class TestTargetedExact:
         value = 4
         target = 9
         for rewrite in ALL_TARGETS:
-            outcome = attack_targeted(s, value, target, rewrite)
-            assert outcome.exact == Fraction(1, 22)
+            assert _exhaust(s, value, frozenset({target}), rewrite) == 1
 
     def test_every_cast_value(self, field):
         s = scenario(field, 3, (2,))
@@ -225,6 +224,23 @@ class TestMonteCarlo:
         with pytest.raises(ScenarioError):
             attack_targeted(s, 2, 3, trials=0)
 
+    def test_the_rewrite_is_the_seeds_first_draw(self, field):
+        # the rest of the seed's stream deals the trials' shares
+        for seed in range(20):
+            s = scenario(field, 3, (0, 2), seed)
+            rng = random.Random(seed)
+            rewrite = rng.randrange(1, 23)
+            state = rng.getstate()
+            counts = []
+            for winners in ({7}, SHEET, SHEET - {CAST}):
+                rng.setstate(state)
+                counts.append(_simulate(s, CAST, frozenset(winners), rewrite, 300, rng))
+            outcomes = (
+                attack_targeted(s, CAST, 7, trials=300),
+                *attack_any_valid(s, CAST, tuple(SHEET), trials=300),
+            )
+            assert [outcome.successes for outcome in outcomes] == counts
+
 
 class TestArgumentChecks:
     def test_exhaustive_refuses_large_field(self):
@@ -244,9 +260,9 @@ class TestArgumentChecks:
         # a value from another field is an int outside [1, p-1] here
         s = scenario(field, 2, (0,))
         for outside in (0, 23, -1):
-            for value, target, replacement in ((outside, 3, 5), (3, outside, 5), (3, 4, outside)):
+            for value, target in ((outside, 3), (3, outside)):
                 with pytest.raises(DomainError, match=r"\[1, p-1\]"):
-                    attack_targeted(s, value, target, replacement)
+                    attack_targeted(s, value, target)
 
     def test_outcome_is_frozen(self, field):
         s = scenario(field, 2, (0,))
@@ -288,14 +304,20 @@ def oracle_simulate(scenario, value, predicate, rewrite, trials, rng):
     return successes, trials
 
 
-def assert_matches_oracle(s, value, winners, replacement, trials, generator=random.Random):
-    old_rng = generator(s.seed)
-    old_rewrite = _resolve_rewrite(s, replacement, old_rng)
+def seeded(s, rewrite, generator=random.Random):
+    """The rewrite and the generator left to deal the trials: ``None``
+    draws the rewrite as the public entries do, as the seed's first
+    ``randrange(1, p)``, and a pinned rewrite draws nothing."""
+    rng = generator(s.seed)
+    return (rng.randrange(1, s.params.p) if rewrite is None else rewrite), rng
+
+
+def assert_matches_oracle(s, value, winners, rewrite, trials, generator=random.Random):
+    old_rewrite, old_rng = seeded(s, rewrite, generator)
     expected = oracle_simulate(
         s, value, lambda f: f in winners, old_rewrite, trials, old_rng
     )
-    rng = generator(s.seed)
-    rewrite = _resolve_rewrite(s, replacement, rng)
+    rewrite, rng = seeded(s, rewrite, generator)
     assert (_simulate(s, value, frozenset(winners), rewrite, trials, rng), trials) == expected
     assert rng.getstate() == old_rng.getstate()
 
@@ -311,10 +333,10 @@ class TestTrialLoopOracle:
         # rewrite and every goal's winning set
         for j in range(k):
             s = scenario(field, k, (j,), seed=10 * k + j)
-            for replacement in (None, 5, 22):
+            for rewrite in (None, 5, 22):
                 goals = [{t} for t in ALL_TARGETS] + [SHEET, SHEET - {CAST}]
                 for winners in goals:
-                    assert_matches_oracle(s, CAST, winners, replacement, 150)
+                    assert_matches_oracle(s, CAST, winners, rewrite, 150)
 
     def test_first_trial_draws_the_leading_shares_of_split(self, field):
         for k in range(2, 6):
@@ -346,19 +368,18 @@ def test_trial_loop_matches_oracle_on_random_fields(bits, seed, data):
     colluders = data.draw(st.permutations(range(k)))[:size]
     s = CollusionScenario(params, k, tuple(colluders), seed)
     value = data.draw(st.integers(1, p - 1))
-    replacement = data.draw(
+    rewrite = data.draw(
         st.one_of(st.none(), st.integers(1, p - 1))
     )
     trials = data.draw(st.integers(1, 200))
     # some products the oracle's own trials reach, so a large field still
     # has successes to count
-    rng = random.Random(seed)
-    rewrite = _resolve_rewrite(s, replacement, rng)
+    drawn, rng = seeded(s, rewrite)
     reached = []
-    oracle_simulate(s, value, lambda f: reached.append(f), rewrite, trials, rng)
+    oracle_simulate(s, value, lambda f: reached.append(f), drawn, trials, rng)
     winners = set(data.draw(st.lists(st.sampled_from(reached), max_size=3)))
     winners |= set(data.draw(st.lists(st.integers(1, p - 1), max_size=3)))
-    assert_matches_oracle(s, value, winners, replacement, trials)
+    assert_matches_oracle(s, value, winners, rewrite, trials)
 
 
 class TestGeneratorFacts:
@@ -500,7 +521,7 @@ def test_byte_path_matches_oracle_on_random_small_fields(bits, seed, data):
     colluders = data.draw(st.permutations(range(k)))[:size]
     s = CollusionScenario(params, k, tuple(colluders), seed)
     value = data.draw(st.integers(1, p - 1))
-    replacement = data.draw(st.one_of(st.none(), st.integers(1, p - 1)))
+    rewrite = data.draw(st.one_of(st.none(), st.integers(1, p - 1)))
     winners = set(data.draw(st.lists(st.integers(1, p - 1), min_size=1, max_size=5)))
     trials = data.draw(st.integers(1, 400))
-    assert_matches_oracle(s, value, winners, replacement, trials)
+    assert_matches_oracle(s, value, winners, rewrite, trials)

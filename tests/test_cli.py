@@ -7,8 +7,9 @@ import pytest
 
 from splitvote import harness
 from splitvote.cli import main
+from splitvote.errors import ConfigError
 from splitvote.harness import parse_election_config, stream
-from splitvote.modmath import generate_params
+from splitvote.modmath import MAX_FIELD_BITS, generate_params
 
 ELECTION_CFG = """\
 p = 23
@@ -56,6 +57,10 @@ def attack_cfg(tmp_path):
 # the config above without its field, for the p, q and g lines of `params`
 FIELDLESS_CFG = ELECTION_CFG.split("g = 2\n", 1)[1]
 
+TWELVE_LABELS = ",".join(f"c{i}" for i in range(12))
+# a bit length whose field generate_params could not even draw
+HUGE_BITS = "99999999999999999999999999"
+
 
 class TestParams:
     def test_stdout(self, capsys):
@@ -83,6 +88,10 @@ class TestParams:
     def test_tiny_bits_rejected(self, capsys):
         assert main(["params", "--bits", "3"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_oversized_bits_rejected(self, capsys):
+        assert main(["params", "--bits", "100000000000000000000"]) == 2
+        assert _one_error_line(capsys) == f"error: bit_length must be at most {MAX_FIELD_BITS}\n"
 
 
 class TestRun:
@@ -196,6 +205,18 @@ class TestRun:
         path.write_text(ELECTION_CFG.replace(line, edited), encoding="utf-8")
         assert main(["run", "--config", str(path)]) == 2
         assert _one_error_line(capsys) == f"error: {complaint}\n"
+
+    @pytest.mark.parametrize("candidates", ["12", TWELVE_LABELS], ids=["count", "labels"])
+    def test_more_candidates_than_the_subgroup_has(self, tmp_path, capsys, candidates):
+        # q = 11 at p = 23; either form is one problem among the config's others
+        path = tmp_path / "bad.cfg"
+        edited = ELECTION_CFG.replace("alpha,beta", candidates)
+        path.write_text(edited.replace("voters = 20", "voters = many"), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 2
+        assert _one_error_line(capsys) == (
+            "error: voters: not an integer: 'many'; "
+            "candidates: more than the subgroup has elements\n"
+        )
 
 
 class TestSnapshotResume:
@@ -494,6 +515,17 @@ class TestAttack:
         assert main(["attack", "--config", str(path)]) == 2
         assert _one_error_line(capsys) == f"error: {complaint}\n"
 
+    @pytest.mark.parametrize("candidates", ["12", TWELVE_LABELS], ids=["count", "labels"])
+    def test_more_candidates_than_the_subgroup_has(self, tmp_path, capsys, candidates):
+        path = tmp_path / "bad.cfg"
+        edited = ATTACK_CFG.replace("0,2", "0,two").replace("targeted", "any-valid")
+        path.write_text(edited + f"candidates = {candidates}\n", encoding="utf-8")
+        assert main(["attack", "--config", str(path)]) == 2
+        assert _one_error_line(capsys) == (
+            "error: colluders: not a list of integers: '0,two'; "
+            "candidates: more than the subgroup has elements\n"
+        )
+
     def test_seed_override_is_the_seed_echoed(self, tmp_path, capsys):
         path = tmp_path / "mc.cfg"
         path.write_text(ATTACK_CFG.replace("exhaustive", "500"), encoding="utf-8")
@@ -537,6 +569,40 @@ class TestAttack:
         out = capsys.readouterr().out
         assert "targeted" in out
         assert "wall time" in out
+
+
+class TestFieldSizeBound:
+    """A bit length above MAX_FIELD_BITS is a config problem, refused before
+    any field is drawn."""
+
+    OVERSIZED = f"error: field_bits: must be at most {MAX_FIELD_BITS}\n"
+
+    def test_run(self, tmp_path, capsys):
+        path = tmp_path / "big.cfg"
+        path.write_text(f"field_bits = {HUGE_BITS}\n" + FIELDLESS_CFG, encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 2
+        assert _one_error_line(capsys) == self.OVERSIZED
+
+    def test_resume(self, election_cfg, tmp_path, capsys):
+        snap, state = _snapshot_at_9(election_cfg, tmp_path, capsys)
+        assert state["config"][:3] == ["p = 23", "q = 11", "g = 2"]
+        state["config"][:3] = [f"field_bits = {HUGE_BITS}"]
+        snap.write_text(json.dumps(state), encoding="utf-8")
+        assert _resume_fails_with_one_line(snap, capsys) == self.OVERSIZED
+
+    @pytest.mark.parametrize("trials", ["exhaustive", "5"])
+    def test_attack(self, tmp_path, capsys, trials):
+        path = tmp_path / "big.cfg"
+        config = ATTACK_CFG.replace("p = 23\nq = 11\ng = 2", f"field_bits = {HUGE_BITS}")
+        path.write_text(config.replace("exhaustive", trials), encoding="utf-8")
+        assert main(["attack", "--config", str(path)]) == 2
+        assert _one_error_line(capsys) == self.OVERSIZED
+
+    def test_the_bound_itself_parses(self):
+        config = parse_election_config(f"field_bits = {MAX_FIELD_BITS}\n" + FIELDLESS_CFG)
+        assert config.field_bits == MAX_FIELD_BITS
+        with pytest.raises(ConfigError, match="field_bits: must be at most"):
+            parse_election_config(f"field_bits = {MAX_FIELD_BITS + 1}\n" + FIELDLESS_CFG)
 
 
 class TestUsage:

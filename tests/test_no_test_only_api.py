@@ -8,7 +8,8 @@ package spells it.  Code that nothing in the package uses is either an
 entry point for outside callers or a test oracle, and oracles live in
 ``tests/``.  Likewise a defaulted or keyword-only parameter counts as used
 when some call in the package passes it, by position or by keyword, to a
-callee of the definition's name.
+callee of the definition's name; and a default counts as used when some
+such call leaves its parameter out.
 """
 
 import ast
@@ -24,9 +25,14 @@ OUTSIDE_ENTRY_POINTS = {"run_election", "RunReport.differences", "blind", "split
 OUTSIDE_PARAMETERS = {
     # the console script calls main() bare, so argparse reads sys.argv
     "main.argv",
-    # _run draws its own generator, so only a caller can pin the rewrite
-    "attack_targeted.replacement",
-    "attack_any_valid.replacement",
+}
+
+OUTSIDE_DEFAULTS = {
+    # the README's library use runs an exhaustive count without naming trials
+    "attack_targeted.trials",
+    "attack_any_valid.trials",
+    # the benchmark calls run.report() on runs it times itself
+    "ElectionRun.report.duration",
 }
 
 
@@ -67,10 +73,13 @@ def test_only_outside_entry_points_go_unreferenced():
     assert _unreferenced(_parsed_modules()) == OUTSIDE_ENTRY_POINTS
 
 
-def _unpassed(trees) -> set[str]:
-    """Defaulted or keyword-only parameters that no call passes, matching
-    calls to definitions by callee name (a class's name for ``__init__``)."""
+def _passes(trees) -> dict[str, tuple[bool, list[bool]]]:
+    """Each defaulted or keyword-only parameter, as ``<definition>.<name>``,
+    mapped to whether it has a default and, for each call in the package to
+    a callee of the definition's name (a class's name for ``__init__``),
+    whether that call passes it."""
     definitions = []
+    calls: dict[str, list[tuple[int, set[str]]]] = {}
     for tree in trees:
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
@@ -81,24 +90,45 @@ def _unpassed(trees) -> set[str]:
                         callee = node.name if item.name == "__init__" else item.name
                         # the first parameter is self or cls
                         definitions.append((f"{node.name}.{item.name}", callee, 1, item.args))
-    positional: dict[str, int] = {}
-    keywords: dict[str, set[str]] = {}
-    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
                 name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
-                positional[name] = max(positional.get(name, 0), len(node.args))
-                keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
-    unpassed = set()
+                calls.setdefault(name, []).append((len(node.args), {k.arg for k in node.keywords}))
+    passes = {}
     for qualified, callee, bound, args in definitions:
         ordered = args.posonlyargs + args.args
-        defaulted = ordered[len(ordered) - len(args.defaults):]
-        for arg in defaulted + args.kwonlyargs:
-            by_position = arg in ordered and ordered.index(arg) - bound < positional.get(callee, 0)
-            if not by_position and arg.arg not in keywords.get(callee, set()):
-                unpassed.add(f"{qualified}.{arg.arg}")
-    return unpassed
+        first = len(ordered) - len(args.defaults)
+        parameters = [(arg, i - bound, True) for i, arg in enumerate(ordered) if i >= first]
+        parameters += [
+            (arg, None, default is not None)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        ]
+        for arg, position, default in parameters:
+            passes[f"{qualified}.{arg.arg}"] = default, [
+                (position is not None and position < positional) or arg.arg in keywords
+                for positional, keywords in calls.get(callee, ())
+            ]
+    return passes
+
+
+def _unpassed(trees) -> set[str]:
+    """Defaulted or keyword-only parameters that no call passes."""
+    return {name for name, (_, passed) in _passes(trees).items() if not any(passed)}
+
+
+def _always_passed(trees) -> set[str]:
+    """Defaulted parameters that some call passes and every call does, so
+    that only callers outside the package use the default."""
+    return {
+        name
+        for name, (default, passed) in _passes(trees).items()
+        if default and passed and all(passed)
+    }
 
 
 def test_only_outside_callers_leave_a_parameter_unpassed():
     assert _unpassed(_parsed_modules().values()) == OUTSIDE_PARAMETERS
+
+
+def test_only_outside_callers_rely_on_a_default():
+    assert _always_passed(_parsed_modules().values()) == OUTSIDE_DEFAULTS

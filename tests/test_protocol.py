@@ -68,6 +68,9 @@ class SeededVoter(Voter):
         return super().register(authority, bus, self.rng)
 
     def cast(self, token, servers, candidate_index, bus, deliver_count=None):
+        # a whole cast unless the test interrupts it
+        if deliver_count is None:
+            deliver_count = len(servers)
         free = free_shares(len(servers) - 1, self.authority_key.params, self.rng)
         return super().cast(token, servers, candidate_index, free, bus, deliver_count)
 
@@ -921,18 +924,18 @@ class TestCasting:
             voters[0].cast(token, servers, 0, bus, deliver_count=0)
         fresh = Voter("V00009", key.public_key())
         with pytest.raises(VotingError):
-            fresh.cast(token, servers, 0, (2, 4), bus)
+            fresh.cast(token, servers, 0, (2, 4), bus, 3)
         # a refused split posts nothing and leaves the version alone
         start = len(bus)
         for free in [(), (2,), (2, 4, 6)]:
             with pytest.raises(ParameterError):
-                Voter.cast(voters[0], token, servers, 0, free, bus)
+                Voter.cast(voters[0], token, servers, 0, free, bus, 3)
         for free in [(0, 4), (2, 23), (-1, 4)]:
             with pytest.raises(DomainError):
-                Voter.cast(voters[0], token, servers, 0, free, bus)
+                Voter.cast(voters[0], token, servers, 0, free, bus, 3)
         assert len(bus) == start
         assert voters[0].version == 0
-        ack = Voter.cast(voters[0], token, servers, 1, (2, 4), bus)
+        ack = Voter.cast(voters[0], token, servers, 1, (2, 4), bus, 3)
         assert ack.shares == complete_split(sheet.signed_ballots[1], (2, 4), field)
 
 
