@@ -21,6 +21,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import marshal
+import os
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from random import Random
@@ -36,9 +39,9 @@ from .adversary import (
     attack_targeted,
     colluder_problems,
 )
-from .blindsig import confirm_batch, random_signing_key, verify_with_key
+from .blindsig import Signature, confirm_batch, random_signing_key, verify_with_key
 from .errors import ConfigError, VotingError
-from .modmath import MAX_FIELD_BITS, FieldParams, generate_params
+from .modmath import MAX_FIELD_BITS, MAX_SERVERS, MAX_VOTERS, FieldParams, generate_params
 from .protocol import (
     BOOTH_MODES,
     KEY_COPY,
@@ -57,6 +60,10 @@ from .sharing import check_enumerable, free_shares
 
 SNAPSHOT_KIND = "splitvote-snapshot"
 SNAPSHOT_FORMAT = 6
+# Fewest voters in a span of set-up.  At 32 bits a registration takes ~90
+# us; a fork, with the read and commit of its span, ~2.5 ms plus 5 us a
+# voter.  On two CPUs two spans of 50 were no faster than one span.
+MIN_SPAN = 100
 
 
 def stream(seed: int, label: str) -> Random:
@@ -95,7 +102,7 @@ def _parse_pairs(text: str) -> dict[str, str]:
     return pairs
 
 
-def _take_int(pairs, key, problems, minimum=None) -> int | None:
+def _take_int(pairs, key, problems, minimum, maximum) -> int | None:
     raw = pairs.pop(key, None)
     if raw is None:
         return None
@@ -107,15 +114,16 @@ def _take_int(pairs, key, problems, minimum=None) -> int | None:
     if minimum is not None and value < minimum:
         problems.append(f"{key}: must be at least {minimum}")
         return None
+    if maximum is not None and value > maximum:
+        problems.append(f"{key}: must be at most {maximum}")
+        return None
     return value
 
 
-def _require_int(pairs, key, problems, minimum) -> int:
+def _require_int(pairs, key, problems, minimum, maximum) -> int | None:
     if key not in pairs:
         problems.append(f"missing key: {key}")
-        return minimum
-    value = _take_int(pairs, key, problems, minimum)
-    return minimum if value is None else value
+    return _take_int(pairs, key, problems, minimum, maximum)
 
 
 def _take_fraction(pairs, key, problems) -> float:
@@ -134,15 +142,13 @@ def _take_fraction(pairs, key, problems) -> float:
 
 
 def _take_field(pairs, problems) -> tuple[FieldParams | None, int | None]:
-    bits = _take_int(pairs, "field_bits", problems, minimum=5)
+    given = "field_bits" in pairs  # a bad value is a problem already
+    bits = _take_int(pairs, "field_bits", problems, 5, MAX_FIELD_BITS)
     explicit = [pairs.pop(key, None) for key in ("p", "q", "g")]
-    if bits is not None and any(v is not None for v in explicit):
+    if given and any(v is not None for v in explicit):
         problems.append("give either field_bits or p, q, g, not both")
         return None, None
-    if bits is not None and bits > MAX_FIELD_BITS:
-        problems.append(f"field_bits: must be at most {MAX_FIELD_BITS}")
-        return None, None
-    if bits is not None:
+    if given:
         return None, bits
     if all(v is None for v in explicit):
         problems.append("missing field: give field_bits or p, q, g")
@@ -239,15 +245,15 @@ def parse_election_config(text: str) -> ElectionConfig:
     pairs = _parse_pairs(text)
     problems: list[str] = []
     params, bits = _take_field(pairs, problems)
-    voters = _require_int(pairs, "voters", problems, minimum=0)
-    servers = _require_int(pairs, "servers", problems, minimum=2)
+    voters = _require_int(pairs, "voters", problems, 0, MAX_VOTERS)
+    servers = _require_int(pairs, "servers", problems, 2, MAX_SERVERS)
     candidates = _take_candidates(pairs, problems, params, bits)
     recast = _take_fraction(pairs, "recast_fraction", problems)
     incomplete = _take_fraction(pairs, "incomplete_fraction", problems)
     booth_mode = pairs.pop("booth", KEY_COPY)
     if booth_mode not in BOOTH_MODES:
         problems.append(f"booth: unknown mode {booth_mode!r}")
-    seed = _take_int(pairs, "seed", problems)
+    seed = _take_int(pairs, "seed", problems, None, None)
     for key in pairs:
         problems.append(f"unknown key: {key}")
     if problems:
@@ -432,22 +438,81 @@ class ElectionRun:
         self.authority = RegistrationAuthority(self.key, roster, self.sheet)
         self.booth = PollingBooth(config.booth_mode, stream(seed, "booth"), self.authority)
         self.servers = [VoteServer(i, self.booth) for i in range(config.k)]
-        casts = Counter(event.voter_index for event in self.schedule)
         self.voters: list[Voter] = []
         self.free: list[list[int]] = []  # each voter's unspent free shares
         drawn: dict[int, int] = {}
-        for i, v_id in enumerate(roster):
-            voter = Voter(v_id, self.key.public_key())
-            rng = stream(seed, f"voter/{i}")
-            anon = voter.register(self.authority, self.bus, rng).message
-            self.free.append(free_shares(casts[i] * (config.k - 1), self.params, rng))
-            if anon in drawn:
-                self.warnings.append(
-                    f"anonymous id collision: registrants {drawn[anon]} and {i} share id {anon}"
-                )
-            else:
-                drawn[anon] = i
-            self.voters.append(voter)
+        for lines, registered in self._register_spans():
+            self.bus.extend(lines)
+            for anon, sig, free in registered:
+                i = len(self.voters)
+                voter = Voter(roster[i], self.key.public_key())
+                voter.credential = Signature(anon, sig, self.params)
+                # the span's accepted batch found both halves in the subgroup,
+                # and the booth reuses the verdicts a batch caches
+                voter.credential.__dict__.update(message_in_subgroup=True, sig_in_subgroup=True)
+                voter.sheet = self.sheet
+                self.voters.append(voter)
+                self.free.append(free)
+                first = drawn.setdefault(anon, i)
+                if first != i:
+                    self.warnings.append(
+                        f"anonymous id collision: registrants {first} and {i} share id {anon}"
+                    )
+        self.authority.registered.update(roster)
+
+    def _register_spans(self) -> list:
+        """``_register_span`` of each span of the roster, in order: one span
+        per usable CPU, of ``MIN_SPAN`` voters or more.  Span 0 runs here,
+        each other one in a forked child that writes its result to a pipe by
+        ``marshal``; a span whose child fails runs here again, and raises
+        what a one-span run raises.  No child outlives the call."""
+        n, spans = self.config.n_voters, 1
+        # forking beside a live thread can deadlock, and Python 3.12 warns
+        if hasattr(os, "fork") and threading.active_count() == 1:
+            usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+            spans = max(1, min(len(usable) or os.cpu_count() or 1, n // MIN_SPAN))
+        bounds = [n * j // spans for j in range(spans + 1)]
+        children = []  # (pid, pipe) of each child not yet reaped
+        try:
+            for lo, hi in zip(bounds[1:], bounds[2:]):
+                read_end, write_end = os.pipe()
+                pid = os.fork()
+                if pid == 0:  # the child leaves by os._exit, flushing no buffer of ours
+                    try:
+                        os.close(read_end)
+                        with open(write_end, "wb") as pipe:
+                            marshal.dump(self._register_span(lo, hi), pipe)
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                os.close(write_end)
+                children.append((pid, open(read_end, "rb")))
+            results = [self._register_span(0, bounds[1])]
+            for lo, hi in zip(bounds[1:], bounds[2:]):
+                with children[0][1] as pipe:
+                    data = pipe.read()
+                status = os.waitpid(children.pop(0)[0], 0)[1]  # 0 once all was written
+                results.append(marshal.loads(data) if status == 0 else self._register_span(lo, hi))
+            return results
+        finally:
+            for _, pipe in children:  # first, so that a child blocked writing exits
+                pipe.close()
+            for pid, _ in children:
+                os.waitpid(pid, 0)
+
+    def _register_span(self, lo: int, hi: int) -> tuple[list[str], list]:
+        """Register voters lo to hi - 1 on a bus of their own.  Plain data:
+        its lines unnumbered, and each voter's credential halves and free shares."""
+        config, bus = self.config, MessageBus()
+        casts = Counter(event.voter_index for event in self.schedule)
+        registered = []
+        for i in range(lo, hi):
+            voter = Voter(f"V{i:05d}", self.key.public_key())
+            rng = stream(config.seed, f"voter/{i}")
+            credential = voter.register(self.authority, bus, rng)
+            free = free_shares(casts[i] * (config.k - 1), self.params, rng)
+            registered.append((credential.message, credential.sig, free))
+        return [line.partition(" ")[2] for line in bus.render_log()], registered
 
     def step(self) -> None:
         """Run the next scheduled cast and cross-check ledger vs servers."""
@@ -629,7 +694,7 @@ def parse_attack_config(text: str) -> AttackConfig:
     pairs = _parse_pairs(text)
     problems: list[str] = []
     params, bits = _take_field(pairs, problems)
-    servers = _require_int(pairs, "servers", problems, minimum=2)
+    servers = _require_int(pairs, "servers", problems, 2, MAX_SERVERS)
     raw_colluders = pairs.pop("colluders", None)
     colluders: tuple[int, ...] = ()
     if raw_colluders is None:
@@ -639,9 +704,10 @@ def parse_attack_config(text: str) -> AttackConfig:
             colluders = tuple(int(part) for part in raw_colluders.split(","))
         except ValueError:
             problems.append(f"colluders: not a list of integers: {raw_colluders!r}")
-        else:
-            for problem in colluder_problems(servers, colluders):
-                problems.append(f"colluders: {problem}")
+    # a servers problem leaves no count to check the indices against
+    if colluders and servers is not None:
+        for problem in colluder_problems(servers, colluders):
+            problems.append(f"colluders: {problem}")
     goal = pairs.pop("goal", TARGETED)
     if goal not in (TARGETED, ANY_VALID):
         problems.append(f"goal: unknown goal {goal!r}")
@@ -663,7 +729,7 @@ def parse_attack_config(text: str) -> AttackConfig:
         problems.append("candidates: only goal any-valid reads them")
     else:
         candidates = _take_candidates(pairs, problems, params, bits)
-    seed = _take_int(pairs, "seed", problems)
+    seed = _take_int(pairs, "seed", problems, None, None)
     for key in pairs:
         problems.append(f"unknown key: {key}")
     if problems:

@@ -18,6 +18,10 @@ MIN_PRIME = 23
 # The largest bit length a field may be generated at: 8192, the size of RFC
 # 3526's largest MODP group.  Far above it ``getrandbits`` overflows a C int.
 MAX_FIELD_BITS = 8192
+# At most a million voters, as a 10 000-voter 32-bit run peaks at ~72 MB,
+# ~5 KB a voter, and 1000 servers, as a cast posts about 4k messages for k.
+MAX_VOTERS = 10**6
+MAX_SERVERS = 1000
 MILLER_RABIN_ROUNDS = 64
 
 # Digit width of fixed-base tables: one row of 2**6 powers per 6-bit digit of
@@ -41,6 +45,20 @@ def _sieve(limit: int) -> list[int]:
 _SMALL_PRIMES = _sieve(1000)
 # one gcd against this product finds any odd prime factor below 1000
 _ODD_PRIMORIAL = math.prod(_SMALL_PRIMES[1:])
+
+
+def _residue_table(primes: tuple[int, ...]) -> bytearray:
+    """A byte per residue r mod the product of odd ``primes``, set when one
+    of them, l, divides r or 2r + 1: r = 0 or (l - 1)/2 mod l."""
+    table = bytearray(math.prod(primes))
+    for prime in primes:
+        for start in (0, prime // 2):
+            table[start::prime] = b"\1" * len(table[start::prime])
+    return table
+
+
+# the sieve's eleven least primes as three lookups, ~56 KB in all
+_T1, _T2, _T3 = map(_residue_table, ((3, 5, 7, 11, 13), (17, 19, 23), (29, 31, 37)))
 
 
 def is_probable_prime(n: int) -> bool:
@@ -233,8 +251,11 @@ def generate_params(bit_length: int, rng: Random) -> FieldParams:
     M. Wiener, "Safe prime generation with a combined sieve" (IACR ePrint
     2003/186).  A joint sieve drops q when q or p = 2q + 1 has an odd prime
     factor below 1000; it runs only once q exceeds every sieve prime, so a
-    small prime q or p is never dropped for being its own factor.  A base-2
-    Fermat round on q and then on p drops almost all the rest.  The
+    small prime q or p is never dropped for being its own factor.  Residue
+    tables mod 3*5*7*11*13, 17*19*23 and 29*31*37 give the verdict of its 11
+    least primes, which drop ~94% of candidates, for three remainders; a gcd
+    with the product of the odd primes below 1000 judges the rest.  A base-2
+    Fermat round on q and then on p drops almost all that pass.  The
     survivor gets the full Miller-Rabin test on q, and p is proved prime by
     Pocklington's criterion, whose base-2 condition is the round p already
     passed.  Each step rejects only candidates the plain test would reject:
@@ -254,7 +275,10 @@ def generate_params(bit_length: int, rng: Random) -> FieldParams:
         p = 2 * q + 1
         if p < MIN_PRIME:
             continue
-        if q > _SMALL_PRIMES[-1] and math.gcd(q * p, _ODD_PRIMORIAL) != 1:
+        if q > _SMALL_PRIMES[-1] and (
+            _T1[q % len(_T1)] or _T2[q % len(_T2)] or _T3[q % len(_T3)]
+            or math.gcd(q * p, _ODD_PRIMORIAL) != 1
+        ):
             continue
         if pow(2, q - 1, q) != 1 or not _safe_prime_proved(p) or not is_probable_prime(q):
             continue

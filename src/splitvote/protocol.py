@@ -87,6 +87,10 @@ class MessageBus:
         head = f"{len(self._lines) + 1:06d} {sender} -> {recipient} {kind}"
         self._lines.append(f"{head} {body}" if body else head)
 
+    def extend(self, lines: Sequence[str]) -> None:
+        """Append lines rendered without sequence numbers, numbering them on."""
+        self._lines += [f"{len(self._lines) + j:06d} {line}" for j, line in enumerate(lines, 1)]
+
     def render_log(self) -> list[str]:
         return list(self._lines)
 

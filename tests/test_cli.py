@@ -9,7 +9,7 @@ from splitvote import harness
 from splitvote.cli import main
 from splitvote.errors import ConfigError
 from splitvote.harness import parse_election_config, stream
-from splitvote.modmath import MAX_FIELD_BITS, generate_params
+from splitvote.modmath import MAX_FIELD_BITS, MAX_SERVERS, MAX_VOTERS, generate_params
 
 ELECTION_CFG = """\
 p = 23
@@ -603,6 +603,76 @@ class TestFieldSizeBound:
         assert config.field_bits == MAX_FIELD_BITS
         with pytest.raises(ConfigError, match="field_bits: must be at most"):
             parse_election_config(f"field_bits = {MAX_FIELD_BITS + 1}\n" + FIELDLESS_CFG)
+
+
+class TestCountBounds:
+    """Voter and server counts above MAX_VOTERS and MAX_SERVERS are config
+    problems, collected with the others: no traceback, no endless run."""
+
+    HUGE = "99999999999999999999"
+    # the lines of ELECTION_CFG that each test replaces
+    LINES = {"voters": "voters = 20", "servers": "servers = 3"}
+
+    @pytest.mark.parametrize("key, bound", [("voters", MAX_VOTERS), ("servers", MAX_SERVERS)])
+    def test_run(self, tmp_path, capsys, key, bound):
+        path = tmp_path / "big.cfg"
+        path.write_text(ELECTION_CFG.replace(self.LINES[key], f"{key} = {self.HUGE}"),
+                        encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 2
+        assert _one_error_line(capsys) == f"error: {key}: must be at most {bound}\n"
+
+    @pytest.mark.parametrize("key, bound", [("voters", MAX_VOTERS), ("servers", MAX_SERVERS)])
+    def test_resume(self, election_cfg, tmp_path, capsys, key, bound):
+        snap, state = _snapshot_at_9(election_cfg, tmp_path, capsys)
+        state["config"] = [
+            f"{key} = {self.HUGE}" if line == self.LINES[key] else line
+            for line in state["config"]
+        ]
+        snap.write_text(json.dumps(state), encoding="utf-8")
+        assert _resume_fails_with_one_line(snap, capsys) == (
+            f"error: {key}: must be at most {bound}\n"
+        )
+
+    def test_attack(self, tmp_path, capsys):
+        path = tmp_path / "big.cfg"
+        path.write_text(ATTACK_CFG.replace("servers = 3", f"servers = {self.HUGE}"),
+                        encoding="utf-8")
+        assert main(["attack", "--config", str(path)]) == 2
+        assert _one_error_line(capsys) == f"error: servers: must be at most {MAX_SERVERS}\n"
+
+    def test_problems_are_collected(self, tmp_path, capsys):
+        path = tmp_path / "big.cfg"
+        config = ELECTION_CFG.replace("voters = 20", f"voters = {MAX_VOTERS + 1}")
+        path.write_text(config.replace("servers = 3", "servers = 1"), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 2
+        assert _one_error_line(capsys) == (
+            f"error: voters: must be at most {MAX_VOTERS}; servers: must be at least 2\n"
+        )
+
+    def test_the_bounds_themselves_parse(self):
+        config = parse_election_config(
+            ELECTION_CFG.replace("voters = 20", f"voters = {MAX_VOTERS}")
+            .replace("servers = 3", f"servers = {MAX_SERVERS}")
+        )
+        assert (config.n_voters, config.k) == (MAX_VOTERS, MAX_SERVERS)
+
+
+class TestNonIntegerFieldBits:
+    """A field_bits that is not an integer is one problem, not also a
+    missing field."""
+
+    def test_run(self, tmp_path, capsys):
+        path = tmp_path / "abc.cfg"
+        path.write_text("field_bits = abc\n" + FIELDLESS_CFG, encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 2
+        assert _one_error_line(capsys) == "error: field_bits: not an integer: 'abc'\n"
+
+    def test_attack(self, tmp_path, capsys):
+        path = tmp_path / "abc.cfg"
+        path.write_text(ATTACK_CFG.replace("p = 23\nq = 11\ng = 2", "field_bits = abc"),
+                        encoding="utf-8")
+        assert main(["attack", "--config", str(path)]) == 2
+        assert _one_error_line(capsys) == "error: field_bits: not an integer: 'abc'\n"
 
 
 class TestUsage:

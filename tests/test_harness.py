@@ -4,7 +4,9 @@ import functools
 import gc
 import hashlib
 import json
+import os
 import random
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -30,6 +32,7 @@ from splitvote.harness import (
 from splitvote.modmath import FIXTURE_FIELD, generate_params
 from splitvote.protocol import BOOTH_MODES, MessageBus, TallyResult, Voter, make_ballot_sheet
 from tests.conftest import kind_counts, logged
+from tests.test_protocol import count_calls
 
 BASE_TEXT = """
 # three-way race on the small field
@@ -650,6 +653,143 @@ class TestSnapshots:
         clean = run.state_digest()
         run.bus.post("X", "Y", "note")
         assert run.state_digest() != clean
+
+
+def force_spans(monkeypatch, cpus):
+    """Make set-up see ``cpus`` usable CPUs and split any roster of at least
+    ``cpus`` voters into that many spans, forking each but the first."""
+    monkeypatch.setattr(harness, "MIN_SPAN", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def finished(run):
+    """The records and event log of ``run`` played to its end."""
+    run.run_schedule()
+    run.finish()
+    return run.report().render_records(), run.bus.render_log()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="set-up forks only where os.fork exists")
+class TestParallelSetup:
+    """Set-up registers contiguous spans of the roster in forked children
+    and commits them in roster order: the bytes are those of one span."""
+
+    # 12 voters share 11 ids at p = 23, so collisions cross spans
+    CONFIGS = [
+        pytest.param(field, booth, id=f"{name}-{booth}")
+        for name, field in (("p23", FIXTURE_FIELD), ("64-bit", "64"))
+        for booth in BOOTH_MODES
+    ]
+
+    @staticmethod
+    def config(field, booth, n_voters=12):
+        params = _field_64() if field == "64" else field
+        return ElectionConfig(params, None, n_voters, 3, ("a", "b", "c"), 0.5, 0.3, booth, 8)
+
+    @pytest.mark.parametrize("field, booth", CONFIGS)
+    def test_any_span_count_gives_the_bytes_of_one(self, field, booth, monkeypatch):
+        config = self.config(field, booth)
+        force_spans(monkeypatch, 1)
+        one = finished(ElectionRun(config))
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        for cpus in (2, 3):
+            force_spans(monkeypatch, cpus)
+            assert finished(ElectionRun(config)) == one
+            assert no_child_left()
+        assert len(forks) == 1 + 2
+        if field is FIXTURE_FIELD:
+            assert any("collision" in line for line in one[0].splitlines())
+
+    @pytest.mark.parametrize("field, booth", CONFIGS)
+    def test_resume_under_any_span_count_gives_the_bytes_of_one(self, field, booth, monkeypatch):
+        config = self.config(field, booth)
+        force_spans(monkeypatch, 1)
+        whole = ElectionRun(config)
+        one = finished(whole)
+        for cpus in (2, 3):
+            for cursor in (0, 7, len(whole.schedule)):
+                force_spans(monkeypatch, 1)
+                part = ElectionRun(config)
+                part.run_schedule(cursor)
+                state = json.loads(part.snapshot_json())
+                force_spans(monkeypatch, cpus)
+                assert finished(ElectionRun.resume(state)) == one
+                assert no_child_left()
+
+    def test_a_roster_below_the_span_size_forks_nothing(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("set-up forked")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(os, "fork", no_fork)
+        ElectionRun(base_config(n_voters=2 * harness.MIN_SPAN - 1))
+        force_spans(monkeypatch, 1)
+        ElectionRun(base_config(n_voters=30))
+
+    def test_a_live_thread_means_one_span(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("set-up forked beside a live thread")
+
+        force_spans(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", no_fork)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            run = ElectionRun(base_config())
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert len(run.voters) == 25
+
+    @pytest.mark.parametrize("failing", [
+        pytest.param(5, id="child-span"),
+        pytest.param(11, id="last-span"),
+        pytest.param(1, id="parent-span"),
+    ])
+    def test_a_failed_registration_raises_what_one_span_raises(self, failing, monkeypatch):
+        # 12 voters in 3 spans: 0-3 here, 4-7 and 8-11 in children
+        register = Voter.register
+
+        def refuse_one(voter, authority, bus, rng):
+            if voter.v_id == f"V{failing:05d}":
+                raise ParameterError(f"refused {voter.v_id} at registration")
+            return register(voter, authority, bus, rng)
+
+        monkeypatch.setattr(Voter, "register", refuse_one)
+        config = self.config(FIXTURE_FIELD, "key-copy")
+        errors = []
+        for spans in (1, 3):
+            force_spans(monkeypatch, spans)
+            with pytest.raises(VotingError) as exc:
+                ElectionRun(config)
+            assert no_child_left()
+            errors.append((type(exc.value), str(exc.value)))
+        assert errors[0] == errors[1] == (ParameterError, f"refused V{failing:05d} at registration")
+
+    @pytest.mark.parametrize("booth", BOOTH_MODES)
+    def test_a_shipped_credential_gets_no_subgroup_test_here(self, booth, monkeypatch):
+        # each registration tests its credential's two halves once; a span
+        # registered in a child ships the verdicts with the credential, so
+        # neither the commit nor the booth tests them again
+        config = self.config("64", booth)
+        setup = {}
+        for cpus in (1, 2):
+            force_spans(monkeypatch, cpus)
+            counts = count_calls(monkeypatch, "in_subgroup")
+            run = ElectionRun(config)
+            setup[cpus] = counts["in_subgroup"]
+            run.run_schedule()
+            assert counts["in_subgroup"] == setup[cpus], "the booth ran a subgroup test"
+        assert setup[1] - setup[2] == 2 * 6
 
 
 @functools.cache

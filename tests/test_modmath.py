@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from functools import cache
 
@@ -347,6 +348,17 @@ def test_generate_params_equals_oracle(bits):
         assert generate_params(bits, random.Random(seed)) == oracle_generate_params(
             bits, random.Random(seed)
         )
+
+
+@pytest.mark.parametrize("table, primes", [
+    (modmath._T1, (3, 5, 7, 11, 13)), (modmath._T2, (17, 19, 23)), (modmath._T3, (29, 31, 37)),
+])
+def test_residue_tables_mark_what_the_gcd_rejects(table, primes):
+    # a q the table marks has a factor in common with the odd primorial,
+    # in q or in 2q + 1, so the pre-sieve drops no candidate the gcd keeps
+    assert len(table) == math.prod(primes)
+    for r in range(len(table)):
+        assert table[r] == any(r % l == 0 or (2 * r + 1) % l == 0 for l in primes), r
 
 
 def test_pocklington_agrees_with_miller_rabin_for_every_prime_q_below_1e5():
