@@ -114,6 +114,16 @@ class PublishedSignature(Signature):
         return FixedBase(self.sig, self.params)
 
 
+@dataclass(frozen=True)
+class ConfirmedSignature(Signature):
+    """A claim that an accepted confirmation round found with both halves
+    in the subgroup, rebuilt from its plain ints: the two verdicts are
+    those of that round, and no check of it tests them again."""
+
+    message_in_subgroup = True
+    sig_in_subgroup = True
+
+
 def random_signing_key(params: FieldParams, rng: Random) -> SigningKey:
     return SigningKey(rng.randrange(1, params.q), params)
 

@@ -66,9 +66,8 @@ def _finish_run(run: ElectionRun, duration: float, args: argparse.Namespace) -> 
     report = run.report(duration)
     _write_or_print(_render(report, args.format), args.out)
     if args.events:
-        # line by line, so no second copy of the log is built as one string
         with Path(args.events).open("w", encoding="utf-8") as events:
-            events.writelines(f"{line}\n" for line in run.bus.render_log())
+            run.bus.write(events)
     return 0
 
 

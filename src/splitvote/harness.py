@@ -39,9 +39,10 @@ from .adversary import (
     attack_targeted,
     colluder_problems,
 )
-from .blindsig import Signature, confirm_batch, random_signing_key, verify_with_key
+from .blindsig import ConfirmedSignature, confirm_batch, random_signing_key, verify_with_key
 from .errors import ConfigError, VotingError
-from .modmath import MAX_FIELD_BITS, MAX_SERVERS, MAX_VOTERS, FieldParams, generate_params
+from .modmath import MAX_CANDIDATES, MAX_FIELD_BITS, MAX_SERVERS, MAX_VOTERS
+from .modmath import FieldParams, generate_params
 from .protocol import (
     BOOTH_MODES,
     KEY_COPY,
@@ -56,7 +57,7 @@ from .protocol import (
     make_ballot_sheet,
     tally,
 )
-from .sharing import check_enumerable, free_shares
+from .sharing import check_enumerable
 
 SNAPSHOT_KIND = "splitvote-snapshot"
 SNAPSHOT_FORMAT = 6
@@ -194,9 +195,9 @@ def _take_candidates(pairs, problems, params, bits) -> tuple[str, ...]:
     # isdigit() also admits superscripts such as "²", which int() refuses
     counted = raw.isdecimal()
     labels = () if counted else tuple(part.strip() for part in raw.split(","))
-    # either form is held to the subgroup order q, or 2^(bits - 1) - 1 for a
-    # generated field, and a bare count before any label is built; a field
-    # that did not parse is a problem already, and leaves no bound to check
+    # either form is held to the subgroup order q (2^(bits - 1) - 1 for a
+    # generated field), then to MAX_CANDIDATES, and a bare count before any
+    # label is built; a field that did not parse leaves no bound to check
     if params is None and bits is None:
         if counted:
             return ()
@@ -208,6 +209,9 @@ def _take_candidates(pairs, problems, params, bits) -> tuple[str, ...]:
             over = True
         if over:
             problems.append("candidates: more than the subgroup has elements")
+            return ()
+        if count > MAX_CANDIDATES:
+            problems.append(f"candidates: must be at most {MAX_CANDIDATES}")
             return ()
         if counted:
             labels = tuple(f"option-{i + 1}" for i in range(count))
@@ -434,31 +438,24 @@ class ElectionRun:
         seed = config.seed
         self.key = random_signing_key(self.params, stream(seed, "authority-key"))
         self.sheet = make_ballot_sheet(config.candidates, self.key, stream(seed, "ballots"))
-        roster = [f"V{i:05d}" for i in range(config.n_voters)]
-        self.authority = RegistrationAuthority(self.key, roster, self.sheet)
+        self.roster = [f"V{i:05d}" for i in range(config.n_voters)]
+        self.authority = RegistrationAuthority(self.key, self.roster, self.sheet)
         self.booth = PollingBooth(config.booth_mode, stream(seed, "booth"), self.authority)
         self.servers = [VoteServer(i, self.booth) for i in range(config.k)]
         self.voters: list[Voter] = []
-        self.free: list[list[int]] = []  # each voter's unspent free shares
         drawn: dict[int, int] = {}
         for lines, registered in self._register_spans():
             self.bus.extend(lines)
             for anon, sig, free in registered:
                 i = len(self.voters)
-                voter = Voter(roster[i], self.key.public_key())
-                voter.credential = Signature(anon, sig, self.params)
-                # the span's accepted batch found both halves in the subgroup,
-                # and the booth reuses the verdicts a batch caches
-                voter.credential.__dict__.update(message_in_subgroup=True, sig_in_subgroup=True)
-                voter.sheet = self.sheet
-                self.voters.append(voter)
-                self.free.append(free)
+                credential = ConfirmedSignature(anon, sig, self.params)
+                self.voters.append(Voter(credential, self.sheet, free))
                 first = drawn.setdefault(anon, i)
                 if first != i:
                     self.warnings.append(
                         f"anonymous id collision: registrants {first} and {i} share id {anon}"
                     )
-        self.authority.registered.update(roster)
+        self.authority.registered.update(self.roster)
 
     def _register_spans(self) -> list:
         """``_register_span`` of each span of the roster, in order: one span
@@ -502,17 +499,17 @@ class ElectionRun:
 
     def _register_span(self, lo: int, hi: int) -> tuple[list[str], list]:
         """Register voters lo to hi - 1 on a bus of their own.  Plain data:
-        its lines unnumbered, and each voter's credential halves and free shares."""
+        its rendered lines, and each voter's credential halves, which an
+        accepted batch confirmed, and unspent free shares."""
         config, bus = self.config, MessageBus()
         casts = Counter(event.voter_index for event in self.schedule)
         registered = []
         for i in range(lo, hi):
-            voter = Voter(f"V{i:05d}", self.key.public_key())
             rng = stream(config.seed, f"voter/{i}")
-            credential = voter.register(self.authority, bus, rng)
-            free = free_shares(casts[i] * (config.k - 1), self.params, rng)
-            registered.append((credential.message, credential.sig, free))
-        return [line.partition(" ")[2] for line in bus.render_log()], registered
+            n_free = casts[i] * (config.k - 1)
+            voter = Voter.register(self.roster[i], self.authority, bus, rng, n_free)
+            registered.append((voter.credential.message, voter.credential.sig, voter.free))
+        return bus.render_log(), registered
 
     def step(self) -> None:
         """Run the next scheduled cast and cross-check ledger vs servers."""
@@ -521,11 +518,7 @@ class ElectionRun:
         event = self.schedule[self.cursor]
         voter = self.voters[event.voter_index]
         token = self.booth.authenticate(voter.credential, self.bus)
-        free, n = self.free[event.voter_index], self.config.k - 1
-        ack = voter.cast(
-            token, self.servers, event.candidate_index, free[:n], self.bus, event.deliver_count
-        )
-        del free[:n]
+        ack = voter.cast(token, self.servers, event.candidate_index, self.bus, event.deliver_count)
         decisions = self.ledger.apply(
             voter.credential.message, ack.version, ack.shares, event.deliver_count
         )
@@ -576,17 +569,11 @@ class ElectionRun:
         )
 
     def state_digest(self) -> str:
-        """sha256 of the rendered message log at the cursor, one line per
-        message, each ended by a newline.  The log fixes the stores: every
-        share a server keeps is a logged ``cast-share`` its ``cast-accept``
-        acknowledged, and ``step`` holds the ledger to the same decisions."""
-        digest = hashlib.sha256()
-        log = self.bus.render_log()
-        # 4096 lines per update: fewer calls than one per line, and no copy
-        # of the whole log as one string
-        for start in range(0, len(log), 4096):
-            digest.update("\n".join([*log[start : start + 4096], ""]).encode("utf-8"))
-        return digest.hexdigest()
+        """sha256 of the message log at the cursor as ``--events`` writes
+        it.  The log fixes the stores: every share a server keeps is a
+        logged ``cast-share`` its ``cast-accept`` acknowledged, and ``step``
+        holds the ledger to the same decisions."""
+        return self.bus.sha256()
 
     def snapshot_state(self) -> dict:
         """What replay needs to reach the current cast, plus a digest of

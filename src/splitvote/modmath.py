@@ -22,6 +22,11 @@ MAX_FIELD_BITS = 8192
 # ~5 KB a voter, and 1000 servers, as a cast posts about 4k messages for k.
 MAX_VOTERS = 10**6
 MAX_SERVERS = 1000
+# At most 100 000 candidates: each one adds two fixed-base tables to the
+# sheet, two table powers to every registration and ~32 bytes to every
+# voter's register-grant and confirm-batch lines, and a 10-voter 32-bit run
+# peaks at 52 MB with 1000 candidates, 336 MB with 10 000, ~31 KB each.
+MAX_CANDIDATES = 10**5
 MILLER_RABIN_ROUNDS = 64
 
 # Digit width of fixed-base tables: one row of 2**6 powers per 6-bit digit of

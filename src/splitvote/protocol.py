@@ -15,13 +15,13 @@ the bus in program order, so a fixed seed replays the identical log.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 from random import Random
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .blindsig import (
-    PublicKey,
     PublishedSignature,
     Responder,
     Signature,
@@ -37,7 +37,7 @@ from .blindsig import (
 )
 from .errors import DomainError, ParameterError, VotingError
 from .modmath import FieldParams, sample_subgroup_element
-from .sharing import complete_split, reconstruct
+from .sharing import complete_split, free_shares, reconstruct
 
 KEY_COPY = "key-copy"
 ZK_RELAY = "zk-relay"
@@ -75,7 +75,9 @@ class MessageBus:
     message is kept as its rendered line,
     ``<seq:06d> <sender> -> <recipient> <kind> key=value ...``; the caller
     renders the ``key=value ...`` body with one f-string, which fixes the
-    field order at the call site."""
+    field order at the call site.  The bus alone numbers lines, and alone
+    frames the log as a file holds it: one newline-ended line per message,
+    the bytes that ``write`` writes and ``sha256`` hashes."""
 
     def __init__(self):
         self._lines: list[str] = []
@@ -88,11 +90,28 @@ class MessageBus:
         self._lines.append(f"{head} {body}" if body else head)
 
     def extend(self, lines: Sequence[str]) -> None:
-        """Append lines rendered without sequence numbers, numbering them on."""
-        self._lines += [f"{len(self._lines) + j:06d} {line}" for j, line in enumerate(lines, 1)]
+        """Append another bus's rendered lines, numbering them on from here."""
+        n = len(self._lines)
+        self._lines += [f"{n + j:06d} {line.partition(' ')[2]}" for j, line in enumerate(lines, 1)]
 
     def render_log(self) -> list[str]:
         return list(self._lines)
+
+    def _framed(self) -> Iterator[str]:
+        # 4096 lines a piece: fewer calls than one per line, and no copy of
+        # the whole log as one string
+        for start in range(0, len(self._lines), 4096):
+            yield "\n".join([*self._lines[start : start + 4096], ""])
+
+    def write(self, file: TextIO) -> None:
+        file.writelines(self._framed())
+
+    def sha256(self) -> str:
+        """sha256 of the bytes ``write`` writes, in UTF-8."""
+        digest = hashlib.sha256()
+        for piece in self._framed():
+            digest.update(piece.encode("utf-8"))
+        return digest.hexdigest()
 
 
 def label_fits(label: str) -> bool:
@@ -241,92 +260,83 @@ class RegistrationAuthority:
 
 
 class Voter:
-    """Carries the true identity through registration, then only the
-    anonymous credential."""
+    """A registered voter: the anonymous credential, the ballot sheet it
+    confirmed, and the unspent free shares of its casts to come.  The true
+    identity stays behind in ``register``, which builds one."""
 
-    def __init__(self, v_id: str, authority_key: PublicKey):
-        self.v_id = v_id
-        self.authority_key = authority_key
-        self.credential: Signature | None = None
-        self.sheet: BallotSheet | None = None
+    def __init__(self, credential: Signature, sheet: BallotSheet, free: Iterable[int]):
+        self.credential = credential
+        self.sheet = sheet
+        self.free = list(free)
         self.version = 0
 
-    @property
-    def reg_name(self) -> str:
-        return f"voter/{self.v_id}"
-
-    def register(self, authority: RegistrationAuthority, bus: MessageBus, rng: Random) -> Signature:
+    @classmethod
+    def register(
+        cls,
+        v_id: str,
+        authority: RegistrationAuthority,
+        bus: MessageBus,
+        rng: Random,
+        n_free: int,
+    ) -> Voter:
         """Blind a fresh anonymous id, have it signed, unblind, and confirm
         the credential and the ballot sheet in one batched round; a refused
         batch falls back to a round for the credential, then one per ballot,
         which disavows the first bad one.  Id 1 is redrawn: the booth
         refuses it, since it is its own signature under every key.  The id
         is a square, so blinding skips its subgroup test; the batch makes
-        it, and the booth reuses that verdict.  The voter keeps no ``rng``."""
-        params = self.authority_key.params
+        it, and the booth reuses that verdict.  Last come the ``n_free``
+        free shares of the casts to come; the voter keeps no ``rng``."""
+        authority_key = authority.key.public_key()
+        params = authority_key.params
+        name = f"voter/{v_id}"
         anon_id = sample_subgroup_element(params, rng)
         while anon_id == 1:
             anon_id = sample_subgroup_element(params, rng)
         factor = rng.randrange(1, params.q)
-        blinded = _blind_member(anon_id, factor, self.authority_key)
-        bus.post(
-            self.reg_name,
-            authority.name,
-            "register-request",
-            f"v_id={self.v_id} blinded={blinded}",
-        )
-        signed_blinded, sheet = authority.register(self.v_id, blinded, bus)
-        credential = Signature(anon_id, unblind(signed_blinded, factor, self.authority_key), params)
+        blinded = _blind_member(anon_id, factor, authority_key)
+        bus.post(name, authority.name, "register-request", f"v_id={v_id} blinded={blinded}")
+        signed_blinded, sheet = authority.register(v_id, blinded, bus)
+        credential = Signature(anon_id, unblind(signed_blinded, factor, authority_key), params)
         batch = confirm_batch(
-            (credential, *sheet.signatures), self.authority_key, authority.responder, rng
+            (credential, *sheet.signatures), authority_key, authority.responder, rng
         )
         body = f"weights={','.join(map(str, batch.weights))} {_transcript_body(batch)}"
-        bus.post(self.reg_name, authority.name, "confirm-batch", body)
+        bus.post(name, authority.name, "confirm-batch", body)
         if not batch.accepted:
-            self._confirm_or_disavow(credential, "confirm-credential", authority, bus, rng)
+            _confirm_or_disavow(credential, name, "confirm-credential", authority, bus, rng, "")
             for label, signature in zip(sheet.candidates, sheet.signatures):
-                self._confirm_or_disavow(
-                    signature, "confirm-ballot", authority, bus, rng, lead=f"candidate={label} "
-                )
-        self.credential = credential
-        self.sheet = sheet
-        return self.credential
-
-    def _confirm_or_disavow(self, signature, kind, authority, bus, rng, lead=""):
-        transcript = confirm(signature, self.authority_key, authority.responder, rng)
-        bus.post(self.reg_name, authority.name, kind, lead + _transcript_body(transcript))
-        if not transcript.accepted:
-            verdict = disavow(signature, self.authority_key, authority.responder, rng)
-            forgery = 1 if verdict.is_forgery else 0
-            bus.post(self.reg_name, authority.name, "disavow", f"forgery={forgery}")
-            raise CredentialInvalidError("authority signature failed confirmation", verdict)
+                lead = f"candidate={label} "
+                _confirm_or_disavow(signature, name, "confirm-ballot", authority, bus, rng, lead)
+        return cls(credential, sheet, free_shares(n_free, params, rng))
 
     def cast(
         self,
         token: str,
-        servers: Sequence["VoteServer"],
+        servers: Sequence[VoteServer],
         candidate_index: int,
-        free: Sequence[int],
         bus: MessageBus,
         deliver_count: int,
     ) -> CastAck:
         """Split the chosen signed ballot and deliver one share per server.
 
-        ``complete_split`` adds the last share to the k - 1 ``free`` ones.
-        Delivery stops after ``deliver_count`` servers, k for a whole cast
-        and fewer for an interrupted one.  Every attempt, complete or not,
-        bumps this credential's version.
+        ``complete_split`` adds the last share to the next k - 1 free ones,
+        which the cast spends; a refused cast spends none.  Delivery stops
+        after ``deliver_count`` servers, k for a whole cast and fewer for an
+        interrupted one.  Every attempt, complete or not, bumps this
+        credential's version.
         """
-        if self.credential is None or self.sheet is None:
-            raise VotingError("not registered")
         if not 0 <= candidate_index < len(self.sheet.candidates):
             raise ParameterError(f"candidate index {candidate_index} out of range")
         k = len(servers)
         if not 1 <= deliver_count <= k:
             raise ParameterError("deliver_count must lie in [1, k]")
-        if k < 2 or len(free) != k - 1:
+        if k < 2 or len(self.free) < k - 1:
             raise ParameterError("a cast needs at least 2 servers and k - 1 free shares")
-        shares = complete_split(self.sheet.signed_ballots[candidate_index], free, self.sheet.params)
+        shares = complete_split(
+            self.sheet.signed_ballots[candidate_index], self.free[: k - 1], self.sheet.params
+        )
+        del self.free[: k - 1]
         self.version += 1
         anon_id = self.credential.message
         holder = f"holder/{anon_id}"
@@ -340,6 +350,17 @@ class Voter:
             )
             accepted.append(server.store_share(anon_id, self.version, share, token, bus)[0])
         return CastAck(self.version, shares, tuple(accepted))
+
+
+def _confirm_or_disavow(signature, sender, kind, authority, bus, rng, lead):
+    authority_key = authority.key.public_key()
+    transcript = confirm(signature, authority_key, authority.responder, rng)
+    bus.post(sender, authority.name, kind, lead + _transcript_body(transcript))
+    if not transcript.accepted:
+        verdict = disavow(signature, authority_key, authority.responder, rng)
+        forgery = 1 if verdict.is_forgery else 0
+        bus.post(sender, authority.name, "disavow", f"forgery={forgery}")
+        raise CredentialInvalidError("authority signature failed confirmation", verdict)
 
 
 class PollingBooth:

@@ -182,13 +182,12 @@ def test_confirm_refusal_aborts(field, key, pub):
         confirm(claimed, pub, lambda challenge: None, random.Random(0))
 
 
-def test_transcript_record_fields(field, key, pub):
+def test_transcript_record_fields(field, key):
     # a confirmation round is recorded as the fields of its logged message
     bus = MessageBus()
     sheet = make_ballot_sheet(("a", "b"), key, random.Random(7))
-    voter = Voter("V00000", pub)
     authority = RegistrationAuthority(key, ["V00000"], sheet)
-    credential = voter.register(authority, bus, random.Random(100))
+    credential = Voter.register("V00000", authority, bus, random.Random(100), 0).credential
     line = next(line for line in bus.render_log() if " confirm-batch " in line)
     pairs = [pair.split("=", 1) for pair in line.split(" ")[5:]]
     names = ["weights", "e1", "e2", "challenge", "response", "accepted"]

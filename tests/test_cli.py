@@ -8,8 +8,15 @@ import pytest
 from splitvote import harness
 from splitvote.cli import main
 from splitvote.errors import ConfigError
-from splitvote.harness import parse_election_config, stream
-from splitvote.modmath import MAX_FIELD_BITS, MAX_SERVERS, MAX_VOTERS, generate_params
+from splitvote.harness import parse_attack_config, parse_election_config, stream
+from splitvote.modmath import (
+    MAX_CANDIDATES,
+    MAX_FIELD_BITS,
+    MAX_SERVERS,
+    MAX_VOTERS,
+    generate_params,
+)
+from splitvote.protocol import BOOTH_MODES
 
 ELECTION_CFG = """\
 p = 23
@@ -291,6 +298,47 @@ class TestSnapshotResume:
         snap.write_text(json.dumps({"kind": "other"}), encoding="utf-8")
         assert main(["resume", "--snapshot", str(snap)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestEventLogContract:
+    """A snapshot's sha256 is the sha256 of a prefix of the uninterrupted
+    ``--events`` file: the lines logged before the cast at its cursor, or
+    before the booth closes at the end.  A run resumed from it writes the
+    whole file again, byte for byte."""
+
+    @staticmethod
+    def cast_starts(lines):
+        """Where each cast's ``auth-request`` opens in a log, then the close."""
+        return [i for i, line in enumerate(lines) if line.split()[4] in (b"auth-request", b"close")]
+
+    @pytest.mark.parametrize("booth", BOOTH_MODES)
+    def test_snapshots_hash_a_prefix_and_resume_to_the_whole_file(self, booth, tmp_path):
+        config = tmp_path / "election.cfg"
+        config.write_text(f"{ELECTION_CFG}booth = {booth}\n", encoding="utf-8")
+        whole = {name: tmp_path / f"whole.{name}" for name in ("records", "events")}
+        assert main([
+            "run", "--config", str(config), "--out", str(whole["records"]),
+            "--events", str(whole["events"]),
+        ]) == 0
+        lines = whole["events"].read_bytes().splitlines(keepends=True)
+        starts = self.cast_starts(lines)
+        assert len(starts) == 25 + 1  # 20 voters, 5 of them cast twice
+        for cursor in (0, 12, 25):
+            snap = tmp_path / f"at-{cursor}.json"
+            assert main([
+                "run", "--config", str(config), "--snapshot", str(snap),
+                "--snapshot-at", str(cursor),
+            ]) == 0
+            prefix = b"".join(lines[: starts[cursor]])
+            recorded = json.loads(snap.read_text(encoding="utf-8"))["sha256"]
+            assert recorded == hashlib.sha256(prefix).hexdigest()
+            resumed = {name: tmp_path / f"resumed-{cursor}.{name}" for name in whole}
+            assert main([
+                "resume", "--snapshot", str(snap), "--out", str(resumed["records"]),
+                "--events", str(resumed["events"]),
+            ]) == 0
+            for name, path in resumed.items():
+                assert path.read_bytes() == whole[name].read_bytes(), (cursor, name)
 
 
 def _snapshot_at_9(config_path, tmp_path, capsys):
@@ -606,12 +654,22 @@ class TestFieldSizeBound:
 
 
 class TestCountBounds:
-    """Voter and server counts above MAX_VOTERS and MAX_SERVERS are config
-    problems, collected with the others: no traceback, no endless run."""
+    """Voter, server and candidate counts above MAX_VOTERS, MAX_SERVERS and
+    MAX_CANDIDATES are config problems, collected with the others: no
+    traceback, no endless run."""
 
     HUGE = "99999999999999999999"
     # the lines of ELECTION_CFG that each test replaces
     LINES = {"voters": "voters = 20", "servers": "servers = 3"}
+    # the largest count a 64-bit field's subgroup bound lets through, far
+    # past MAX_CANDIDATES: unbounded, the parser would build a label for each
+    MANY = str(2**63 - 1)
+    FIELD_64 = ELECTION_CFG.replace("p = 23\nq = 11\ng = 2", "field_bits = 64")
+    ATTACK_64 = (
+        ATTACK_CFG.replace("p = 23\nq = 11\ng = 2", "field_bits = 64")
+        .replace("goal = targeted", "goal = any-valid")
+        .replace("trials = exhaustive", "trials = 10\ncandidates = alpha,beta")
+    )
 
     @pytest.mark.parametrize("key, bound", [("voters", MAX_VOTERS), ("servers", MAX_SERVERS)])
     def test_run(self, tmp_path, capsys, key, bound):
@@ -655,6 +713,43 @@ class TestCountBounds:
             .replace("servers = 3", f"servers = {MAX_SERVERS}")
         )
         assert (config.n_voters, config.k) == (MAX_VOTERS, MAX_SERVERS)
+
+    def test_run_candidates(self, tmp_path, capsys):
+        path = tmp_path / "many.cfg"
+        path.write_text(self.FIELD_64.replace("alpha,beta", self.MANY), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 2
+        assert _one_error_line(capsys) == f"error: candidates: must be at most {MAX_CANDIDATES}\n"
+
+    def test_resume_candidates(self, election_cfg, tmp_path, capsys):
+        snap, state = _snapshot_at_9(election_cfg, tmp_path, capsys)
+        config = "\n".join(state["config"]).replace("p = 23\nq = 11\ng = 2", "field_bits = 64")
+        state["config"] = config.replace("alpha,beta", self.MANY).splitlines()
+        assert f"candidates = {self.MANY}" in state["config"]
+        snap.write_text(json.dumps(state), encoding="utf-8")
+        assert _resume_fails_with_one_line(snap, capsys) == (
+            f"error: candidates: must be at most {MAX_CANDIDATES}\n"
+        )
+
+    def test_attack_candidates(self, tmp_path, capsys):
+        path = tmp_path / "many.cfg"
+        path.write_text(self.ATTACK_64.replace("alpha,beta", self.MANY), encoding="utf-8")
+        assert main(["attack", "--config", str(path)]) == 2
+        assert _one_error_line(capsys) == f"error: candidates: must be at most {MAX_CANDIDATES}\n"
+
+    def test_candidate_problems_are_collected(self, tmp_path, capsys):
+        path = tmp_path / "many.cfg"
+        config = self.FIELD_64.replace("alpha,beta", str(MAX_CANDIDATES + 1))
+        path.write_text(config.replace("servers = 3", "servers = 1"), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 2
+        assert _one_error_line(capsys) == (
+            f"error: servers: must be at least 2; candidates: must be at most {MAX_CANDIDATES}\n"
+        )
+
+    def test_the_candidate_bound_parses(self):
+        parsers = ((parse_election_config, self.FIELD_64), (parse_attack_config, self.ATTACK_64))
+        for parse, text in parsers:
+            config = parse(text.replace("alpha,beta", str(MAX_CANDIDATES)))
+            assert len(config.candidates) == MAX_CANDIDATES
 
 
 class TestNonIntegerFieldBits:

@@ -8,6 +8,7 @@ import os
 import random
 import threading
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -759,12 +760,12 @@ class TestParallelSetup:
         # 12 voters in 3 spans: 0-3 here, 4-7 and 8-11 in children
         register = Voter.register
 
-        def refuse_one(voter, authority, bus, rng):
-            if voter.v_id == f"V{failing:05d}":
-                raise ParameterError(f"refused {voter.v_id} at registration")
-            return register(voter, authority, bus, rng)
+        def refuse_one(cls, v_id, authority, bus, rng, n_free):
+            if v_id == f"V{failing:05d}":
+                raise ParameterError(f"refused {v_id} at registration")
+            return register(v_id, authority, bus, rng, n_free)
 
-        monkeypatch.setattr(Voter, "register", refuse_one)
+        monkeypatch.setattr(Voter, "register", classmethod(refuse_one))
         config = self.config(FIXTURE_FIELD, "key-copy")
         errors = []
         for spans in (1, 3):
@@ -774,6 +775,23 @@ class TestParallelSetup:
             assert no_child_left()
             errors.append((type(exc.value), str(exc.value)))
         assert errors[0] == errors[1] == (ParameterError, f"refused V{failing:05d} at registration")
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_each_voter_is_built_registered_and_its_casts_spend_its_shares(self, cpus, monkeypatch):
+        # a voter holds its credential, the sheet and its unspent free
+        # shares, k - 1 for each cast the schedule gives it, and no unset
+        # or registration-only state
+        config = self.config(FIXTURE_FIELD, "zk-relay")
+        force_spans(monkeypatch, cpus)
+        run = ElectionRun(config)
+        assert no_child_left()
+        casts = Counter(event.voter_index for event in run.schedule)
+        for i, voter in enumerate(run.voters):
+            assert vars(voter).keys() == {"credential", "sheet", "free", "version"}
+            assert None not in vars(voter).values() and voter.sheet is run.sheet
+            assert len(voter.free) == casts[i] * (config.k - 1)
+        run.run_schedule()
+        assert all(voter.free == [] for voter in run.voters)
 
     @pytest.mark.parametrize("booth", BOOTH_MODES)
     def test_a_shipped_credential_gets_no_subgroup_test_here(self, booth, monkeypatch):

@@ -202,7 +202,7 @@ def test_registration_batch_verdict_is_that_of_every_key_check(
     bus = MessageBus()
     with mock.patch.object(protocol, "confirm_batch", spy):
         try:
-            Voter("V0", key.public_key()).register(authority, bus, rng)
+            Voter.register("V0", authority, bus, rng, 0)
         except CredentialInvalidError:
             pass
     [batch] = batches

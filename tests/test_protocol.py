@@ -35,7 +35,7 @@ from splitvote.protocol import (
     make_ballot_sheet,
     tally,
 )
-from splitvote.sharing import complete_split, free_shares
+from splitvote.sharing import complete_split
 from tests.conftest import kind_counts, logged
 
 CANDIDATES = ("alpha", "beta", "gamma")
@@ -55,24 +55,28 @@ def sheet(field, key):
     return make_ballot_sheet(CANDIDATES, key, random.Random(7))
 
 
-class SeededVoter(Voter):
-    """A voter beside its own generator, for tests that cast at will:
-    registration draws from it, then each cast its k - 1 free shares, the
-    order in which a run reads a voter's stream."""
+# free shares drawn at registration per cast a test voter may make
+CASTS = 8
 
-    def __init__(self, v_id, authority_key, rng):
-        super().__init__(v_id, authority_key)
-        self.rng = rng
+
+class SeededVoter:
+    """A roster entry beside its own generator, for tests that cast at will.
+    ``register`` builds its ``Voter`` from the generator with the free
+    shares of ``CASTS`` casts drawn after the coins, the order in which a
+    run reads a voter's stream, so each cast spends the k - 1 shares it
+    would draw next; ``cast`` makes a whole cast unless the test
+    interrupts it."""
+
+    def __init__(self, v_id, rng, k):
+        self.v_id, self.rng, self.k = v_id, rng, k
 
     def register(self, authority, bus):
-        return super().register(authority, bus, self.rng)
+        self.voter = Voter.register(self.v_id, authority, bus, self.rng, CASTS * (self.k - 1))
+        return self.voter.credential
 
     def cast(self, token, servers, candidate_index, bus, deliver_count=None):
-        # a whole cast unless the test interrupts it
-        if deliver_count is None:
-            deliver_count = len(servers)
-        free = free_shares(len(servers) - 1, self.authority_key.params, self.rng)
-        return super().cast(token, servers, candidate_index, free, bus, deliver_count)
+        deliver_count = len(servers) if deliver_count is None else deliver_count
+        return self.voter.cast(token, servers, candidate_index, bus, deliver_count)
 
 
 def make_setup(field, key, sheet, mode=KEY_COPY, n_voters=3, k=3, booth_seed=11):
@@ -81,10 +85,7 @@ def make_setup(field, key, sheet, mode=KEY_COPY, n_voters=3, k=3, booth_seed=11)
     authority = RegistrationAuthority(key, roster, sheet)
     booth = PollingBooth(mode, random.Random(booth_seed), authority)
     servers = [VoteServer(i, booth) for i in range(k)]
-    voters = [
-        SeededVoter(v_id, key.public_key(), random.Random(VOTER_SEEDS[j]))
-        for j, v_id in enumerate(roster)
-    ]
+    voters = [SeededVoter(v_id, random.Random(VOTER_SEEDS[j]), k) for j, v_id in enumerate(roster)]
     return bus, authority, booth, servers, voters
 
 
@@ -225,7 +226,7 @@ class TestRenderedLines:
     def ineligible(field, key, sheet, mode):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet, mode=mode)
         with pytest.raises(IneligibleVoterError):
-            Voter("V99999", key.public_key()).register(authority, bus, random.Random(2))
+            Voter.register("V99999", authority, bus, random.Random(2), 0)
         return bus, 0
 
     @staticmethod
@@ -234,7 +235,7 @@ class TestRenderedLines:
         voters[0].register(authority, bus)
         start = len(bus)
         with pytest.raises(AlreadyRegisteredError):
-            Voter(voters[0].v_id, key.public_key()).register(authority, bus, random.Random(1))
+            Voter.register(voters[0].v_id, authority, bus, random.Random(1), 0)
         return bus, start
 
     @staticmethod
@@ -255,7 +256,7 @@ class TestRenderedLines:
         bus = MessageBus()
         authority = RegistrationAuthority(key, ["V00000"], bad_sheet)
         with pytest.raises(CredentialInvalidError):
-            Voter("V00000", key.public_key()).register(authority, bus, random.Random(100))
+            Voter.register("V00000", authority, bus, random.Random(100), 0)
         return bus, 2  # after the register-request and register-grant
 
     @staticmethod
@@ -263,7 +264,7 @@ class TestRenderedLines:
         bus = MessageBus()
         authority = TamperingAuthority(key, ["V00000"], sheet)
         with pytest.raises(CredentialInvalidError):
-            Voter("V00000", key.public_key()).register(authority, bus, random.Random(100))
+            Voter.register("V00000", authority, bus, random.Random(100), 0)
         return bus, 2  # after the register-request and register-grant
 
     @staticmethod
@@ -448,9 +449,8 @@ class TestRegistration:
     def test_double_registration_rejected(self, field, key, sheet):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet)
         voters[0].register(authority, bus)
-        retry = Voter(voters[0].v_id, key.public_key())
         with pytest.raises(AlreadyRegisteredError):
-            retry.register(authority, bus, random.Random(1))
+            Voter.register(voters[0].v_id, authority, bus, random.Random(1), 0)
         assert any(
             m.kind == "register-reject" and m.fields["reason"] == "already-registered"
             for m in logged(bus)
@@ -458,9 +458,8 @@ class TestRegistration:
 
     def test_unknown_voter_rejected(self, field, key, sheet):
         bus, authority, booth, servers, voters = make_setup(field, key, sheet)
-        ghost = Voter("V99999", key.public_key())
         with pytest.raises(IneligibleVoterError):
-            ghost.register(authority, bus, random.Random(2))
+            Voter.register("V99999", authority, bus, random.Random(2), 0)
 
     def test_voter_confirms_credential_and_every_ballot(self, field, key, sheet):
         # one batched round, weighted once for the credential and once per
@@ -496,17 +495,15 @@ class TestRegistration:
         rng = random.Random(31)
         assert rng.randrange(1, 23) == 1 and rng.randrange(1, 23) == 16
         bus, authority, booth, servers, voters = make_setup(field, key, sheet, n_voters=1)
-        voter = Voter(voters[0].v_id, key.public_key())
-        cred = voter.register(authority, bus, random.Random(31))
+        cred = Voter.register(voters[0].v_id, authority, bus, random.Random(31), 0).credential
         assert cred.message == 16 * 16 % 23
         assert verify_with_key(cred, key)
 
     def test_tampered_signature_triggers_disavowal(self, field, key, sheet):
         bus = MessageBus()
         authority = TamperingAuthority(key, ["V00000"], sheet)
-        voter = Voter("V00000", key.public_key())
         with pytest.raises(CredentialInvalidError) as exc:
-            voter.register(authority, bus, random.Random(100))
+            Voter.register("V00000", authority, bus, random.Random(100), 0)
         assert exc.value.disavowal.is_forgery
         assert len(exc.value.disavowal.rounds) == 2
         assert kind_counts(bus)["disavow"] == 1
@@ -922,21 +919,29 @@ class TestCasting:
             voters[0].cast(token, servers, 9, bus)
         with pytest.raises(ParameterError):
             voters[0].cast(token, servers, 0, bus, deliver_count=0)
-        fresh = Voter("V00009", key.public_key())
-        with pytest.raises(VotingError):
-            fresh.cast(token, servers, 0, (2, 4), bus, 3)
-        # a refused split posts nothing and leaves the version alone
+        # a refused split posts nothing, spends no free share and leaves
+        # the version alone; a voter holds its unspent free shares
         start = len(bus)
-        for free in [(), (2,), (2, 4, 6)]:
-            with pytest.raises(ParameterError):
-                Voter.cast(voters[0], token, servers, 0, free, bus, 3)
-        for free in [(0, 4), (2, 23), (-1, 4)]:
-            with pytest.raises(DomainError):
-                Voter.cast(voters[0], token, servers, 0, free, bus, 3)
+        for free, error in [((), ParameterError), ((2,), ParameterError), ((0, 4), DomainError),
+                            ((2, 23), DomainError), ((-1, 4), DomainError)]:
+            voter = Voter(creds[0], sheet, free)
+            with pytest.raises(error):
+                voter.cast(token, servers, 0, bus, 3)
+            assert (voter.free, voter.version) == (list(free), 0)
+        with pytest.raises(ParameterError):
+            Voter(creds[0], sheet, (2, 4)).cast(token, servers[:1], 0, bus, 1)
         assert len(bus) == start
-        assert voters[0].version == 0
-        ack = Voter.cast(voters[0], token, servers, 1, (2, 4), bus, 3)
+        assert voters[0].voter.version == 0
+        assert len(voters[0].voter.free) == CASTS * 2
+        # a cast spends the next k - 1 free shares; one left is too few
+        voter = Voter(creds[0], sheet, (2, 4, 6))
+        ack = voter.cast(token, servers, 1, bus, 3)
         assert ack.shares == complete_split(sheet.signed_ballots[1], (2, 4), field)
+        assert voter.free == [6]
+        start = len(bus)
+        with pytest.raises(ParameterError):
+            voter.cast(token, servers, 1, bus, 3)
+        assert len(bus) == start and voter.version == 1
 
 
 class TestTally:
