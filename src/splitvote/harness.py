@@ -196,25 +196,23 @@ def _take_candidates(pairs, problems, params, bits) -> tuple[str, ...]:
     counted = raw.isdecimal()
     labels = () if counted else tuple(part.strip() for part in raw.split(","))
     # either form is held to the subgroup order q (2^(bits - 1) - 1 for a
-    # generated field), then to MAX_CANDIDATES, and a bare count before any
-    # label is built; a field that did not parse leaves no bound to check
-    if params is None and bits is None:
-        if counted:
+    # generated field) when the field parsed, then to MAX_CANDIDATES, and a
+    # bare count before any label is built
+    try:
+        count = int(raw) if counted else len(labels)
+    except ValueError:  # more digits than int() converts
+        count = float("inf")
+    q = params.q if params is not None else None if bits is None else (1 << (bits - 1)) - 1
+    if q is not None and count > q:
+        problems.append("candidates: more than the subgroup has elements")
+        return ()
+    if count > MAX_CANDIDATES:
+        problems.append(f"candidates: must be at most {MAX_CANDIDATES}")
+        return ()
+    if counted:
+        if q is None:  # the field refuses the config: build no label
             return ()
-    else:
-        try:
-            count = int(raw) if counted else len(labels)
-            over = count > params.q if params is not None else count.bit_length() >= bits
-        except ValueError:  # more digits than int() converts
-            over = True
-        if over:
-            problems.append("candidates: more than the subgroup has elements")
-            return ()
-        if count > MAX_CANDIDATES:
-            problems.append(f"candidates: must be at most {MAX_CANDIDATES}")
-            return ()
-        if counted:
-            labels = tuple(f"option-{i + 1}" for i in range(count))
+        labels = tuple(f"option-{i + 1}" for i in range(count))
     problems.extend(f"candidates: {problem}" for problem in candidate_problems(labels))
     return labels
 
@@ -456,6 +454,7 @@ class ElectionRun:
                         f"anonymous id collision: registrants {first} and {i} share id {anon}"
                     )
         self.authority.registered.update(self.roster)
+        self.authority.close()  # frees span 0's sheet tables; a child's went with it
 
     def _register_spans(self) -> list:
         """``_register_span`` of each span of the roster, in order: one span

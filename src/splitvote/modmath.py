@@ -8,6 +8,7 @@ exponents are taken mod a prime and every nonzero element is invertible.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from random import Random
@@ -22,11 +23,15 @@ MAX_FIELD_BITS = 8192
 # ~5 KB a voter, and 1000 servers, as a cast posts about 4k messages for k.
 MAX_VOTERS = 10**6
 MAX_SERVERS = 1000
-# At most 100 000 candidates: each one adds two fixed-base tables to the
-# sheet, two table powers to every registration and ~32 bytes to every
-# voter's register-grant and confirm-batch lines, and a 10-voter 32-bit run
-# peaks at 52 MB with 1000 candidates, 336 MB with 10 000, ~31 KB each.
+# At most 100 000 candidates: each adds two powers to every registration
+# and ~32 bytes to every voter's register-grant and confirm-batch lines; a
+# 10-voter 32-bit run with 10 000 candidates peaks at 33 MB.
 MAX_CANDIDATES = 10**5
+# A sheet of m candidates gets its 2m tables only if they fit in 64 MiB: 4
+# keep theirs at 2048 bits (~53 MB), and 200 at 256 bits peaked at 97 MB in
+# a 10-voter run.  Above it a registration makes two plain powers a
+# candidate: 1000 at 256 bits peaked at 26 MB in 3.7 s, 408 MB with tables.
+MAX_SHEET_TABLE_BYTES = 64 << 20
 MILLER_RABIN_ROUNDS = 64
 
 # Digit width of fixed-base tables: one row of 2**6 powers per 6-bit digit of
@@ -235,6 +240,12 @@ class FixedBase:
             acc = acc * row[e & mask] % p
             e >>= FIXED_BASE_WINDOW
         return acc
+
+
+def table_bytes(params: FieldParams) -> int:
+    """About the memory of one ``FixedBase``: 2**w ints per w-bit digit of q."""
+    rows = -(-params.q.bit_length() // FIXED_BASE_WINDOW)
+    return (rows << FIXED_BASE_WINDOW) * sys.getsizeof(params.p)
 
 
 def sample_subgroup_element(params: FieldParams, rng: Random) -> int:

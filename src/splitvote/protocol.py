@@ -1,11 +1,12 @@
 """The election protocol as in-process actors on a deterministic message bus.
 
 Four phases: the registration authority signs each voter's blinded anonymous
-id and hands out a sheet of signed ballot values; the polling booth checks
-credentials (with a key copy or by relaying confirmation rounds to the
-authority) and issues session tokens; voters split their chosen signed
-ballot into one multiplicative share per vote server; the tally pools the
-shares back together, reconstructs, and matches products against the sheet.
+id and hands out a sheet of signed ballot values, until it closes
+registration; the polling booth checks credentials (with a key copy or by
+relaying confirmation rounds to the authority) and issues session tokens;
+voters split their chosen signed ballot into one multiplicative share per
+vote server; the tally checks the sheet's signatures, pools the shares back
+together, reconstructs, and matches products against the sheet.
 
 Re-voting is overwrite-based: a later cast carries a higher version number
 and replaces the stored shares, and authenticating again kills the previous
@@ -36,7 +37,7 @@ from .blindsig import (
     verify_with_key,
 )
 from .errors import DomainError, ParameterError, VotingError
-from .modmath import FieldParams, sample_subgroup_element
+from .modmath import MAX_SHEET_TABLE_BYTES, FieldParams, sample_subgroup_element, table_bytes
 from .sharing import complete_split, free_shares, reconstruct
 
 KEY_COPY = "key-copy"
@@ -51,6 +52,10 @@ class IneligibleVoterError(VotingError):
 
 class AlreadyRegisteredError(VotingError):
     """The identity was registered before."""
+
+
+class RegistrationClosedError(VotingError):
+    """Registration has closed."""
 
 
 class CredentialInvalidError(VotingError):
@@ -141,9 +146,9 @@ def candidate_problems(labels: Sequence[str]) -> list[str]:
 class BallotSheet:
     """Public ballot values, one per candidate, plus their signatures.
 
-    ``signatures`` pairs them up once per sheet, so the subgroup verdicts
-    and fixed-base tables of its elements serve every voter's batched
-    confirmation round and the tally's.
+    ``signatures`` pairs them up once per sheet as plain ``Signature``s, so
+    the subgroup verdicts of its elements serve every check of it.  The
+    registration authority's view of them holds their fixed-base tables.
     """
 
     candidates: tuple[str, ...]
@@ -165,9 +170,9 @@ class BallotSheet:
             raise ParameterError("signed ballot values must be distinct")
 
     @cached_property
-    def signatures(self) -> tuple[PublishedSignature, ...]:
+    def signatures(self) -> tuple[Signature, ...]:
         pairs = zip(self.ballots, self.signed_ballots)
-        return tuple(PublishedSignature(m, sig, self.params) for m, sig in pairs)
+        return tuple(Signature(m, sig, self.params) for m, sig in pairs)
 
     @cached_property
     def published(self) -> str:
@@ -216,7 +221,10 @@ def _transcript_body(t) -> str:
 
 class RegistrationAuthority:
     """Checks eligibility, signs blinded anonymous ids, and publishes the
-    signed ballot sheet."""
+    signed ballot sheet until ``close``.  ``signatures``, handed out with
+    each grant, is the sheet's pairs as registrants confirm them: table
+    backed while two tables a candidate fit in ``MAX_SHEET_TABLE_BYTES``,
+    plain above it.  ``close`` drops it, tables and all."""
 
     name = "ra"
 
@@ -225,6 +233,10 @@ class RegistrationAuthority:
         self.roster = set(roster)
         self.sheet = sheet
         self.registered: set[str] = set()
+        self.signatures: tuple[Signature, ...] | None = sheet.signatures
+        if 2 * len(sheet.ballots) * table_bytes(sheet.params) <= MAX_SHEET_TABLE_BYTES:
+            pairs = zip(sheet.ballots, sheet.signed_ballots)
+            self.signatures = tuple(PublishedSignature(m, sig, sheet.params) for m, sig in pairs)
 
     @property
     def responder(self) -> Responder:
@@ -236,8 +248,11 @@ class RegistrationAuthority:
         The authority is sent message * g**b, not the id, yet it can compute
         the id from the registrant's ``confirm-batch`` line (ROADMAP item 2,
         ``TestUnlinkability``).  A value ``sign`` refuses leaves the
-        registrant unregistered.
+        registrant unregistered, and once closed the authority refuses all.
         """
+        if self.signatures is None:
+            bus.post(self.name, f"voter/{v_id}", "register-reject", "reason=closed")
+            raise RegistrationClosedError("registration is closed")
         if v_id not in self.roster:
             bus.post(self.name, f"voter/{v_id}", "register-reject", "reason=ineligible")
             raise IneligibleVoterError(f"{v_id} is not on the roster")
@@ -256,7 +271,11 @@ class RegistrationAuthority:
             "register-grant",
             f"signed_blinded={signed_blinded} {self.sheet.published}",
         )
-        return signed_blinded, self.sheet
+        return signed_blinded, self.sheet, self.signatures
+
+    def close(self) -> None:
+        """Close registration and free the sheet's tables; posts nothing."""
+        self.signatures = None
 
 
 class Voter:
@@ -282,11 +301,12 @@ class Voter:
         """Blind a fresh anonymous id, have it signed, unblind, and confirm
         the credential and the ballot sheet in one batched round; a refused
         batch falls back to a round for the credential, then one per ballot,
-        which disavows the first bad one.  Id 1 is redrawn: the booth
-        refuses it, since it is its own signature under every key.  The id
-        is a square, so blinding skips its subgroup test; the batch makes
-        it, and the booth reuses that verdict.  Last come the ``n_free``
-        free shares of the casts to come; the voter keeps no ``rng``."""
+        which disavows the first bad one.  The sheet's pairs come with the
+        grant; a closed authority raises ``RegistrationClosedError``.  Id 1
+        is redrawn: the booth refuses it, since it is its own signature under
+        every key.  The id is a square, so blinding skips its subgroup test;
+        the batch makes it, and the booth reuses that verdict.  Last come the
+        ``n_free`` free shares of the casts to come; the voter keeps no ``rng``."""
         authority_key = authority.key.public_key()
         params = authority_key.params
         name = f"voter/{v_id}"
@@ -296,16 +316,14 @@ class Voter:
         factor = rng.randrange(1, params.q)
         blinded = _blind_member(anon_id, factor, authority_key)
         bus.post(name, authority.name, "register-request", f"v_id={v_id} blinded={blinded}")
-        signed_blinded, sheet = authority.register(v_id, blinded, bus)
+        signed_blinded, sheet, signatures = authority.register(v_id, blinded, bus)
         credential = Signature(anon_id, unblind(signed_blinded, factor, authority_key), params)
-        batch = confirm_batch(
-            (credential, *sheet.signatures), authority_key, authority.responder, rng
-        )
+        batch = confirm_batch((credential, *signatures), authority_key, authority.responder, rng)
         body = f"weights={','.join(map(str, batch.weights))} {_transcript_body(batch)}"
         bus.post(name, authority.name, "confirm-batch", body)
         if not batch.accepted:
             _confirm_or_disavow(credential, name, "confirm-credential", authority, bus, rng, "")
-            for label, signature in zip(sheet.candidates, sheet.signatures):
+            for label, signature in zip(sheet.candidates, signatures):
                 lead = f"candidate={label} "
                 _confirm_or_disavow(signature, name, "confirm-ballot", authority, bus, rng, lead)
         return cls(credential, sheet, free_shares(n_free, params, rng))

@@ -8,6 +8,7 @@ import os
 import random
 import threading
 import tracemalloc
+import types
 from collections import Counter
 from fractions import Fraction
 
@@ -144,7 +145,10 @@ class TestConfigParsing:
     def test_candidate_count_beside_a_field_problem_builds_no_label(self):
         text = "voters = 1\nservers = 2\ncandidates = 1000000\n"
         problems, peak = refusal_and_peak(parse_election_config, text)
-        assert problems == ["missing field: give field_bits or p, q, g"]
+        assert problems == [
+            "missing field: give field_bits or p, q, g",
+            f"candidates: must be at most {modmath.MAX_CANDIDATES}",
+        ]
         assert peak < 1 << 20
 
     def test_comments_and_blanks_ignored(self):
@@ -459,8 +463,9 @@ class TestElectionRun:
     @pytest.mark.parametrize("booth, digest", PINNED_DIGESTS)
     def test_pinned_digests_are_those_of_plain_pow(self, booth, digest, monkeypatch):
         # the oracle the digests were computed with: plain Signatures on
-        # the sheet, pow for every table power and pow for every subgroup
-        # test, so no table, cached verdict or Jacobi symbol is involved
+        # the sheet and in the authority's view of it, pow for every table
+        # power and pow for every subgroup test, so no table, cached
+        # verdict or Jacobi symbol is involved
         def plain_subgroup_test(a, params):
             return 0 < a < params.p and pow(a, params.q, params.p) == 1
 
@@ -475,6 +480,7 @@ class TestElectionRun:
         )
         for module in (modmath, blindsig):
             monkeypatch.setattr(module, "in_subgroup", plain_subgroup_test)
+        monkeypatch.setattr(protocol, "MAX_SHEET_TABLE_BYTES", 0)
         monkeypatch.setattr(
             protocol.BallotSheet,
             "signatures",
@@ -808,6 +814,117 @@ class TestParallelSetup:
             run.run_schedule()
             assert counts["in_subgroup"] == setup[cpus], "the booth ran a subgroup test"
         assert setup[1] - setup[2] == 2 * 6
+
+
+def reachable(root):
+    """Every object reachable from ``root`` by references, entering no
+    class, module or function, whose globals would reach everything."""
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="set-up forks only where os.fork exists")
+class TestRegistrationCloses:
+    """Set-up closes registration once every span is committed: the
+    sheet's tables go with the authority's view of it, polling and the
+    tally keep the g and y tables only, and the authority refuses every
+    later registrant."""
+
+    CASES = [
+        pytest.param(booth, spans, id=f"{booth}-{spans}-span")
+        for booth in BOOTH_MODES
+        for spans in (1, 2)
+    ]
+
+    @staticmethod
+    def set_up(booth, spans, monkeypatch):
+        force_spans(monkeypatch, spans)
+        config = ElectionConfig(_field_64(), None, 12, 3, ("a", "b", "c", "d"), 0.5, 0.3, booth, 8)
+        run = ElectionRun(config)
+        assert no_child_left()
+        return run
+
+    @pytest.mark.parametrize("booth, spans", CASES)
+    def test_polling_and_the_tally_keep_the_g_and_y_tables_only(self, booth, spans, monkeypatch):
+        run = self.set_up(booth, spans, monkeypatch)
+        assert run.authority.signatures is None
+        assert all(type(s) is blindsig.Signature for s in run.sheet.signatures)
+        objects = reachable(run)
+        assert not any(isinstance(obj, blindsig.PublishedSignature) for obj in objects)
+        tables = {id(obj) for obj in objects if isinstance(obj, modmath.FixedBase)}
+        assert tables == {id(run.params.g_table), id(run.key.public_key().table)}
+        built = []
+        monkeypatch.setattr(modmath.FixedBase, "__init__", lambda table, *args: built.append(args))
+        finished(run)
+        assert built == []
+
+    @pytest.mark.parametrize("booth, spans", CASES)
+    def test_a_registrant_after_set_up_is_refused(self, booth, spans, monkeypatch):
+        run = self.set_up(booth, spans, monkeypatch)
+        registered = set(run.authority.registered)
+        for v_id in (run.roster[0], "V99999"):
+            bus = MessageBus()
+            with pytest.raises(protocol.RegistrationClosedError) as exc:
+                Voter.register(v_id, run.authority, bus, random.Random(1), 0)
+            assert isinstance(exc.value, VotingError)
+            request, reject = logged(bus)
+            assert request.kind == "register-request"
+            assert reject == (
+                "ra", f"voter/{v_id}", "register-reject", {"reason": "closed"}
+            )
+        assert run.authority.registered == registered
+
+    @pytest.mark.parametrize("booth, spans", CASES)
+    def test_a_sheet_over_the_table_bound_gives_the_same_bytes(self, booth, spans, monkeypatch):
+        # one byte under the sheet's 8 tables: every registration confirms
+        # the sheet by plain powers, and no table of a sheet element is built
+        tabled = self.set_up(booth, spans, monkeypatch)
+        sheet = tabled.sheet
+        need = 2 * len(sheet.ballots) * modmath.table_bytes(tabled.params)
+        for bound, kind in ((need, blindsig.PublishedSignature), (need - 1, blindsig.Signature)):
+            monkeypatch.setattr(protocol, "MAX_SHEET_TABLE_BYTES", bound)
+            view = protocol.RegistrationAuthority(tabled.key, [], sheet).signatures
+            assert all(type(s) is kind for s in view)
+        bases = []
+        build = modmath.FixedBase.__init__
+
+        def counted(table, base, params):
+            bases.append(base)
+            build(table, base, params)
+
+        monkeypatch.setattr(modmath.FixedBase, "__init__", counted)
+        plain = self.set_up(booth, spans, monkeypatch)
+        assert finished(plain) == finished(tabled)
+        assert set(bases) <= {plain.params.g, plain.key.public_key().value}
+
+
+class TestTranscript:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the zk-relay tally's confirm_batch with the authority posts no line",
+    )
+    def test_every_zk_relay_responder_call_has_its_line_to_ra(self, monkeypatch):
+        # each challenge the authority answers, in order, is the challenge
+        # of one line to ra: the voters' confirm-batch lines, the booth's
+        # auth-zk lines, and the tally's round over the sheet
+        challenges = []
+        honest = protocol.honest_responder
+
+        def recording(key):
+            respond = honest(key)
+            return lambda challenge: challenges.append(challenge) or respond(challenge)
+
+        monkeypatch.setattr(protocol, "honest_responder", recording)
+        config = ElectionConfig(None, 32, 12, 3, ("a", "b", "c", "d"), 0.0, 0.0, "zk-relay", 1)
+        run, _ = run_election(config)
+        to_ra = [m for m in logged(run.bus) if m.recipient == "ra" and "challenge" in m.fields]
+        assert [int(m.fields["challenge"]) for m in to_ra] == challenges
 
 
 @functools.cache

@@ -171,8 +171,8 @@ class _TamperingAuthority(RegistrationAuthority):
     factor = 1
 
     def register(self, v_id, blinded, bus):
-        signed, sheet = super().register(v_id, blinded, bus)
-        return signed * self.factor % self.key.params.p, sheet
+        signed, *grant = super().register(v_id, blinded, bus)
+        return signed * self.factor % self.key.params.p, *grant
 
 
 @settings(max_examples=20, deadline=None)
@@ -206,7 +206,8 @@ def test_registration_batch_verdict_is_that_of_every_key_check(
         except CredentialInvalidError:
             pass
     [batch] = batches
-    assert batch[1:] == sheet.signatures
+    assert batch[1:] == authority.signatures
+    assert [(s.message, s.sig) for s in batch[1:]] == list(zip(sheet.ballots, signed))
     line = next(line for line in bus.render_log() if " confirm-batch " in line)
     accepted = line.endswith(" accepted=1")
     assert accepted == all(verify_with_key(sig, key) for sig in batch)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from splitvote import blindsig, modmath
+from splitvote import blindsig, modmath, protocol
 from splitvote.blindsig import (
     PublishedSignature,
     Signature,
@@ -91,10 +91,10 @@ def make_setup(field, key, sheet, mode=KEY_COPY, n_voters=3, k=3, booth_seed=11)
 
 class TamperingAuthority(RegistrationAuthority):
     def register(self, v_id, blinded, bus):
-        signed, sheet = super().register(v_id, blinded, bus)
+        signed, *grant = super().register(v_id, blinded, bus)
         # doubling stays inside the subgroup (2 is a residue), so only the
         # response equation can catch it
-        return signed * 2 % 23, sheet
+        return signed * 2 % 23, *grant
 
 
 def key_verifier(key):
@@ -200,10 +200,17 @@ class TestBallotSheet:
         assert set(index.values()) == set(CANDIDATES)
         assert len(index) == 3
 
-    def test_signatures_are_built_once_per_sheet(self, sheet):
+    def test_signatures_are_built_once_per_sheet(self, field, key, sheet):
+        # the sheet pairs its values once, as plain signatures; the
+        # authority builds its table-backed view of them once and hands
+        # that one out with every grant
         assert sheet.signatures is sheet.signatures
-        assert all(isinstance(s, PublishedSignature) for s in sheet.signatures)
-        assert [(s.message, s.sig) for s in sheet.signatures] == list(
+        assert all(type(s) is Signature for s in sheet.signatures)
+        bus, authority, *_ = make_setup(field, key, sheet, n_voters=2)
+        grants = [authority.register(f"V0000{i}", blinded, bus) for i, blinded in enumerate((4, 9))]
+        assert grants[0][2] is grants[1][2] is authority.signatures
+        assert all(isinstance(s, PublishedSignature) for s in authority.signatures)
+        assert [(s.message, s.sig) for s in authority.signatures] == list(
             zip(sheet.ballots, sheet.signed_ballots)
         )
 
@@ -515,8 +522,9 @@ class TestRegistration:
     ):
         # one signed ballot doubled (2 is a residue, so it stays in the
         # subgroup) and one replaced by the non-residue 5; every voter fails
-        # at the first bad one, the second on the sheet's cached verdicts
-        # and tables, with the verdict and log the plain path gives
+        # at the first bad one, the second on the cached verdicts and
+        # tables of the authority's view, with the verdict and log the
+        # plain path gives
         wrong = sheet.signed_ballots[1] * 2 % 23
         assert wrong not in sheet.signed_ballots
         bad = {"wrong": wrong, "non-residue": 5}
@@ -538,6 +546,7 @@ class TestRegistration:
         verdicts, log = register_two()
         assert all(verdict.is_forgery for verdict in verdicts)
         assert [line.split(" ")[4] for line in log].count("disavow") == 2
+        monkeypatch.setattr(protocol, "MAX_SHEET_TABLE_BYTES", 0)
         monkeypatch.setattr(
             BallotSheet,
             "signatures",
