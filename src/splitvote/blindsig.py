@@ -95,6 +95,15 @@ class PublishedSignature(Signature):
     since a table refuses it, so every power and verdict is that of a plain
     ``Signature``."""
 
+    @classmethod
+    def of(cls, plain: Signature) -> PublishedSignature:
+        """``plain``'s pair with tables, holding the two verdicts ``plain``
+        holds or computes now, so that neither is computed twice."""
+        published = cls(plain.message, plain.sig, plain.params)
+        for verdict in ("message_in_subgroup", "sig_in_subgroup"):
+            vars(published)[verdict] = getattr(plain, verdict)
+        return published
+
     def message_power(self, exponent: int) -> int:
         if not self.message_in_subgroup:
             return super().message_power(exponent)
@@ -115,12 +124,18 @@ class PublishedSignature(Signature):
 
 
 @dataclass(frozen=True)
-class ConfirmedSignature(Signature):
+class SquareSignature(Signature):
+    """A claim whose message is a square by construction: only its sig is tested."""
+
+    message_in_subgroup = True
+
+
+@dataclass(frozen=True)
+class ConfirmedSignature(SquareSignature):
     """A claim that an accepted confirmation round found with both halves
     in the subgroup, rebuilt from its plain ints: the two verdicts are
     those of that round, and no check of it tests them again."""
 
-    message_in_subgroup = True
     sig_in_subgroup = True
 
 
@@ -156,9 +171,10 @@ def sign(message: int, key: SigningKey) -> Signature:
 
 
 def unblind(blinded_sig: int, factor: int, signer_key: PublicKey) -> int:
-    """Strip the blinding from (m * g**b)**x by dividing out (g**x)**b."""
+    """Strip the blinding from (m * g**b)**x by multiplying in y**(-b mod q),
+    y**(q - b) for b in [1, q-1]: the inverse of (g**x)**b, as y has order q."""
     params = signer_key.params
-    return blinded_sig * mod_inv(signer_key.table.power(factor), params) % params.p
+    return blinded_sig * signer_key.table.power(-factor % params.q) % params.p
 
 
 def verify_with_key(sig: Signature, key: SigningKey) -> bool:

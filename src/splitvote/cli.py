@@ -160,15 +160,9 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--snapshot-at must not be negative")
     try:
         return args.handler(args)
-    except RegimeError as exc:
+    except (VotingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except VotingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return 4 if isinstance(exc, OSError) else 3 if isinstance(exc, RegimeError) else 2
 
 
 if __name__ == "__main__":

@@ -88,9 +88,7 @@ def _parse_pairs(text: str) -> dict[str, str]:
         if "=" not in line:
             problems.append(f"line {lineno}: expected key = value")
             continue
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = map(str.strip, line.split("=", 1))
         if not key or not value:
             problems.append(f"line {lineno}: expected key = value")
             continue
@@ -256,8 +254,7 @@ def parse_election_config(text: str) -> ElectionConfig:
     if booth_mode not in BOOTH_MODES:
         problems.append(f"booth: unknown mode {booth_mode!r}")
     seed = _take_int(pairs, "seed", problems, None, None)
-    for key in pairs:
-        problems.append(f"unknown key: {key}")
+    problems += [f"unknown key: {key}" for key in pairs]
     if problems:
         raise ConfigError(problems)
     return ElectionConfig(
@@ -692,8 +689,7 @@ def parse_attack_config(text: str) -> AttackConfig:
             problems.append(f"colluders: not a list of integers: {raw_colluders!r}")
     # a servers problem leaves no count to check the indices against
     if colluders and servers is not None:
-        for problem in colluder_problems(servers, colluders):
-            problems.append(f"colluders: {problem}")
+        problems += [f"colluders: {problem}" for problem in colluder_problems(servers, colluders)]
     goal = pairs.pop("goal", TARGETED)
     if goal not in (TARGETED, ANY_VALID):
         problems.append(f"goal: unknown goal {goal!r}")
@@ -716,8 +712,7 @@ def parse_attack_config(text: str) -> AttackConfig:
     else:
         candidates = _take_candidates(pairs, problems, params, bits)
     seed = _take_int(pairs, "seed", problems, None, None)
-    for key in pairs:
-        problems.append(f"unknown key: {key}")
+    problems += [f"unknown key: {key}" for key in pairs]
     if problems:
         raise ConfigError(problems)
     return AttackConfig(params, bits, servers, colluders, goal, trials, candidates, seed or 0)

@@ -55,6 +55,8 @@ def _sieve(limit: int) -> list[int]:
 _SMALL_PRIMES = _sieve(1000)
 # one gcd against this product finds any odd prime factor below 1000
 _ODD_PRIMORIAL = math.prod(_SMALL_PRIMES[1:])
+_SIEVE_BOUND = 1 << 13  # a second gcd finds any of the 860 primes in (1000, 2**13)
+_NEXT_PRIMORIAL = math.prod(n for n in _sieve(_SIEVE_BOUND) if n > 1000)
 
 
 def _residue_table(primes: tuple[int, ...]) -> bytearray:
@@ -270,8 +272,10 @@ def generate_params(bit_length: int, rng: Random) -> FieldParams:
     small prime q or p is never dropped for being its own factor.  Residue
     tables mod 3*5*7*11*13, 17*19*23 and 29*31*37 give the verdict of its 11
     least primes, which drop ~94% of candidates, for three remainders; a gcd
-    with the product of the odd primes below 1000 judges the rest.  A base-2
-    Fermat round on q and then on p drops almost all that pass.  The
+    with the product of the odd primes below 1000 judges the rest.  Once q
+    exceeds 2**13, a second gcd, with the product of the primes in (1000,
+    2**13), drops ~40% of what passes.  A base-2 Fermat round on q and then
+    on p drops almost all that pass.  The
     survivor gets the full Miller-Rabin test on q, and p is proved prime by
     Pocklington's criterion, whose base-2 condition is the round p already
     passed.  Each step rejects only candidates the plain test would reject:
@@ -285,15 +289,17 @@ def generate_params(bit_length: int, rng: Random) -> FieldParams:
         raise ParameterError("bit_length must be at least 5 (p >= 23)")
     if bit_length > MAX_FIELD_BITS:
         raise ParameterError(f"bit_length must be at most {MAX_FIELD_BITS}")
+    getrandbits, top = rng.getrandbits, (1 << (bit_length - 2)) | 1
+    n1, n2, n3 = len(_T1), len(_T2), len(_T3)
     while True:
-        q = rng.getrandbits(bit_length - 1)
-        q |= (1 << (bit_length - 2)) | 1
+        q = getrandbits(bit_length - 1) | top
         p = 2 * q + 1
         if p < MIN_PRIME:
             continue
         if q > _SMALL_PRIMES[-1] and (
-            _T1[q % len(_T1)] or _T2[q % len(_T2)] or _T3[q % len(_T3)]
+            _T1[q % n1] or _T2[q % n2] or _T3[q % n3]
             or math.gcd(q * p, _ODD_PRIMORIAL) != 1
+            or q > _SIEVE_BOUND and math.gcd(q * p, _NEXT_PRIMORIAL) != 1
         ):
             continue
         if pow(2, q - 1, q) != 1 or not _safe_prime_proved(p) or not is_probable_prime(q):

@@ -27,6 +27,7 @@ from .blindsig import (
     Responder,
     Signature,
     SigningKey,
+    SquareSignature,
     _blind_member,
     confirm,
     confirm_batch,
@@ -224,7 +225,9 @@ class RegistrationAuthority:
     signed ballot sheet until ``close``.  ``signatures``, handed out with
     each grant, is the sheet's pairs as registrants confirm them: table
     backed while two tables a candidate fit in ``MAX_SHEET_TABLE_BYTES``,
-    plain above it.  ``close`` drops it, tables and all."""
+    plain above it.  The table-backed view holds the sheet pairs' subgroup
+    verdicts, computed here, before set-up forks, and shared with the tally.
+    ``close`` drops it, tables and all."""
 
     name = "ra"
 
@@ -235,8 +238,7 @@ class RegistrationAuthority:
         self.registered: set[str] = set()
         self.signatures: tuple[Signature, ...] | None = sheet.signatures
         if 2 * len(sheet.ballots) * table_bytes(sheet.params) <= MAX_SHEET_TABLE_BYTES:
-            pairs = zip(sheet.ballots, sheet.signed_ballots)
-            self.signatures = tuple(PublishedSignature(m, sig, sheet.params) for m, sig in pairs)
+            self.signatures = tuple(map(PublishedSignature.of, sheet.signatures))
 
     @property
     def responder(self) -> Responder:
@@ -304,9 +306,10 @@ class Voter:
         which disavows the first bad one.  The sheet's pairs come with the
         grant; a closed authority raises ``RegistrationClosedError``.  Id 1
         is redrawn: the booth refuses it, since it is its own signature under
-        every key.  The id is a square, so blinding skips its subgroup test;
-        the batch makes it, and the booth reuses that verdict.  Last come the
-        ``n_free`` free shares of the casts to come; the voter keeps no ``rng``."""
+        every key.  The id is a square, so no step tests it: the credential
+        is a ``SquareSignature``, the batch tests only its signature half, and
+        the booth reuses that verdict.  Last come the ``n_free`` free shares
+        of the casts to come; the voter keeps no ``rng``."""
         authority_key = authority.key.public_key()
         params = authority_key.params
         name = f"voter/{v_id}"
@@ -317,7 +320,8 @@ class Voter:
         blinded = _blind_member(anon_id, factor, authority_key)
         bus.post(name, authority.name, "register-request", f"v_id={v_id} blinded={blinded}")
         signed_blinded, sheet, signatures = authority.register(v_id, blinded, bus)
-        credential = Signature(anon_id, unblind(signed_blinded, factor, authority_key), params)
+        signed = unblind(signed_blinded, factor, authority_key)
+        credential = SquareSignature(anon_id, signed, params)
         batch = confirm_batch((credential, *signatures), authority_key, authority.responder, rng)
         body = f"weights={','.join(map(str, batch.weights))} {_transcript_body(batch)}"
         bus.post(name, authority.name, "confirm-batch", body)

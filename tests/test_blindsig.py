@@ -21,7 +21,7 @@ from splitvote.blindsig import (
     verify_with_key,
 )
 from splitvote.errors import DomainError, FieldMismatchError, ParameterError, ProtocolAbortError
-from splitvote.modmath import FIXTURE_FIELD, generate_params, in_subgroup, mod_exp
+from splitvote.modmath import FIXTURE_FIELD, generate_params, in_subgroup, mod_exp, mod_inv
 from splitvote.protocol import MessageBus, RegistrationAuthority, Voter, make_ballot_sheet
 from tests.conftest import ScriptedRandom, pinned_round
 
@@ -66,6 +66,20 @@ def test_unblind_worked_example(field, key, pub):
     recovered = unblind(3, 5, pub)
     assert recovered == 16
     assert recovered == mod_exp(9, 3, field)
+
+
+def test_unblind_equals_dividing_out_y_to_the_b_exhaustive(field):
+    # y**(q - b) is the inverse of y**b for every subgroup y, 1 included,
+    # every legal b and every value unblind may be handed
+    count = 0
+    for y in SUBGROUP_23:
+        pub = PublicKey(y, field)
+        for b in range(1, 11):
+            for blinded_sig in range(23):
+                expected = blinded_sig * mod_inv(pow(y, b, 23), field) % 23
+                assert unblind(blinded_sig, b, pub) == expected
+                count += 1
+    assert count == 11 * 10 * 23
 
 
 def test_blind_sign_unblind_round_trip_exhaustive(field, key, pub):

@@ -801,9 +801,9 @@ class TestParallelSetup:
 
     @pytest.mark.parametrize("booth", BOOTH_MODES)
     def test_a_shipped_credential_gets_no_subgroup_test_here(self, booth, monkeypatch):
-        # each registration tests its credential's two halves once; a span
-        # registered in a child ships the verdicts with the credential, so
-        # neither the commit nor the booth tests them again
+        # each registration tests its credential's sig half once, its id
+        # being a square; a span registered in a child ships the verdicts
+        # with the credential, so neither the commit nor the booth tests it
         config = self.config("64", booth)
         setup = {}
         for cpus in (1, 2):
@@ -813,7 +813,7 @@ class TestParallelSetup:
             setup[cpus] = counts["in_subgroup"]
             run.run_schedule()
             assert counts["in_subgroup"] == setup[cpus], "the booth ran a subgroup test"
-        assert setup[1] - setup[2] == 2 * 6
+        assert setup[1] - setup[2] == 1 * 6
 
 
 def reachable(root):

@@ -96,6 +96,16 @@ def test_split_blind_and_confirm_round_trip(params, seed):
 
 @settings(max_examples=20, deadline=None)
 @given(fields, seeds)
+def test_unblind_equals_dividing_out_y_to_the_b(params, seed):
+    rng = random.Random(seed)
+    pub = random_signing_key(params, rng).public_key()
+    blinded_sig, factor = rng.randrange(params.p), rng.randrange(1, params.q)
+    expected = blinded_sig * mod_inv(pow(pub.value, factor, params.p), params) % params.p
+    assert unblind(blinded_sig, factor, pub) == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(fields, seeds)
 def test_disavow_verdicts(params, seed):
     rng = random.Random(seed)
     key = random_signing_key(params, rng)

@@ -338,10 +338,13 @@ def oracle_generate_params(bit_length, rng):
         return FieldParams(p=p, q=q, g=g)
 
 
-# 5-12 bits put q or p = 2q + 1 among the sieve primes (below 1000); 13
-# seeds at each of the 16 sizes up to 64 bits, 7 at each of the 3 above
+# 5-12 bits put q or p = 2q + 1 among the sieve primes (below 1000), and
+# 13-14 among the second gcd stage's, in (1000, 2**13); q crosses 2**13,
+# the guard of that stage, between 14 and 15 bits; 13 seeds at each of the
+# 19 sizes up to 64 bits, 7 at each of the 3 above
 @pytest.mark.parametrize(
-    "bits", (5, 6, 7, 8, 9, 10, 11, 12, 16, 20, 24, 32, 40, 48, 56, 64, 96, 112, 128)
+    "bits",
+    (5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 20, 24, 32, 40, 48, 56, 64, 96, 112, 128),
 )
 def test_generate_params_equals_oracle(bits):
     for seed in range(13 if bits <= 64 else 7):
@@ -359,6 +362,60 @@ def test_residue_tables_mark_what_the_gcd_rejects(table, primes):
     assert len(table) == math.prod(primes)
     for r in range(len(table)):
         assert table[r] == any(r % l == 0 or (2 * r + 1) % l == 0 for l in primes), r
+
+
+PRIMES_1000_TO_2_13 = [n for n in range(1001, 1 << 13) if is_probable_prime(n)]
+
+
+def test_second_gcd_stage_is_the_odd_primes_from_1000_to_2_13():
+    assert modmath._SIEVE_BOUND == 1 << 13
+    assert len(PRIMES_1000_TO_2_13) == 860
+    assert modmath._NEXT_PRIMORIAL == math.prod(PRIMES_1000_TO_2_13)
+    assert modmath._NEXT_PRIMORIAL.bit_length() == 10255
+
+
+class ScriptedBits(ScriptedRandom):
+    def getrandbits(self, k):
+        return self.values.pop(0)
+
+
+def test_a_safe_prime_q_below_the_second_stages_guard_is_kept():
+    # below 2**13, q or p may be one of the stage's primes itself; drawn
+    # first, every such safe prime is the field at once, with g = 2**2
+    fields = 0
+    for q in PRIMES_1000_TO_2_13:
+        if is_probable_prime(2 * q + 1):
+            params = generate_params((2 * q + 1).bit_length(), ScriptedBits([q, 2]))
+            assert (params.p, params.q, params.g) == (2 * q + 1, q, 4)
+            fields += 1
+    assert fields > 0
+
+
+def second_stage_drops(q):
+    return math.gcd(q * (2 * q + 1), modmath._NEXT_PRIMORIAL) != 1
+
+
+def assert_dropped_only_for_a_factor(q):
+    # a prime l in (1000, 2**13) divides q or 2q + 1, and l < q, so the
+    # stage drops only a candidate whose q or p is composite
+    factors = [l for l in PRIMES_1000_TO_2_13 if q % l == 0 or (2 * q + 1) % l == 0]
+    assert second_stage_drops(q) == bool(factors), q
+    if factors:
+        assert not (is_probable_prime(q) and is_probable_prime(2 * q + 1)), q
+
+
+def test_a_q_the_second_stage_drops_has_a_factor_in_q_or_2q_plus_1():
+    # every odd q in the first 3000 above the stage's guard, q > 2**13
+    window = range(modmath._SIEVE_BOUND + 1, modmath._SIEVE_BOUND + 3000, 2)
+    for q in window:
+        assert_dropped_only_for_a_factor(q)
+    assert 0 < sum(map(second_stage_drops, window)) < len(window)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(64, 256), st.integers(0, 2**32 - 1))
+def test_a_large_q_the_second_stage_drops_has_a_factor_in_q_or_2q_plus_1(bits, seed):
+    assert_dropped_only_for_a_factor(random.Random(seed).getrandbits(bits - 1) | 1)
 
 
 def test_pocklington_agrees_with_miller_rabin_for_every_prime_q_below_1e5():

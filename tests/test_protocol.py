@@ -214,6 +214,18 @@ class TestBallotSheet:
             zip(sheet.ballots, sheet.signed_ballots)
         )
 
+    def test_the_authoritys_view_makes_no_subgroup_test_of_its_own(self, key, sheet, monkeypatch):
+        # the view takes each pair's two verdicts from the sheet's plain
+        # pairs, computing their sig halves once as the authority is built,
+        # before set-up forks; the sheet built its message halves' already
+        counts = count_calls(monkeypatch, "in_subgroup")
+        authority = RegistrationAuthority(key, ["V00000"], sheet)
+        assert counts["in_subgroup"] == len(sheet.ballots)
+        verdicts = [(s.message_in_subgroup, s.sig_in_subgroup) for s in authority.signatures]
+        assert verdicts == [(s.message_in_subgroup, s.sig_in_subgroup) for s in sheet.signatures]
+        assert verdicts == [(True, True)] * len(sheet.ballots)
+        assert counts["in_subgroup"] == len(sheet.ballots)
+
 
 class TestMessageBus:
     def test_sequence_and_render(self):
@@ -560,17 +572,17 @@ class TestRegistration:
         # blinded**x, then one batched round over the credential and the
         # four ballots: the credential's m**t and sig**t, and c**x, since
         # every m_i and s_i power comes from the sheet's tables; table
-        # powers: g**b, y**b, g**e2, y**e2 and the sheet's eight; subgroup
-        # tests: both credential halves, the id's being the one the batch
-        # makes; messages: request, grant and batch, for each voter
+        # powers: g**b, y**(q - b), g**e2, y**e2 and the sheet's eight, and
+        # no inverse; one subgroup test, of the credential's sig half, since
+        # the id is a square; messages: request, grant and batch, per voter
         params = field_64()
         key = random_signing_key(params, random.Random(1))
         four = make_ballot_sheet(("a", "b", "c", "d"), key, random.Random(7))
         bus, authority, booth, servers, voters = make_setup(params, key, four, n_voters=2)
         voters[0].register(authority, bus)
-        counts = count_work(monkeypatch)
+        counts = count_calls(monkeypatch, "mod_inv", count_work(monkeypatch))
         voters[1].register(authority, bus)
-        assert counts == {"mod_exp": 4, "in_subgroup": 2, "table": 12}
+        assert counts == {"mod_exp": 4, "in_subgroup": 1, "table": 12, "mod_inv": 0}
         assert len(bus) == 6
 
 
